@@ -20,12 +20,10 @@ from .counts import (
 from .em import (
     EmConfig,
     FitReport,
-    PosteriorTable,
     e_step,
     em_fit,
     fit_with_restarts,
     init_contingency,
-    init_random,
     loglik_from_counts,
     m_step,
 )

@@ -18,7 +18,7 @@ import numpy as np
 from .counts import NGramCounts
 from .em import FitReport, _make_report, loglik_from_counts
 from .errors import DegenerateLikelihood
-from .model import MtdModel, _lag_blocks, spell_word
+from .model import MtdModel, _cell_index, _flat_matrices, spell_word
 
 
 @dataclass
@@ -58,18 +58,11 @@ def loglik_gradient(model: MtdModel, counts: NGramCounts) -> GradientSet:
     d L / d pi_g(b,j) = sum over words with block_g = b, i0 = j of
                         N(w) phi_g / p(w)
     """
-    q = model.alphabet.size
-    l = model.lag_order
     ws = counts.word_indices()
     N = counts.values().astype(np.float64)
-    i0 = ws % q
-    G = model.n_components
-    pi_vals = np.empty((G, ws.size))
-    blocks = []
-    for g in range(1, G + 1):
-        b = _lag_blocks(ws, g, l, q)
-        blocks.append(b)
-        pi_vals[g - 1] = model.matrix_for_lag(g)[b, i0]
+    cells = _cell_index(model, ws)
+    flat = _flat_matrices(model)
+    pi_vals = flat[cells]
     p = model.phi @ pi_vals
     if (p <= 0.0).any():
         pos = int(np.argmax(p <= 0.0))
@@ -82,18 +75,8 @@ def loglik_gradient(model: MtdModel, counts: NGramCounts) -> GradientSet:
         )
     ratio = N / p
     d_phi = pi_vals @ ratio
-    if model.variant == "single_matrix":
-        acc = np.zeros((q, q))
-        for g in range(1, G + 1):
-            np.add.at(acc, (blocks[g - 1], i0), model.phi[g - 1] * ratio)
-        d_pi = [acc]
-    else:
-        d_pi = []
-        for g in range(1, G + 1):
-            acc = np.zeros((q**l, q))
-            np.add.at(acc, (blocks[g - 1], i0), model.phi[g - 1] * ratio)
-            d_pi.append(acc)
-    return GradientSet(d_phi=d_phi, d_pi=d_pi)
+    d_pi = np.bincount(cells.ravel(), weights=(model.phi[:, None] * ratio).ravel(), minlength=flat.size)
+    return GradientSet(d_phi=d_phi, d_pi=list(d_pi.reshape(np.shape(model.matrices))))
 
 
 def berchtold_step(vector: np.ndarray, gradient: np.ndarray, delta: float) -> np.ndarray:

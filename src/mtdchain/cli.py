@@ -161,6 +161,8 @@ def cmd_count(args, argv) -> int:
 
 
 def cmd_fit(args, argv) -> int:
+    if not args.out:
+        raise MtdError("fit requires --out for the model file")
     sequences = _load_corpus(args)
     counts = count_ngrams(sequences, _require_order(args))
     if args.algorithm == "em":
@@ -178,8 +180,6 @@ def cmd_fit(args, argv) -> int:
         config = BerchtoldConfig(epsilon=args.epsilon, max_iters=args.max_iters)
         init = init_contingency(counts, args.lag_order, args.variant)
         report = berchtold_fit(counts, init, config)
-    if not args.out:
-        raise MtdError("fit requires --out for the model file")
     write_model(args.out, report.model, provenance=_provenance(args, argv))
     if args.trace_out:
         write_trace(args.trace_out, report.loglik_trace)
@@ -240,6 +240,8 @@ def cmd_sample(args, argv) -> int:
 
 
 def cmd_expand(args, argv) -> int:
+    if not args.out:
+        raise MtdError("expand requires --out for the model file")
     model, _ = read_model(args.model)
     if isinstance(model, ThetaU):
         expanded = from_theta_u(model)
@@ -247,13 +249,13 @@ def cmd_expand(args, argv) -> int:
         expanded = full_transition_matrix(model)
     else:
         expanded = model
-    if not args.out:
-        raise MtdError("expand requires --out for the model file")
     write_model(args.out, expanded, provenance=_provenance(args, argv))
     return 0
 
 
 def cmd_convert(args, argv) -> int:
+    if not args.out:
+        raise MtdError("convert requires --out for the model file")
     model, _ = read_model(args.model)
     if args.target == "theta_u":
         if not isinstance(model, MtdModel):
@@ -267,8 +269,6 @@ def cmd_convert(args, argv) -> int:
             converted = full_transition_matrix(model)
         else:
             converted = model
-    if not args.out:
-        raise MtdError("convert requires --out for the model file")
     write_model(args.out, converted, provenance=_provenance(args, argv))
     return 0
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetMismatch, EmptyCorpus, LagOutOfRange
-from .model import Alphabet, Sequence, _window_word_indices, index_to_word, spell_word
+from .errors import AlphabetMismatch, EmptyCorpus, IoError, LagOutOfRange
+from .model import Alphabet, _check_word_space, _window_word_indices, spell_word, word_to_index
 
 
 class NGramCounts:
@@ -135,9 +135,10 @@ def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> Con
         raise LagOutOfRange(f"lag {lag} outside 1..{m - block_length + 1}")
     q = counts.alphabet.size
     ws = counts.word_indices()
-    table = np.zeros((q**block_length, q), dtype=np.int64)
-    np.add.at(table, ((ws // q**lag) % q**block_length, ws % q), counts.values())
-    return ContingencyTable(lag, block_length, table)
+    cells = (ws // q**lag) % q**block_length * q + ws % q
+    # float64 sums of int64 counts are exact: corpus totals stay below 2**53
+    table = np.bincount(cells, weights=counts.values(), minlength=q ** (block_length + 1))
+    return ContingencyTable(lag, block_length, table.reshape(q**block_length, q).astype(np.int64))
 
 
 def write_counts(counts: NGramCounts, path) -> None:
@@ -151,21 +152,27 @@ def read_counts(path, alphabet: Alphabet) -> NGramCounts:
     """Read a counts file written by :func:`write_counts`."""
     table: dict[int, int] = {}
     word_length = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise IoError(f"cannot read counts file {path}: {err}") from err
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
             word, n = line.split("\t")
-            letters = alphabet.encode(word)
-            if word_length is None:
-                word_length = len(letters)
-            elif len(letters) != word_length:
-                raise ValueError(f"inconsistent word length in {path}: {word!r}")
-            idx = 0
-            for s in letters:
-                idx = idx * alphabet.size + int(s)
-            table[idx] = table.get(idx, 0) + int(n)
+            n = int(n)
+        except ValueError:
+            raise IoError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}") from None
+        letters = alphabet.encode(word)
+        if word_length is None:
+            word_length = len(letters)
+            _check_word_space(alphabet.size, word_length)
+        elif len(letters) != word_length:
+            raise IoError(f"{path}:{lineno}: inconsistent word length: {word!r}")
+        idx = word_to_index(letters, alphabet.size)
+        table[idx] = table.get(idx, 0) + n
     if word_length is None:
         raise EmptyCorpus(f"no counts in {path}")
     return NGramCounts(alphabet, word_length, table)

@@ -7,6 +7,15 @@ posterior of the selector given an observed (m+1)-word does not depend
 on the word's position, so one pass over the distinct observed words
 (weighted by their counts) is a full E-step, and the M-step is closed
 form.  Each E+M pair cannot decrease the conditional log-likelihood.
+
+Both steps run on one kernel, built once per fit: the (G, n_words) array
+of flat cell indices (g-1)*q**(l+1) + block_g(w)*q + i_0(w) into the model's
+matrices laid end to end (the single-matrix variant drops the g offset,
+so its lags pool into one matrix).  An iteration is then one gather for
+the weighted components phi_g * pi_g(w), whose sum over g is the E-step
+denominator p(w) and also gives the log-likelihood of the current
+iterate, and one ``bincount`` over the same cells for the M-step
+numerators.
 """
 
 from __future__ import annotations
@@ -19,8 +28,8 @@ from .counts import NGramCounts, lag_contingency
 from .errors import AllRestartsFailed, DegenerateLikelihood, EmptyCorpus, ShapeMismatch
 from .model import (
     MtdModel,
-    _lag_blocks,
-    component_word_probs,
+    _cell_index,
+    _component_terms,
     random_mtd,
     spell_word,
     word_probabilities,
@@ -54,23 +63,6 @@ class EmConfig:
             raise ValueError("max_iters must be >= 1")
 
 
-class PosteriorTable:
-    """Per observed word, the posterior over which lag emitted its last letter."""
-
-    def __init__(self, word_indices: np.ndarray, probs: np.ndarray):
-        self.word_indices = word_indices
-        self.probs = probs  # shape (n_words, G)
-
-    def __getitem__(self, word: int) -> np.ndarray:
-        pos = np.searchsorted(self.word_indices, word)
-        if pos >= len(self.word_indices) or self.word_indices[pos] != word:
-            raise KeyError(word)
-        return self.probs[pos]
-
-    def items(self):
-        return zip(self.word_indices, self.probs)
-
-
 @dataclass
 class FitReport:
     """Outcome of one fit: parameters, trace, and selection scores."""
@@ -85,71 +77,71 @@ class FitReport:
     bic: float
 
 
-def loglik_from_counts(model, counts: NGramCounts) -> float:
-    """Conditional log-likelihood sum_w N(w) log p(w); -inf if any p(w) = 0."""
-    probs = word_probabilities(model, counts.word_indices())
+def _loglik(N: np.ndarray, probs: np.ndarray) -> float:
     if (probs <= 0.0).any():
         return float("-inf")
-    return float(counts.values() @ np.log(probs))
+    return float(N @ np.log(probs))
 
 
-def e_step(model: MtdModel, counts: NGramCounts, floor: float | None = None) -> PosteriorTable:
-    """Posterior lag probabilities for every observed word.
+def loglik_from_counts(model, counts: NGramCounts) -> float:
+    """Conditional log-likelihood sum_w N(w) log p(w); -inf if any p(w) = 0."""
+    return _loglik(counts.values(), word_probabilities(model, counts.word_indices()))
+
+
+def _fit_cells(model: MtdModel, counts: NGramCounts) -> np.ndarray:
+    if counts.word_length != model.order + 1:
+        raise ShapeMismatch(
+            f"counts are over {counts.word_length}-words, model needs {model.order + 1}"
+        )
+    return _cell_index(model, counts.word_indices())
+
+
+def _posterior(comps, probs, counts: NGramCounts, floor: float | None) -> np.ndarray:
+    """Normalize components by their sum ``probs``; floored components are summed anew."""
+    if floor is not None:
+        comps = np.maximum(comps, floor)
+        probs = comps.sum(axis=0)
+    if (probs <= 0.0).any():
+        w = int(counts.word_indices()[np.argmax(probs <= 0.0)])
+        word = spell_word(w, counts.word_length, counts.alphabet)
+        raise DegenerateLikelihood(
+            f"observed word {word!r} (index {w}) has zero probability under the current model",
+            word_index=w,
+            word=word,
+        )
+    return comps / probs
+
+
+def _maximize(model: MtdModel, cells, posteriors, N, total):
+    weighted = posteriors * N
+    phi = weighted.sum(axis=1) / total
+    previous = np.stack(model.matrices)
+    num = np.bincount(cells.ravel(), weights=weighted.ravel(), minlength=previous.size)
+    q = model.alphabet.size
+    matrices = _normalize_rows(num.reshape(-1, q), previous.reshape(-1, q))
+    return phi, list(matrices.reshape(previous.shape))
+
+
+def e_step(model: MtdModel, counts: NGramCounts, floor: float | None = None) -> np.ndarray:
+    """Posterior lag probabilities, shape (G, n_words), columns in word-index order.
 
     Raises :class:`DegenerateLikelihood` if an observed word has zero
     mixture probability, unless ``floor`` bounds the component weights
     below first.
     """
-    if counts.word_length != model.order + 1:
-        raise ShapeMismatch(
-            f"counts are over {counts.word_length}-words, model needs {model.order + 1}"
-        )
-    comps = component_word_probs(model, counts.word_indices())
-    if floor is not None:
-        comps = np.maximum(comps, floor)
-    denom = comps.sum(axis=0)
-    if (denom <= 0.0).any():
-        pos = int(np.argmax(denom <= 0.0))
-        w = int(counts.word_indices()[pos])
-        raise DegenerateLikelihood(
-            f"observed word {spell_word(w, counts.word_length, counts.alphabet)!r} "
-            f"(index {w}) has zero probability under the current model",
-            word_index=w,
-            word=spell_word(w, counts.word_length, counts.alphabet),
-        )
-    return PosteriorTable(counts.word_indices(), (comps / denom).T)
+    comps = _component_terms(model, _fit_cells(model, counts))
+    return _posterior(comps, comps.sum(axis=0), counts, floor)
 
 
-def m_step(posteriors: PosteriorTable, counts: NGramCounts, model: MtdModel):
+def m_step(posteriors: np.ndarray, counts: NGramCounts, model: MtdModel):
     """Closed-form maximizer of the expected complete-data log-likelihood.
 
-    Returns ``(phi, matrices)``.  A matrix row whose posterior-weighted
-    block count is zero is copied from ``model`` unchanged: any
-    stochastic row is optimal there, and keeping the previous iterate
-    preserves determinism and monotonicity.
+    ``posteriors`` is an :func:`e_step` array.  Returns ``(phi, matrices)``.
+    A matrix row whose posterior-weighted block count is zero is copied
+    from ``model`` unchanged: any stochastic row is optimal there, and
+    keeping the previous iterate preserves determinism and monotonicity.
     """
-    q = model.alphabet.size
-    l = model.lag_order
-    G = model.n_components
-    ws = posteriors.word_indices
-    N = counts.values() if ws is counts.word_indices() else np.array(
-        [counts[int(w)] for w in ws], dtype=np.int64
-    )
-    weighted = posteriors.probs * N[:, None]  # (n_words, G)
-    phi = weighted.sum(axis=0) / counts.total
-    i0 = ws % q
-    if model.variant == "single_matrix":
-        num = np.zeros((q, q))
-        for g in range(1, G + 1):
-            np.add.at(num, (_lag_blocks(ws, g, 1, q), i0), weighted[:, g - 1])
-        matrices = [_normalize_rows(num, model.matrices[0])]
-    else:
-        matrices = []
-        for g in range(1, G + 1):
-            num = np.zeros((q**l, q))
-            np.add.at(num, (_lag_blocks(ws, g, l, q), i0), weighted[:, g - 1])
-            matrices.append(_normalize_rows(num, model.matrices[g - 1]))
-    return phi, matrices
+    return _maximize(model, _fit_cells(model, counts), posteriors, counts.values(), counts.total)
 
 
 def _normalize_rows(num: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -184,11 +176,6 @@ def _pseudocount_rows(table: np.ndarray) -> np.ndarray:
     return smoothed / smoothed.sum(axis=1, keepdims=True)
 
 
-def init_random(q, order, lag_order, variant="general", seed=0, alphabet=None) -> MtdModel:
-    """Uniform-random starting point (delegates to :func:`random_mtd`)."""
-    return random_mtd(q, order, lag_order, variant=variant, seed=seed, alphabet=alphabet)
-
-
 def _make_report(model, trace, converged, restart_index, counts) -> FitReport:
     trace = np.asarray(trace, dtype=np.float64)
     theta = to_theta_u(model, 0)
@@ -213,19 +200,26 @@ def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) 
     """
     config = config or EmConfig()
     model = init
-    trace = [loglik_from_counts(model, counts)]
+    cells = _fit_cells(model, counts)
+    N = counts.values()
+    total = counts.total
+    comps = _component_terms(model, cells)
+    probs = comps.sum(axis=0)
+    trace = [_loglik(N, probs)]
     converged = False
     for _ in range(config.max_iters):
         try:
-            posteriors = e_step(model, counts, floor=config.floor)
+            posteriors = _posterior(comps, probs, counts, config.floor)
         except DegenerateLikelihood as err:
             err.trace = np.asarray(trace)
             raise
-        phi, matrices = m_step(posteriors, counts, model)
+        phi, matrices = _maximize(model, cells, posteriors, N, total)
         model = MtdModel(
             model.alphabet, model.order, model.lag_order, phi, matrices, variant=model.variant
         )
-        trace.append(loglik_from_counts(model, counts))
+        comps = _component_terms(model, cells)
+        probs = comps.sum(axis=0)
+        trace.append(_loglik(N, probs))
         if trace[-1] - trace[-2] < config.epsilon:
             converged = True
             break
@@ -250,7 +244,7 @@ def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> Fi
         if r == 0:
             init = init_contingency(counts, config.lag_order, config.variant)
         else:
-            init = init_random(
+            init = random_mtd(
                 q,
                 counts.order,
                 config.lag_order,

@@ -14,7 +14,7 @@ class ShapeMismatch(MtdError):
 
 
 class ModelTooLarge(MtdError):
-    """A dense expansion would exceed the configured size guard."""
+    """A dense expansion would exceed its size guard, or word indices would overflow int64."""
 
 
 class AlphabetMismatch(MtdError):

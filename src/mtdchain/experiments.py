@@ -15,9 +15,9 @@ def fit_full_markov(counts: NGramCounts) -> FullMarkovModel:
     """Maximum-likelihood dense table from counts; unseen histories get uniform rows."""
     q = counts.alphabet.size
     m = counts.order
-    ws = counts.word_indices()
-    table = np.zeros((q**m, q))
-    np.add.at(table, (ws // q, ws % q), counts.values().astype(np.float64))
+    # a word index is its history's row times q plus its final letter
+    table = np.bincount(counts.word_indices(), weights=counts.values(), minlength=q ** (m + 1))
+    table = table.reshape(q**m, q)
     row_sums = table.sum(axis=1, keepdims=True)
     uniform = np.full(q, 1.0 / q)
     table = np.where(row_sums > 0.0, table / np.where(row_sums == 0.0, 1.0, row_sums), uniform)
@@ -71,18 +71,6 @@ def tv_experiment_summary(rows) -> dict[int, float]:
     for row in rows:
         sums.setdefault(row["fit_order"], []).append(row["tv"])
     return {m: float(np.mean(v)) for m, v in sorted(sums.items())}
-
-
-def argmin_orders(rows) -> list[int]:
-    """Per replicate, the fitted order with the smallest distance."""
-    per_rep: dict[int, dict[int, float]] = {}
-    for row in rows:
-        per_rep.setdefault(row["replicate"], {})[row["fit_order"]] = row["tv"]
-    out = []
-    for r in sorted(per_rep):
-        tvs = per_rep[r]
-        out.append(min(tvs, key=lambda m: (tvs[m], m)))
-    return out
 
 
 def bic_compare(

@@ -25,6 +25,7 @@ from .errors import AlphabetMismatch, InvalidSymbol, ModelTooLarge, ShapeMismatc
 
 ROW_SUM_TOL = 1e-12
 MAX_TABLE_ENTRIES = 10**8
+_INT64_MAX = 2**63 - 1
 
 # dense transition tables above this size are not precomputed for sampling
 _SAMPLE_PRECOMPUTE_LIMIT = 4 * 10**6
@@ -211,10 +212,6 @@ class MtdModel:
             raise ValueError(f"lag {g} outside 1..{self.n_components}")
         return self.matrices[0] if self.variant == "single_matrix" else self.matrices[g - 1]
 
-    def stacked_matrices(self) -> np.ndarray:
-        """All component matrices as one (G, q**l, q) array."""
-        return np.stack([self.matrix_for_lag(g) for g in range(1, self.n_components + 1)])
-
     def __eq__(self, other):
         if not isinstance(other, MtdModel):
             return NotImplemented
@@ -272,9 +269,38 @@ def _check_history(model, history) -> np.ndarray:
     return hist
 
 
-def _lag_blocks(word_indices: np.ndarray, g: int, lag_order: int, q: int) -> np.ndarray:
-    """Block index at lag g of each (m+1)-word index (i_0 at digit 0)."""
-    return (word_indices // q**g) % q**lag_order
+def _flat_matrices(model: MtdModel) -> np.ndarray:
+    """The model's matrices laid end to end, row-major: the table :func:`_cell_index` indexes."""
+    return np.concatenate([mat.ravel() for mat in model.matrices])
+
+
+def _cell_index(model: MtdModel, word_indices: np.ndarray) -> np.ndarray:
+    """Position of pi_g(block_g(w), i_0(w)) in :func:`_flat_matrices`, shape (G, n_words).
+
+    Row g-1 is (g-1)*q**(l+1) + block_g(w)*q + i_0(w), where block_g is
+    the l-letter block whose most recent letter sits at lag g.  The
+    single-matrix variant drops the g offset, so every lag reads (and, in
+    a ``bincount``, writes) the one shared matrix.
+    """
+    q = model.alphabet.size
+    l = model.lag_order
+    word_indices = np.asarray(word_indices, dtype=np.int64)
+    lags = np.arange(1, model.n_components + 1, dtype=np.int64)
+    stride = 0 if model.variant == "single_matrix" else q ** (l + 1)
+    # in place: the (G, n_words) temporaries dominate peak memory on large counts
+    cells = word_indices // (q**lags)[:, None]
+    cells %= q**l
+    cells *= q
+    cells += ((lags - 1) * stride)[:, None]
+    cells += word_indices % q
+    return cells
+
+
+def _component_terms(model: MtdModel, cells: np.ndarray) -> np.ndarray:
+    """phi_g * pi_g(block_g, i_0) gathered through a :func:`_cell_index` array."""
+    terms = _flat_matrices(model)[cells]
+    terms *= model.phi[:, None]
+    return terms
 
 
 def component_word_probs(model: MtdModel, word_indices: np.ndarray) -> np.ndarray:
@@ -284,14 +310,7 @@ def component_word_probs(model: MtdModel, word_indices: np.ndarray) -> np.ndarra
     gives the mixture probability of each word's final letter given its
     history.
     """
-    q = model.alphabet.size
-    word_indices = np.asarray(word_indices, dtype=np.int64)
-    i0 = word_indices % q
-    out = np.empty((model.n_components, word_indices.size))
-    for g in range(1, model.n_components + 1):
-        blocks = _lag_blocks(word_indices, g, model.lag_order, q)
-        out[g - 1] = model.phi[g - 1] * model.matrix_for_lag(g)[blocks, i0]
-    return out
+    return _component_terms(model, _cell_index(model, word_indices))
 
 
 def word_probabilities(model, word_indices: np.ndarray) -> np.ndarray:
@@ -343,8 +362,15 @@ def full_transition_matrix(model: MtdModel) -> FullMarkovModel:
     return FullMarkovModel(model.alphabet, model.order, rows)
 
 
+def _check_word_space(q: int, k: int) -> None:
+    """Raise :class:`ModelTooLarge` unless every k-letter word index fits in int64."""
+    if q**k > _INT64_MAX:
+        raise ModelTooLarge(f"{k}-letter words over {q} symbols overflow 64-bit word indices")
+
+
 def _window_word_indices(data: np.ndarray, k: int, q: int) -> np.ndarray:
     """Indices of all length-k windows of ``data`` (empty if too short)."""
+    _check_word_space(q, k)
     n = data.size
     if n < k:
         return np.empty(0, dtype=np.int64)

@@ -1,0 +1,75 @@
+import numpy as np
+import pytest
+
+from mtdchain import DNA, MtdModel, write_model
+from mtdchain import cli
+
+# Outputs of these exact commands, recorded before the EM kernel rewrite;
+# scripts parse them, so they must stay byte-identical.
+FIT_GOLDEN = (
+    "final_loglik\titerations\tconverged\tbic\n"
+    "-5130.635749929632\t56\tTrue\t10522.19688222545\n"
+)
+EVAL_GOLDEN = (
+    "loglik\tdim_theta_u\tdim_raw\tn_terms\tbic\n"
+    "-6474.322710534654\t30\t38\t5988\t13209.570803435494\n"
+)
+
+
+def _corpus(n_lines=4, length=1500):
+    """Lines over 'acgt' from a pure-Python LCG: lag-1 and lag-3 dependence plus noise."""
+    state = 12345
+    lines = []
+    for _ in range(n_lines):
+        letters = [0, 1, 2]
+        while len(letters) < length:
+            state = (1103515245 * state + 12345) % 2**31
+            u = state / 2**31
+            if u < 0.5:
+                nxt = (letters[-1] + 1) % 4
+            elif u < 0.8:
+                nxt = letters[-3]
+            else:
+                nxt = (state >> 16) % 4
+            letters.append(nxt)
+        lines.append("".join("acgt"[s] for s in letters))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text(_corpus())
+    return str(path)
+
+
+def test_fit_summary_golden(corpus, tmp_path, capsys):
+    argv = ["fit", "--in", corpus, "--alphabet", "acgt", "--order", "3",
+            "--restarts", "3", "--seed", "7", "--out", str(tmp_path / "model.json")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == FIT_GOLDEN
+
+
+def test_fit_without_out_fails_before_work(corpus, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "_load_corpus", forbidden)
+    monkeypatch.setattr(cli, "fit_with_restarts", forbidden)
+    rc = cli.main(["fit", "--in", corpus, "--alphabet", "acgt", "--order", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("mtdchain: error: ") and "--out" in captured.err
+
+
+def test_eval_row_golden(corpus, tmp_path, capsys):
+    pi1 = np.array([[0.1, 0.6, 0.2, 0.1], [0.1, 0.1, 0.6, 0.2],
+                    [0.2, 0.1, 0.1, 0.6], [0.6, 0.2, 0.1, 0.1]])
+    pi2 = np.array([[0.4, 0.2, 0.2, 0.2], [0.2, 0.4, 0.2, 0.2],
+                    [0.2, 0.2, 0.4, 0.2], [0.2, 0.2, 0.2, 0.4]])
+    model_path = str(tmp_path / "model.json")
+    write_model(model_path, MtdModel(DNA, 3, 1, [0.5, 0.2, 0.3], [pi1, pi2, pi2]))
+    assert cli.main(["eval", "--model", model_path, "--in", corpus]) == 0
+    assert capsys.readouterr().out == EVAL_GOLDEN

@@ -5,10 +5,13 @@ from conftest import random_sequence
 from mtdchain import (
     Alphabet,
     AlphabetMismatch,
+    IoError,
     LagOutOfRange,
+    ModelTooLarge,
     NGramCounts,
     Sequence,
     count_ngrams,
+    default_alphabet,
     lag_contingency,
     merge_counts,
     read_counts,
@@ -181,3 +184,36 @@ class TestSerialization:
         path = tmp_path / "counts.tsv"
         write_counts(counts, path)
         assert path.read_text() == "at\t5\n"
+
+    def test_malformed_line(self, dna, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("ac\t3\ngt 4\n")
+        with pytest.raises(IoError, match=":2:"):
+            read_counts(path, dna)
+
+    def test_missing_file(self, dna, tmp_path):
+        with pytest.raises(IoError):
+            read_counts(tmp_path / "absent.tsv", dna)
+
+    def test_word_index_overflow(self, tmp_path):
+        ab = Alphabet(tuple("abcdefghijklmnopqrst"))
+        path = tmp_path / "counts.tsv"
+        path.write_text("b" * 15 + "\t2\n")
+        with pytest.raises(ModelTooLarge):
+            read_counts(path, ab)
+
+
+class TestWordIndexRange:
+    def test_overflow_raises(self):
+        # 20**15 > 2**63 - 1: the int64 window index would wrap
+        ab = default_alphabet(20)
+        seq = Sequence(ab, np.arange(40) % 20)
+        with pytest.raises(ModelTooLarge):
+            count_ngrams([seq], 14)
+
+    def test_largest_fitting_word(self):
+        # 20**14 < 2**63 - 1: the top window index is exact
+        ab = default_alphabet(20)
+        seq = Sequence(ab, np.full(14, 19))
+        counts = count_ngrams([seq], 13)
+        assert list(counts.items()) == [(20**14 - 1, 1)]

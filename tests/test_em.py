@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refdata
 from conftest import build_model, random_sequence
@@ -24,14 +26,13 @@ from mtdchain import (
     sample_sequence,
     word_to_index,
 )
-from mtdchain.em import PosteriorTable
 
 
 def q_function(phi, matrices, posteriors, counts, lag_order):
     """Expected complete-data log-likelihood, written as plain loops."""
     q = counts.alphabet.size
     total = 0.0
-    for w, post in posteriors.items():
+    for w, post in zip(counts.word_indices(), posteriors.T):
         n = counts[int(w)]
         i0 = int(w) % q
         for g, p_g in enumerate(post, start=1):
@@ -60,13 +61,163 @@ def scan_posteriors(model, seq):
     return out
 
 
+def column(posteriors, counts, word):
+    """Posterior over lags of one observed word."""
+    pos = int(np.searchsorted(counts.word_indices(), word))
+    assert counts.word_indices()[pos] == word
+    return posteriors[:, pos]
+
+
+# Reference EM: the per-lag loops and np.add.at scatters that the cell-index
+# kernel replaced.  em_fit must reproduce its iterates bit for bit.
+
+
+def oracle_component_word_probs(model, ws):
+    q = model.alphabet.size
+    i0 = ws % q
+    out = np.empty((model.n_components, ws.size))
+    for g in range(1, model.n_components + 1):
+        blocks = (ws // q**g) % q**model.lag_order
+        out[g - 1] = model.phi[g - 1] * model.matrix_for_lag(g)[blocks, i0]
+    return out
+
+
+def oracle_loglik(model, counts):
+    probs = oracle_component_word_probs(model, counts.word_indices()).sum(axis=0)
+    if (probs <= 0.0).any():
+        return float("-inf")
+    return float(counts.values() @ np.log(probs))
+
+
+def oracle_e_step(model, counts, floor=None):
+    """Posteriors of shape (n_words, G)."""
+    comps = oracle_component_word_probs(model, counts.word_indices())
+    if floor is not None:
+        comps = np.maximum(comps, floor)
+    denom = comps.sum(axis=0)
+    if (denom <= 0.0).any():
+        raise DegenerateLikelihood("oracle: observed word with zero probability")
+    return (comps / denom).T
+
+
+def oracle_m_step(probs, counts, model):
+    q = model.alphabet.size
+    l = model.lag_order
+    G = model.n_components
+    ws = counts.word_indices()
+    weighted = probs * counts.values()[:, None]
+    phi = weighted.sum(axis=0) / counts.total
+    i0 = ws % q
+    groups = [range(1, G + 1)] if model.variant == "single_matrix" else [[g] for g in range(1, G + 1)]
+    matrices = []
+    for lags, previous in zip(groups, model.matrices):
+        num = np.zeros((q**l, q))
+        for g in lags:
+            np.add.at(num, ((ws // q**g) % q**l, i0), weighted[:, g - 1])
+        row_sums = num.sum(axis=1)
+        safe = np.where(row_sums == 0.0, 1.0, row_sums)[:, None]
+        matrices.append(np.where(row_sums[:, None] > 0.0, num / safe, previous))
+    return phi, matrices
+
+
+def oracle_em_fit(counts, init, config):
+    """Returns ``(trace, model)``; a degenerate E-step raises with the trace attached."""
+    model = init
+    trace = [oracle_loglik(model, counts)]
+    for _ in range(config.max_iters):
+        try:
+            probs = oracle_e_step(model, counts, config.floor)
+        except DegenerateLikelihood as err:
+            err.trace = np.asarray(trace)
+            raise
+        phi, matrices = oracle_m_step(probs, counts, model)
+        model = MtdModel(
+            model.alphabet, model.order, model.lag_order, phi, matrices, variant=model.variant
+        )
+        trace.append(oracle_loglik(model, counts))
+        if trace[-1] - trace[-2] < config.epsilon:
+            break
+    return np.asarray(trace), model
+
+
+def assert_matches_oracle(counts, init, config):
+    report = em_fit(counts, init, config)
+    trace, model = oracle_em_fit(counts, init, config)
+    assert np.array_equal(report.loglik_trace, trace)
+    assert np.array_equal(report.model.phi, model.phi)
+    assert len(report.model.matrices) == len(model.matrices)
+    for got, expected in zip(report.model.matrices, model.matrices):
+        assert np.array_equal(got, expected)
+    return report
+
+
+class TestKernelMatchesOracle:
+    @pytest.mark.parametrize(
+        "q,m,l,variant",
+        [(4, 5, 1, "general"), (3, 4, 2, "general"), (4, 4, 1, "single_matrix")],
+    )
+    def test_bit_identical(self, q, m, l, variant):
+        truth = random_mtd(q, m, l, variant=variant, seed=q + m + l)
+        counts = count_ngrams([sample_sequence(truth, 4000, seed=m)], m)
+        config = EmConfig(epsilon=1e-6, max_iters=200)
+        report = assert_matches_oracle(counts, init_contingency(counts, l, variant), config)
+        assert report.iterations > 5
+        assert_matches_oracle(counts, random_mtd(q, m, l, variant=variant, seed=5), config)
+
+    def test_floor(self, song):
+        counts = count_ngrams([random_sequence(song, 2000, 21)], 3)
+        config = EmConfig(floor=1e-9, epsilon=1e-6)
+        # pi_1 never emits the last letter: the floor keeps binding on its
+        # components while the unfloored mixture stays positive
+        rest = random_mtd(3, 3, 1, seed=22, alphabet=song)
+        pi1 = np.array([[0.5, 0.5, 0.0]] * 3)
+        init = MtdModel(song, 3, 1, rest.phi, [pi1, *rest.matrices[1:]])
+        report = assert_matches_oracle(counts, init, config)
+        assert report.model.matrices[0][:, 2].min() < 1e-6
+        # every word not ending in the first letter starts at zero
+        # probability: the floor alone keeps the first E-step defined
+        pi = np.array([[1.0, 0.0, 0.0]] * 3)
+        init = MtdModel(song, 3, 1, [0.2, 0.3, 0.5], [pi, pi, pi])
+        report = assert_matches_oracle(counts, init, config)
+        assert report.loglik_trace[0] == float("-inf")
+        assert np.isfinite(report.final_loglik)
+
+    def test_degenerate_init(self, song):
+        pi = np.array([[1.0, 0.0, 0.0]] * 3)
+        init = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
+        counts = count_ngrams([Sequence(song, [0, 0, 1, 0])], 2)
+        with pytest.raises(DegenerateLikelihood) as got:
+            em_fit(counts, init, EmConfig())
+        with pytest.raises(DegenerateLikelihood) as expected:
+            oracle_em_fit(counts, init, EmConfig())
+        assert np.array_equal(got.value.trace, expected.value.trace)
+        assert list(got.value.trace) == [float("-inf")]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(2, 4),
+        m=st.integers(1, 4),
+        l=st.integers(1, 4),
+        single=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property(self, q, m, l, single, seed):
+        l = 1 if single else min(l, m)
+        variant = "single_matrix" if single else "general"
+        truth = random_mtd(q, m, l, variant=variant, seed=seed)
+        counts = count_ngrams([sample_sequence(truth, 600, seed=seed + 1)], m)
+        init = random_mtd(q, m, l, variant=variant, seed=seed + 2)
+        report = assert_matches_oracle(counts, init, EmConfig(epsilon=1e-6, max_iters=60))
+        assert np.diff(report.loglik_trace).min() > -1e-9
+
+
 class TestEStep:
     def test_single_component(self, dna):
         counts = count_ngrams([random_sequence(dna, 60, 0)], 2)
         mat = np.full((16, 4), 0.25)
         model = MtdModel(dna, 2, 2, [1.0], [mat])
         post = e_step(model, counts)
-        assert np.abs(post.probs - 1.0).max() < 1e-15
+        assert np.abs(post - 1.0).max() < 1e-15
 
     def test_indistinguishable_components_give_phi(self, dna):
         # identical matrices with identical rows: every component assigns the
@@ -78,7 +229,7 @@ class TestEStep:
         p = np.tile(row, (4, 1))
         model = MtdModel(dna, 2, 1, [0.3, 0.7], [p, p])
         post = e_step(model, counts)
-        assert np.abs(post.probs - np.array([0.3, 0.7])).max() < 1e-12
+        assert np.abs(post.T - np.array([0.3, 0.7])).max() < 1e-12
 
     def test_equal_matrices_do_not_collapse_in_general(self, dna):
         # sharing one matrix across lags is *not* enough: components stay
@@ -91,12 +242,12 @@ class TestEStep:
         post = e_step(model, counts)
         word = word_to_index(dna.encode("act"), 4)
         c1, c2 = 0.3 * p[1, 3], 0.7 * p[0, 3]
-        assert post[word][0] == pytest.approx(c1 / (c1 + c2), abs=1e-12)
+        assert column(post, counts, word)[0] == pytest.approx(c1 / (c1 + c2), abs=1e-12)
 
     def test_pewee_anchor(self, pewee_em, song):
         counts_stub = count_ngrams([Sequence(song, [0, 0, 0])], 2)
         post = e_step(pewee_em, counts_stub)
-        value = post[word_to_index([0, 0, 0], 3)][0]
+        value = column(post, counts_stub, word_to_index([0, 0, 0], 3))[0]
         assert value == pytest.approx(0.275 * 0.102 / 0.75305, abs=1e-12)
         assert round(value, 6) == 0.037249
 
@@ -109,7 +260,7 @@ class TestEStep:
         model = random_mtd(q, m, l, seed=seed)
         counts = count_ngrams([random_sequence(model.alphabet, 300, seed)], m)
         post = e_step(model, counts)
-        assert np.abs(post.probs.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(post.sum(axis=0) - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("variant,l", [("general", 1), ("general", 2), ("single_matrix", 1)])
     def test_matches_position_scan(self, variant, l):
@@ -118,7 +269,7 @@ class TestEStep:
         counts = count_ngrams([seq], 3)
         post = e_step(model, counts)
         for word, expected in scan_posteriors(model, seq):
-            assert np.abs(post[word] - expected).max() < 1e-12
+            assert np.abs(column(post, counts, word) - expected).max() < 1e-12
 
     def test_degenerate_word(self, song):
         pi = np.array([[1.0, 0.0, 0.0]] * 3)
@@ -134,7 +285,7 @@ class TestEStep:
         model = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
         counts = count_ngrams([Sequence(song, [0, 0, 1])], 2)
         post = e_step(model, counts, floor=1e-9)
-        assert np.abs(post.probs.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(post.sum(axis=0) - 1.0).max() < 1e-12
 
 
 class TestMStep:
@@ -142,10 +293,9 @@ class TestMStep:
         seq = random_sequence(dna, 120, 3)
         counts = count_ngrams([seq], 2)
         model = random_mtd(4, 2, 1, seed=4, alphabet=dna)
-        ws = counts.word_indices()
-        probs = np.zeros((len(ws), 2))
-        probs[:, 0] = 1.0
-        phi, mats = m_step(PosteriorTable(ws, probs), counts, model)
+        probs = np.zeros((2, len(counts)))
+        probs[0] = 1.0
+        phi, mats = m_step(probs, counts, model)
         assert np.abs(phi - np.array([1.0, 0.0])).max() < 1e-15
         table = lag_contingency(counts, 1, 1).table.astype(float)
         observed = table.sum(axis=1) > 0
@@ -168,9 +318,8 @@ class TestMStep:
     def test_posterior_equal_phi_fixed_point(self, dna):
         counts = count_ngrams([random_sequence(dna, 150, 7)], 2)
         model = random_mtd(4, 2, 1, seed=8, alphabet=dna)
-        ws = counts.word_indices()
-        probs = np.tile(model.phi, (len(ws), 1))
-        phi, _ = m_step(PosteriorTable(ws, probs), counts, model)
+        probs = np.tile(model.phi[:, None], (1, len(counts)))
+        phi, _ = m_step(probs, counts, model)
         assert np.abs(phi - model.phi).max() < 1e-12
 
     @pytest.mark.parametrize("variant,l", [("general", 1), ("general", 2), ("single_matrix", 1)])
@@ -195,14 +344,14 @@ class TestMStep:
         tied = MtdModel(song, 2, 1, shared.phi, [shared.matrices[0]] * 2)
         post_shared = e_step(shared, counts)
         post_tied = e_step(tied, counts)
-        assert np.abs(post_shared.probs - post_tied.probs).max() < 1e-15
+        assert np.abs(post_shared - post_tied).max() < 1e-15
         phi_s, mats_s = m_step(post_shared, counts, shared)
         q = 3
         ws = counts.word_indices()
         N = counts.values().astype(float)
         num = np.zeros((3, 3))
         for g in (1, 2):
-            np.add.at(num, ((ws // q**g) % q, ws % q), post_tied.probs[:, g - 1] * N)
+            np.add.at(num, ((ws // q**g) % q, ws % q), post_tied[g - 1] * N)
         expected = num / num.sum(axis=1, keepdims=True)
         assert np.abs(mats_s[0] - expected).max() < 1e-12
         phi_t, _ = m_step(post_tied, counts, tied)
@@ -301,13 +450,11 @@ class TestFitWithRestarts:
         counts = count_ngrams([seq], 2)
         config = EmConfig(n_restarts=4, seed=43)
         best = fit_with_restarts(counts, config)
-        from mtdchain.em import init_random
-
         seeds = np.random.SeedSequence(43).spawn(3)
         finals = [em_fit(counts, init_contingency(counts), config).final_loglik]
         for s in seeds:
             finals.append(
-                em_fit(counts, init_random(4, 2, 1, seed=s, alphabet=dna), config).final_loglik
+                em_fit(counts, random_mtd(4, 2, 1, seed=s, alphabet=dna), config).final_loglik
             )
         assert best.final_loglik == max(finals)
 
@@ -336,17 +483,17 @@ class TestFitWithRestarts:
         import mtdchain.em as em_module
 
         original_cont = em_module.init_contingency
-        original_rand = em_module.init_random
+        original_rand = em_module.random_mtd
         degenerate = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
         try:
             em_module.init_contingency = lambda *a, **k: degenerate
-            em_module.init_random = lambda *a, **k: degenerate
+            em_module.random_mtd = lambda *a, **k: degenerate
             with pytest.raises(AllRestartsFailed) as err:
                 em_module.fit_with_restarts(counts, EmConfig(n_restarts=3))
             assert len(err.value.failures) == 3
         finally:
             em_module.init_contingency = original_cont
-            em_module.init_random = original_rand
+            em_module.random_mtd = original_rand
 
 
 class TestVariantAgainstGridSearch:
