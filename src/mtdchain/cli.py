@@ -12,20 +12,13 @@ import hashlib
 import sys
 
 from .berchtold import BerchtoldConfig, berchtold_fit
-from .counts import count_ngrams
+from .counts import count_ngrams, write_counts
 from .em import EmConfig, fit_with_restarts, init_contingency, loglik_from_counts
 from .errors import MtdError
 from .experiments import bic_compare, tv_experiment, tv_experiment_summary
-from .model import (
-    Alphabet,
-    FullMarkovModel,
-    MtdModel,
-    full_transition_matrix,
-    sample_sequence,
-    spell_word,
-)
+from .model import Alphabet, MtdModel, full_transition_matrix, sample_sequence
 from .modelfile import read_model, write_model, write_trace
-from .reparam import ThetaU, bic, dim_full_markov, dim_raw_mtd, dim_theta_u, from_theta_u, to_theta_u
+from .reparam import ThetaU, bic, from_theta_u, model_dimension, to_theta_u
 from .seqio import read_sequences
 
 
@@ -115,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand an MTD model to its dense table")
     _common_flags(p)
     p.add_argument("--model", required=True)
+    p.set_defaults(target="full_markov")
 
     p = sub.add_parser("convert", help="convert between model parametrizations")
     _common_flags(p)
@@ -152,11 +146,7 @@ def _require_order(args) -> int:
 def cmd_count(args, argv) -> int:
     sequences = _load_corpus(args)
     counts = count_ngrams(sequences, _require_order(args))
-    text = "".join(
-        f"{spell_word(int(w), counts.word_length, counts.alphabet)}\t{int(n)}\n"
-        for w, n in counts.items()
-    )
-    _emit(text, args.out)
+    write_counts(counts, args.out or sys.stdout)
     return 0
 
 
@@ -203,18 +193,8 @@ def cmd_eval(args, argv) -> int:
     sequences = read_sequences(args.infile, fmt=args.format, alphabet=alphabet)
     counts = count_ngrams(sequences, scoring.order, alphabet=alphabet)
     loglik = loglik_from_counts(scoring, counts)
-    q = alphabet.size
-    m = scoring.order
-    if isinstance(model, FullMarkovModel):
-        d_theta = d_raw = dim_full_markov(m, q)
-    elif isinstance(model, ThetaU):
-        d_theta = dim_theta_u(m, model.lag_order, q)
-        d_raw = dim_raw_mtd(m, model.lag_order, q)
-    elif model.variant == "single_matrix":
-        d_theta = d_raw = (m - 1) + q * (q - 1)
-    else:
-        d_theta = dim_theta_u(m, model.lag_order, q)
-        d_raw = dim_raw_mtd(m, model.lag_order, q)
+    d_theta = model_dimension(model, "theta_u")
+    d_raw = model_dimension(model, "raw")
     n_terms = counts.total if args.bic_n == "terms" else sum(len(s) for s in sequences)
     dim = d_theta if args.dim_convention == "theta_u" else d_raw
     value = bic(loglik, dim, n_terms)
@@ -239,36 +219,19 @@ def cmd_sample(args, argv) -> int:
     return 0
 
 
-def cmd_expand(args, argv) -> int:
-    if not args.out:
-        raise MtdError("expand requires --out for the model file")
-    model, _ = read_model(args.model)
-    if isinstance(model, ThetaU):
-        expanded = from_theta_u(model)
-    elif isinstance(model, MtdModel):
-        expanded = full_transition_matrix(model)
-    else:
-        expanded = model
-    write_model(args.out, expanded, provenance=_provenance(args, argv))
-    return 0
-
-
 def cmd_convert(args, argv) -> int:
+    """``convert``, and ``expand``, which is ``convert --to full_markov``."""
     if not args.out:
-        raise MtdError("convert requires --out for the model file")
+        raise MtdError(f"{args.command} requires --out for the model file")
     model, _ = read_model(args.model)
-    if args.target == "theta_u":
-        if not isinstance(model, MtdModel):
-            raise MtdError("only MTD models convert to theta_u")
+    if args.target == "full_markov":
+        model = _as_transition_model(model)
+        converted = full_transition_matrix(model) if isinstance(model, MtdModel) else model
+    elif isinstance(model, MtdModel):
         u = model.alphabet.index(args.ref_letter) if args.ref_letter else 0
         converted = to_theta_u(model, u)
     else:
-        if isinstance(model, ThetaU):
-            converted = from_theta_u(model)
-        elif isinstance(model, MtdModel):
-            converted = full_transition_matrix(model)
-        else:
-            converted = model
+        raise MtdError("only MTD models convert to theta_u")
     write_model(args.out, converted, provenance=_provenance(args, argv))
     return 0
 
@@ -326,7 +289,7 @@ _COMMANDS = {
     "fit": cmd_fit,
     "eval": cmd_eval,
     "sample": cmd_sample,
-    "expand": cmd_expand,
+    "expand": cmd_convert,
     "convert": cmd_convert,
     "tv-experiment": cmd_tv_experiment,
     "bic-compare": cmd_bic_compare,

@@ -2,8 +2,12 @@
 
 Counting windows never cross sequence boundaries, so a corpus may be
 ingested per sequence (or per chunk of sequences) and combined with
-:func:`merge_counts`.  Only observed words are stored; fitting loops
-iterate the sparse map in ascending word-index order.
+:func:`merge_counts`.  A count table is two aligned read-only int64
+arrays: the observed word indices, strictly ascending, and their
+counts, all positive.  Every table is built the same way, by
+``np.unique`` over word indices plus an exact int64 sum of their
+weights, and fitting code reads the two arrays directly.  The counts
+file format (``word<TAB>count`` lines) is defined here and nowhere else.
 """
 
 from __future__ import annotations
@@ -13,68 +17,86 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphabetMismatch, EmptyCorpus, IoError, LagOutOfRange
-from .model import Alphabet, _check_word_space, _window_word_indices, spell_word, word_to_index
+from .model import Alphabet, _check_word_space, _window_word_indices, word_to_index
+
+_SPELL_CHUNK = 1 << 16  # bounds the temporary string arrays of write_counts
 
 
 class NGramCounts:
-    """Sparse occurrence counts of the (m+1)-letter words of a corpus."""
+    """Occurrence counts of the observed (m+1)-letter words of a corpus."""
 
-    def __init__(self, alphabet: Alphabet, word_length: int, counts: dict[int, int] | None = None):
+    def __init__(self, alphabet: Alphabet, word_length: int, words=(), counts=()):
         word_length = int(word_length)
         if word_length < 1:
             raise ValueError("word_length must be >= 1")
+        words = np.asarray(words, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if words.ndim != 1 or words.shape != counts.shape:
+            raise ValueError("words and counts must be aligned one-dimensional arrays")
+        if words.size:
+            if counts.min() < 0:
+                raise ValueError(f"negative count for word {words[np.argmin(counts)]}")
+            limit = alphabet.size**word_length
+            lo, hi = int(words.min()), int(words.max())
+            if lo < 0 or hi >= limit:
+                raise ValueError(f"word index {lo if lo < 0 else hi} outside [0, {limit})")
+            if (words[1:] <= words[:-1]).any():
+                raise ValueError("word indices must be strictly ascending")
+        # zero-count entries are never stored; the mask also copies, so the
+        # caller's arrays are neither kept nor frozen
+        keep = counts > 0
+        words, counts = words[keep], counts[keep]
+        words.flags.writeable = False
+        counts.flags.writeable = False
         self.alphabet = alphabet
         self.word_length = word_length
-        limit = alphabet.size**word_length
-        clean: dict[int, int] = {}
-        for w, n in (counts or {}).items():
-            w, n = int(w), int(n)
-            if n < 0:
-                raise ValueError(f"negative count for word {w}")
-            if not 0 <= w < limit:
-                raise ValueError(f"word index {w} outside [0, {limit})")
-            if n > 0:  # zero-count entries are never stored
-                clean[w] = n
-        self._counts = clean
-        self._words = None
-        self._values = None
+        self.total = int(counts.sum())
+        self._words = words
+        self._counts = counts
 
     @property
     def order(self) -> int:
         return self.word_length - 1
 
-    @property
-    def total(self) -> int:
-        return sum(self._counts.values())
-
     def __len__(self) -> int:
-        return len(self._counts)
+        return self._words.size
 
     def __getitem__(self, word: int) -> int:
-        return self._counts.get(int(word), 0)
+        i = np.searchsorted(self._words, word)
+        return int(self._counts[i]) if i < self._words.size and self._words[i] == word else 0
 
     def items(self):
-        return ((w, self._counts[w]) for w in sorted(self._counts))
+        """(word index, count) pairs as Python ints, ascending by word."""
+        return zip(self._words.tolist(), self._counts.tolist())
 
     def word_indices(self) -> np.ndarray:
         """Observed word indices, ascending."""
-        if self._words is None:
-            self._words = np.array(sorted(self._counts), dtype=np.int64)
-            self._words.flags.writeable = False
         return self._words
 
     def values(self) -> np.ndarray:
         """Counts aligned with :meth:`word_indices`."""
-        if self._values is None:
-            ws = self.word_indices()
-            self._values = np.array([self._counts[int(w)] for w in ws], dtype=np.int64)
-            self._values.flags.writeable = False
-        return self._values
+        return self._counts
 
     def __repr__(self):
         return (
             f"NGramCounts(k={self.word_length}, distinct={len(self)}, total={self.total})"
         )
+
+
+def _tally(alphabet: Alphabet, word_length: int, words: np.ndarray, weights=None) -> NGramCounts:
+    """Count table of ``words``, each occurrence weighted 1 or by ``weights``.
+
+    This is the one construction path of every producer below: the
+    distinct words come from ``np.unique`` and the weights of a repeated
+    word are summed exactly in int64.
+    """
+    if weights is None:
+        distinct, sums = np.unique(words, return_counts=True)
+    else:
+        order = np.argsort(words)
+        distinct, starts = np.unique(words[order], return_index=True)
+        sums = np.add.reduceat(weights[order], starts)
+    return NGramCounts(alphabet, word_length, distinct, sums)
 
 
 def count_ngrams(sequences, order: int, alphabet: Alphabet | None = None) -> NGramCounts:
@@ -88,26 +110,20 @@ def count_ngrams(sequences, order: int, alphabet: Alphabet | None = None) -> NGr
             raise EmptyCorpus("no sequences and no alphabet given")
         alphabet = sequences[0].alphabet
     q = alphabet.size
-    chunks = []
+    chunks = [np.empty(0, dtype=np.int64)]
     for seq in sequences:
         if seq.alphabet != alphabet:
             raise AlphabetMismatch(f"sequence {seq.name!r} uses a different alphabet")
         chunks.append(_window_word_indices(seq.data, order + 1, q))
-    counts: dict[int, int] = {}
-    if chunks:
-        words, reps = np.unique(np.concatenate(chunks), return_counts=True)
-        counts = {int(w): int(n) for w, n in zip(words, reps)}
-    return NGramCounts(alphabet, order + 1, counts)
+    return _tally(alphabet, order + 1, np.concatenate(chunks))
 
 
 def merge_counts(a: NGramCounts, b: NGramCounts) -> NGramCounts:
     """Pointwise sum of two count tables (associative, commutative)."""
     if a.alphabet != b.alphabet or a.word_length != b.word_length:
         raise AlphabetMismatch("count tables have different alphabets or word lengths")
-    merged = dict(a._counts)
-    for w, n in b._counts.items():
-        merged[w] = merged.get(w, 0) + n
-    return NGramCounts(a.alphabet, a.word_length, merged)
+    words = np.concatenate([a.word_indices(), b.word_indices()])
+    return _tally(a.alphabet, a.word_length, words, np.concatenate([a.values(), b.values()]))
 
 
 @dataclass(frozen=True)
@@ -141,22 +157,49 @@ def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> Con
     return ContingencyTable(lag, block_length, table.reshape(q**block_length, q).astype(np.int64))
 
 
+def _separator(alphabet: Alphabet) -> str:
+    """Letters of a spelled word are joined by ',' when any symbol has several characters."""
+    return "," if any(len(s) > 1 for s in alphabet.symbols) else ""
+
+
+def _count_lines(counts: NGramCounts):
+    """'word<TAB>count' lines; numpy spells ``_SPELL_CHUNK`` words at a time."""
+    q, k, sep = counts.alphabet.size, counts.word_length, _separator(counts.alphabet)
+    first = np.array(counts.alphabet.symbols)
+    later = np.char.add(sep, first)
+    powers = q ** np.arange(k - 1, -1, -1)
+    for lo in range(0, len(counts), _SPELL_CHUNK):
+        part = slice(lo, lo + _SPELL_CHUNK)
+        letters = counts.word_indices()[part, None] // powers % q
+        spelled = first[letters[:, 0]]
+        for j in range(1, k):
+            spelled = np.char.add(spelled, later[letters[:, j]])
+        yield from map("{}\t{}\n".format, spelled.tolist(), counts.values()[part].tolist())
+
+
 def write_counts(counts: NGramCounts, path) -> None:
-    """Write counts as 'word<TAB>count' lines, words spelled oldest letter first."""
+    """Write counts as 'word<TAB>count' lines to a file path or an open text stream.
+
+    Words are spelled oldest letter first, their letters joined by ','
+    when any symbol of the alphabet has several characters.
+    """
+    if hasattr(path, "write"):
+        path.writelines(_count_lines(counts))
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        for w, n in counts.items():
-            fh.write(f"{spell_word(w, counts.word_length, counts.alphabet)}\t{n}\n")
+        fh.writelines(_count_lines(counts))
 
 
 def read_counts(path, alphabet: Alphabet) -> NGramCounts:
     """Read a counts file written by :func:`write_counts`."""
-    table: dict[int, int] = {}
-    word_length = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as err:
         raise IoError(f"cannot read counts file {path}: {err}") from err
+    sep = _separator(alphabet)
+    words, ns = [], []
+    word_length = None
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
@@ -165,14 +208,14 @@ def read_counts(path, alphabet: Alphabet) -> NGramCounts:
             n = int(n)
         except ValueError:
             raise IoError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}") from None
-        letters = alphabet.encode(word)
+        letters = alphabet.encode(word.split(sep) if sep else word)
         if word_length is None:
             word_length = len(letters)
             _check_word_space(alphabet.size, word_length)
         elif len(letters) != word_length:
             raise IoError(f"{path}:{lineno}: inconsistent word length: {word!r}")
-        idx = word_to_index(letters, alphabet.size)
-        table[idx] = table.get(idx, 0) + n
+        words.append(word_to_index(letters, alphabet.size))
+        ns.append(n)
     if word_length is None:
         raise EmptyCorpus(f"no counts in {path}")
-    return NGramCounts(alphabet, word_length, table)
+    return _tally(alphabet, word_length, np.array(words, np.int64), np.array(ns, np.int64))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .counts import NGramCounts, count_ngrams
 from .em import EmConfig, fit_with_restarts, loglik_from_counts
 from .model import FullMarkovModel, random_full_markov, sample_sequence
-from .reparam import bic, dim_full_markov, dim_raw_mtd, dim_theta_u
+from .reparam import bic, model_dimension
 from .stationary import tv_distance, word_distribution
 
 
@@ -93,24 +95,13 @@ def bic_compare(
         n_terms = counts.total
         full = fit_full_markov(counts)
         ll_full = loglik_from_counts(full, counts)
-        q = counts.alphabet.size
-        bic_full = bic(ll_full, dim_full_markov(m, q), n_terms)
+        dim_full = model_dimension(full)
+        bic_full = bic(ll_full, dim_full, n_terms)
         for l in lag_orders:
             if l > m:
                 continue
-            cfg = EmConfig(
-                epsilon=base.epsilon,
-                max_iters=base.max_iters,
-                n_restarts=base.n_restarts,
-                seed=base.seed,
-                floor=base.floor,
-                variant=base.variant,
-                lag_order=l,
-            )
-            report = fit_with_restarts(counts, cfg)
-            dim = (
-                dim_theta_u(m, l, q) if dim_convention == "theta_u" else dim_raw_mtd(m, l, q)
-            )
+            report = fit_with_restarts(counts, replace(base, lag_order=l))
+            dim = model_dimension(report.model, dim_convention)
             bic_mtd = bic(report.final_loglik, dim, n_terms)
             rows.append(
                 {
@@ -118,7 +109,7 @@ def bic_compare(
                     "lag_order": l,
                     "n_terms": n_terms,
                     "loglik_full": ll_full,
-                    "dim_full": dim_full_markov(m, q),
+                    "dim_full": dim_full,
                     "bic_full": bic_full,
                     "loglik_mtd": report.final_loglik,
                     "dim_mtd": dim,

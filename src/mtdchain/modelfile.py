@@ -63,7 +63,7 @@ def read_model(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise IoError(f"cannot read model file {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise IoError(f"model file {path} is not valid JSON: {err}") from err

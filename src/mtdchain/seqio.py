@@ -53,7 +53,7 @@ def read_sequences(path, fmt: str = "plain", alphabet: Alphabet | None = None) -
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise IoError(f"cannot read sequence file {path}: {err}") from err
     lookup = _letter_lookup(alphabet)
     records: list[tuple[str, str]] = []

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mtdchain import DNA, MtdModel, write_model
+from mtdchain import DNA, FullMarkovModel, MtdModel, read_model, to_theta_u, write_model
 from mtdchain import cli
 
-# Outputs of these exact commands, recorded before the EM kernel rewrite;
-# scripts parse them, so they must stay byte-identical.
+# Outputs of these exact commands, recorded before the EM kernel rewrite
+# (the count table before the array-backed counts); scripts parse them,
+# so they must stay byte-identical.
 FIT_GOLDEN = (
     "final_loglik\titerations\tconverged\tbic\n"
     "-5130.635749929632\t56\tTrue\t10522.19688222545\n"
@@ -13,6 +14,10 @@ FIT_GOLDEN = (
 EVAL_GOLDEN = (
     "loglik\tdim_theta_u\tdim_raw\tn_terms\tbic\n"
     "-6474.322710534654\t30\t38\t5988\t13209.570803435494\n"
+)
+COUNT_GOLDEN = (
+    "aa\t116\nac\t975\nag\t275\nat\t150\nca\t116\ncc\t111\ncg\t1007\nct\t228\n"
+    "ga\t324\ngc\t122\ngg\t147\ngt\t965\nta\t957\ntc\t255\ntg\t129\ntt\t119\n"
 )
 
 
@@ -64,12 +69,59 @@ def test_fit_without_out_fails_before_work(corpus, monkeypatch, capsys):
     assert captured.err.startswith("mtdchain: error: ") and "--out" in captured.err
 
 
-def test_eval_row_golden(corpus, tmp_path, capsys):
+def _model():
     pi1 = np.array([[0.1, 0.6, 0.2, 0.1], [0.1, 0.1, 0.6, 0.2],
                     [0.2, 0.1, 0.1, 0.6], [0.6, 0.2, 0.1, 0.1]])
     pi2 = np.array([[0.4, 0.2, 0.2, 0.2], [0.2, 0.4, 0.2, 0.2],
                     [0.2, 0.2, 0.4, 0.2], [0.2, 0.2, 0.2, 0.4]])
+    return MtdModel(DNA, 3, 1, [0.5, 0.2, 0.3], [pi1, pi2, pi2])
+
+
+def test_eval_row_golden(corpus, tmp_path, capsys):
     model_path = str(tmp_path / "model.json")
-    write_model(model_path, MtdModel(DNA, 3, 1, [0.5, 0.2, 0.3], [pi1, pi2, pi2]))
+    write_model(model_path, _model())
     assert cli.main(["eval", "--model", model_path, "--in", corpus]) == 0
     assert capsys.readouterr().out == EVAL_GOLDEN
+
+
+def test_count_table_golden(corpus, tmp_path, capsys):
+    argv = ["count", "--in", corpus, "--alphabet", "acgt", "--order", "1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == COUNT_GOLDEN
+    out = tmp_path / "counts.tsv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == COUNT_GOLDEN
+
+
+@pytest.mark.parametrize("kind", ["mtd", "theta_u"])
+def test_expand_equals_convert_to_full_markov(kind, tmp_path):
+    model = _model() if kind == "mtd" else to_theta_u(_model(), 0)
+    src = str(tmp_path / "model.json")
+    write_model(src, model)
+    expanded, converted = str(tmp_path / "expanded.json"), str(tmp_path / "converted.json")
+    assert cli.main(["expand", "--model", src, "--out", expanded]) == 0
+    assert cli.main(["convert", "--model", src, "--to", "full_markov", "--out", converted]) == 0
+    dense, _ = read_model(expanded)
+    assert isinstance(dense, FullMarkovModel)
+    assert dense == read_model(converted)[0]
+
+
+def _undecodable(tmp_path):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe" + "acgt".encode("utf-16-le"))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["count", "eval"])
+def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
+    bad = _undecodable(tmp_path)
+    if command == "count":
+        argv = ["count", "--in", bad, "--alphabet", "acgt", "--order", "2"]
+    else:
+        argv = ["eval", "--model", bad, "--in", corpus]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("mtdchain: error: ") and bad in captured.err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sequence
 from mtdchain import (
@@ -84,9 +86,40 @@ class TestCountNgrams:
             count_ngrams([Sequence(ab, [0, 1]), Sequence(dna, [0, 1])], 1)
 
     def test_no_zero_entries_stored(self, ab):
-        counts = NGramCounts(ab, 2, {0: 3, 1: 0})
+        counts = NGramCounts(ab, 2, [0, 1], [3, 0])
         assert len(counts) == 1
         assert counts[1] == 0
+
+
+class TestContainer:
+    @pytest.mark.parametrize("words", [[1, 0], [2, 2], [0, 3, 1]])
+    def test_words_must_ascend_strictly(self, ab, words):
+        with pytest.raises(ValueError, match="ascending"):
+            NGramCounts(ab, 2, words, [1] * len(words))
+
+    def test_negative_count(self, ab):
+        with pytest.raises(ValueError, match="negative count for word 1"):
+            NGramCounts(ab, 2, [0, 1], [2, -1])
+
+    @pytest.mark.parametrize("word", [-1, 4])
+    def test_word_out_of_range(self, ab, word):
+        words = sorted([word, 2])
+        with pytest.raises(ValueError, match=f"word index {word} outside"):
+            NGramCounts(ab, 2, words, [1, 1])
+
+    def test_misaligned(self, ab):
+        with pytest.raises(ValueError, match="aligned"):
+            NGramCounts(ab, 2, [0, 1], [1])
+
+    def test_arrays_are_read_only_copies(self, ab):
+        words, ns = np.array([0, 3]), np.array([2, 5])
+        counts = NGramCounts(ab, 2, words, ns)
+        assert words.flags.writeable and ns.flags.writeable
+        assert not counts.word_indices().flags.writeable
+        assert not counts.values().flags.writeable
+        assert counts.total == 7
+        assert (counts[0], counts[1], counts[3]) == (2, 0, 5)
+        assert list(counts.items()) == [(0, 2), (3, 5)]
 
 
 class TestMergeCounts:
@@ -95,6 +128,7 @@ class TestMergeCounts:
         empty = NGramCounts(ab, 2)
         merged = merge_counts(x, empty)
         assert dict(merged.items()) == dict(x.items())
+        assert len(merge_counts(empty, empty)) == 0
 
     def test_commutative(self, dna):
         a = count_ngrams([random_sequence(dna, 40, 1)], 2)
@@ -110,6 +144,32 @@ class TestMergeCounts:
         left = count_ngrams(seqs[:cut], 2, alphabet=dna)
         right = count_ngrams(seqs[cut:], 2, alphabet=dna)
         assert dict(merge_counts(left, right).items()) == dict(whole.items())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(2, 12),
+        order=st.integers(1, 4),
+        lengths=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        cut=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_split_merge_and_file_round_trip(self, tmp_path_factory, q, order, lengths, cut, seed):
+        alphabet = default_alphabet(q)
+        seqs = [random_sequence(alphabet, n, seed + i) for i, n in enumerate(lengths)]
+        whole = count_ngrams(seqs, order)
+        merged = merge_counts(
+            count_ngrams(seqs[:cut], order, alphabet=alphabet),
+            count_ngrams(seqs[cut:], order, alphabet=alphabet),
+        )
+        assert np.array_equal(merged.word_indices(), whole.word_indices())
+        assert np.array_equal(merged.values(), whole.values())
+        assert merged.total == whole.total
+        if len(whole):
+            path = tmp_path_factory.mktemp("counts") / "counts.tsv"
+            write_counts(whole, path)
+            again = read_counts(path, alphabet)
+            assert list(again.items()) == list(whole.items())
+            assert again.word_length == whole.word_length
 
     def test_mismatch(self, ab, dna):
         with pytest.raises(AlphabetMismatch):
@@ -180,10 +240,28 @@ class TestSerialization:
         assert again.word_length == counts.word_length
 
     def test_spelled_oldest_first(self, dna, tmp_path):
-        counts = NGramCounts(dna, 2, {word_to_index([0, 3], 4): 5})
+        counts = NGramCounts(dna, 2, [word_to_index([0, 3], 4)], [5])
         path = tmp_path / "counts.tsv"
         write_counts(counts, path)
         assert path.read_text() == "at\t5\n"
+
+    def test_multi_character_symbols_round_trip(self, tmp_path):
+        alphabet = default_alphabet(12)
+        counts = count_ngrams([random_sequence(alphabet, 300, 4)], 2)
+        path = tmp_path / "counts.tsv"
+        write_counts(counts, path)
+        words = [line.split("\t")[0] for line in path.read_text().splitlines()]
+        assert all(word.count(",") == 2 for word in words)
+        again = read_counts(path, alphabet)
+        assert list(again.items()) == list(counts.items())
+        assert again.word_length == 3
+
+    def test_repeated_words_are_summed(self, dna, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("gt\t2\nac\t3\ngt\t4\n")
+        counts = read_counts(path, dna)
+        ac, gt = word_to_index([0, 1], 4), word_to_index([2, 3], 4)
+        assert list(counts.items()) == [(ac, 3), (gt, 6)]
 
     def test_malformed_line(self, dna, tmp_path):
         path = tmp_path / "counts.tsv"

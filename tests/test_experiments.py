@@ -1,0 +1,20 @@
+from mtdchain import (
+    EmConfig,
+    bic,
+    bic_compare,
+    count_ngrams,
+    fit_with_restarts,
+    random_mtd,
+    sample_sequence,
+)
+
+
+def test_bic_compare_single_matrix_dimension():
+    q, m = 4, 3
+    truth = random_mtd(q, m, 1, variant="single_matrix", seed=3)
+    seqs = [sample_sequence(truth, 2000, seed=4)]
+    config = EmConfig(n_restarts=1, max_iters=30, variant="single_matrix")
+    (row,) = bic_compare(seqs, [m], [1], config=config)
+    assert row["dim_mtd"] == (m - 1) + q * (q - 1)
+    report = fit_with_restarts(count_ngrams(seqs, m), config)
+    assert row["bic_mtd"] == report.bic == bic(row["loglik_mtd"], row["dim_mtd"], row["n_terms"])

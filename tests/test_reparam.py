@@ -186,6 +186,9 @@ class TestDimensions:
         assert model_dimension(shared) == 2 + 4 * 3
         dense = full_transition_matrix(general)
         assert model_dimension(dense) == dim_full_markov(3, 4)
+        theta = to_theta_u(general, 0)
+        assert model_dimension(theta) == dim_theta_u(3, 1, 4)
+        assert model_dimension(theta, "raw") == dim_raw_mtd(3, 1, 4)
 
 
 class TestBic:
