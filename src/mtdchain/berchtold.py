@@ -32,6 +32,10 @@ class BerchtoldConfig:
     epsilon: float = 1e-3
 
     def __post_init__(self):
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be > 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.delta0 <= 1.0:
             raise ValueError("delta0 must lie in (0, 1]")
         if not 0.0 < self.delta_decay < 1.0:

@@ -22,10 +22,22 @@ from .reparam import ThetaU, bic, from_theta_u, model_dimension, to_theta_u
 from .seqio import read_sequences
 
 
+class _UsageError(Exception):
+    """A flag value the library rejects; reported like argparse's usage errors."""
+
+
+def _from_flags(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on flag values; a ValueError becomes a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise _UsageError(f"invalid flag value: {err}") from None
+
+
 def parse_alphabet(spec: str) -> Alphabet:
     """'acgt' -> single-character symbols; '1,2,3' -> comma-separated tokens."""
     tokens = spec.split(",") if "," in spec else list(spec)
-    return Alphabet(tuple(tokens))
+    return _from_flags(Alphabet, tuple(tokens))
 
 
 def _digest(path) -> str:
@@ -150,24 +162,30 @@ def cmd_count(args, argv) -> int:
     return 0
 
 
+def _em_config(args, **fields) -> EmConfig:
+    return _from_flags(
+        EmConfig,
+        epsilon=args.epsilon,
+        max_iters=args.max_iters,
+        n_restarts=args.restarts,
+        seed=args.seed,
+        variant=args.variant,
+        **fields,
+    )
+
+
 def cmd_fit(args, argv) -> int:
     if not args.out:
         raise MtdError("fit requires --out for the model file")
+    if args.algorithm == "em":
+        config = _em_config(args, floor=args.floor, lag_order=args.lag_order)
+    else:
+        config = _from_flags(BerchtoldConfig, epsilon=args.epsilon, max_iters=args.max_iters)
     sequences = _load_corpus(args)
     counts = count_ngrams(sequences, _require_order(args))
     if args.algorithm == "em":
-        config = EmConfig(
-            epsilon=args.epsilon,
-            max_iters=args.max_iters,
-            n_restarts=args.restarts,
-            seed=args.seed,
-            floor=args.floor,
-            variant=args.variant,
-            lag_order=args.lag_order,
-        )
         report = fit_with_restarts(counts, config)
     else:
-        config = BerchtoldConfig(epsilon=args.epsilon, max_iters=args.max_iters)
         init = init_contingency(counts, args.lag_order, args.variant)
         report = berchtold_fit(counts, init, config)
     write_model(args.out, report.model, provenance=_provenance(args, argv))
@@ -258,16 +276,10 @@ def cmd_tv_experiment(args, argv) -> int:
 
 
 def cmd_bic_compare(args, argv) -> int:
+    config = _em_config(args)
     sequences = _load_corpus(args)
     orders = [int(x) for x in args.orders.split(",") if x]
     lag_orders = [int(x) for x in args.lag_orders.split(",") if x]
-    config = EmConfig(
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        n_restarts=args.restarts,
-        seed=args.seed,
-        variant=args.variant,
-    )
     rows = bic_compare(
         sequences, orders, lag_orders, config=config, dim_convention=args.dim_convention
     )
@@ -302,6 +314,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, argv)
+    except _UsageError as err:
+        print(f"mtdchain: error: {err}", file=sys.stderr)
+        return 2
     except MtdError as err:
         print(f"mtdchain: error: {err}", file=sys.stderr)
         return 1

@@ -7,7 +7,8 @@ arrays: the observed word indices, strictly ascending, and their
 counts, all positive.  Every table is built the same way, by
 ``np.unique`` over word indices plus an exact int64 sum of their
 weights, and fitting code reads the two arrays directly.  The counts
-file format (``word<TAB>count`` lines) is defined here and nowhere else.
+file format (``word<TAB>count`` lines) is defined here and nowhere else;
+only its letter separator is shared with sequence files.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphabetMismatch, EmptyCorpus, IoError, LagOutOfRange
-from .model import Alphabet, _check_word_space, _window_word_indices, word_to_index
+from .model import (
+    _INT64_MAX,
+    Alphabet,
+    _check_word_space,
+    _separator,
+    _window_word_indices,
+    word_to_index,
+)
 
 _SPELL_CHUNK = 1 << 16  # bounds the temporary string arrays of write_counts
 
@@ -157,11 +165,6 @@ def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> Con
     return ContingencyTable(lag, block_length, table.reshape(q**block_length, q).astype(np.int64))
 
 
-def _separator(alphabet: Alphabet) -> str:
-    """Letters of a spelled word are joined by ',' when any symbol has several characters."""
-    return "," if any(len(s) > 1 for s in alphabet.symbols) else ""
-
-
 def _count_lines(counts: NGramCounts):
     """'word<TAB>count' lines; numpy spells ``_SPELL_CHUNK`` words at a time."""
     q, k, sep = counts.alphabet.size, counts.word_length, _separator(counts.alphabet)
@@ -208,6 +211,8 @@ def read_counts(path, alphabet: Alphabet) -> NGramCounts:
             n = int(n)
         except ValueError:
             raise IoError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}") from None
+        if not 0 <= n <= _INT64_MAX:
+            raise IoError(f"{path}:{lineno}: count {n} outside [0, 2**63 - 1]")
         letters = alphabet.encode(word.split(sep) if sep else word)
         if word_length is None:
             word_length = len(letters)

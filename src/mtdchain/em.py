@@ -16,11 +16,27 @@ the weighted components phi_g * pi_g(w), whose sum over g is the E-step
 denominator p(w) and also gives the log-likelihood of the current
 iterate, and one ``bincount`` over the same cells for the M-step
 numerators.
+
+The EM map F runs in SQUAREM cycles (Varadhan & Roland 2008, Scand.
+J. Stat. 35:335), scheme SqS3.  A cycle takes two EM maps
+from theta_0, theta_1 = F(theta_0) and theta_2 = F(theta_1), over the
+parameter vector theta = (phi, every matrix entry), and extrapolates to
+theta' = theta_0 - 2 alpha r + alpha**2 v with r = theta_1 - theta_0,
+v = theta_2 - 2 theta_1 + theta_0 and alpha = -|r|/|v| (at most -1).
+theta' is kept only if it has no negative entry, validates as a model
+once phi and each row are renormalized, and its log-likelihood, which
+the gather for its next E-step yields, is at least that of theta_2;
+otherwise alpha is halved towards -1, where theta' is theta_2 itself.
+The cycle ends with one EM map from the kept point, so every kept
+iterate is a validated model and the likelihood never goes down.  The
+paper's plain EM, without extrapolation, is a loop over :func:`e_step`
+and :func:`m_step`, which run the same map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +46,15 @@ from .model import (
     MtdModel,
     _cell_index,
     _component_terms,
+    _flat_matrices,
     random_mtd,
     spell_word,
     word_probabilities,
 )
 from .reparam import ThetaU, bic, model_dimension, to_theta_u
+
+# step halving stops short of alpha = -1, where the extrapolation is theta_2 itself
+_ALPHA_FLOOR = -1.0 - 1.0 / 16
 
 
 @dataclass
@@ -42,10 +62,11 @@ class EmConfig:
     """Knobs for :func:`em_fit` and :func:`fit_with_restarts`.
 
     ``epsilon`` is the stopping threshold on the absolute log-likelihood
-    increase; ``n_restarts`` counts one contingency-table initialization
-    plus uniform-random ones; ``floor``, when set, bounds every mixture
-    component weight below before posterior normalization instead of
-    aborting on a degenerate word.
+    increase of one EM map over its input, and ``max_iters`` caps the
+    number of EM maps; ``n_restarts`` counts one contingency-table
+    initialization plus uniform-random ones; ``floor``, when set, bounds
+    every mixture component weight below before posterior normalization
+    instead of aborting on a degenerate word.
     """
 
     epsilon: float = 1e-3
@@ -61,6 +82,8 @@ class EmConfig:
             raise ValueError("epsilon must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.n_restarts < 1:
+            raise ValueError("n_restarts must be >= 1")
 
 
 @dataclass
@@ -191,39 +214,107 @@ def _make_report(model, trace, converged, restart_index, counts) -> FitReport:
     )
 
 
-def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) -> FitReport:
-    """Alternate E and M steps from ``init`` until the increase drops below epsilon.
+class _Point(NamedTuple):
+    """An iterate with its E-step gather: components, their sum p(w), log-likelihood."""
 
-    The trace records the conditional log-likelihood of every iterate,
-    starting with ``init`` itself.  A degenerate E-step aborts the run;
-    the partial trace is attached to the raised error.
+    model: MtdModel
+    comps: np.ndarray
+    probs: np.ndarray
+    loglik: float
+
+
+def _params(model: MtdModel) -> np.ndarray:
+    return np.concatenate([model.phi, _flat_matrices(model)])
+
+
+def _model_at(theta: np.ndarray, like: MtdModel) -> MtdModel | None:
+    """The model at parameter vector ``theta`` after renormalizing; None if infeasible."""
+    if not (theta >= 0.0).all():
+        return None
+    G, q = like.n_components, like.alphabet.size
+    rows = theta[G:].reshape(-1, q)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = theta[:G] / theta[:G].sum()
+        rows = rows / rows.sum(axis=1, keepdims=True)
+    try:
+        return MtdModel(
+            like.alphabet,
+            like.order,
+            like.lag_order,
+            phi,
+            list(rows.reshape(len(like.matrices), -1, q)),
+            variant=like.variant,
+        )
+    except ValueError:
+        return None
+
+
+def _extrapolate(t0, t1, t2, p2: _Point, evaluate) -> _Point:
+    """The SqS3 point of the cycle t0 -> t1 -> t2 (``p2`` is at t2), or ``p2`` if none is kept."""
+    r = t1 - t0
+    v = t2 - 2.0 * t1 + t0
+    norm_v = np.linalg.norm(v)
+    if norm_v == 0.0:
+        return p2
+    alpha = min(-np.linalg.norm(r) / norm_v, -1.0)
+    while alpha < _ALPHA_FLOOR:
+        model = _model_at(t0 - 2.0 * alpha * r + alpha**2 * v, p2.model)
+        if model is not None:
+            point = evaluate(model)
+            if point.loglik > -np.inf and point.loglik >= p2.loglik:
+                return point
+        alpha = (alpha - 1.0) / 2.0
+    return p2
+
+
+def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) -> FitReport:
+    """EM maps from ``init`` until one gains less than epsilon over its input.
+
+    The trace records the conditional log-likelihood of ``init`` and then
+    of every EM map's output, so ``iterations`` counts EM maps.  The maps
+    run in SQUAREM cycles: two maps, an extrapolation, one map from the
+    kept point.  The map after a kept extrapolation starts from a better
+    point than the trace's previous entry, so the trace jumps there; it
+    never goes down.  A degenerate E-step aborts the run; the partial
+    trace is attached to the raised error.
     """
     config = config or EmConfig()
-    model = init
-    cells = _fit_cells(model, counts)
+    cells = _fit_cells(init, counts)
     N = counts.values()
     total = counts.total
-    comps = _component_terms(model, cells)
-    probs = comps.sum(axis=0)
-    trace = [_loglik(N, probs)]
+
+    def evaluate(model: MtdModel) -> _Point:
+        comps = _component_terms(model, cells)
+        probs = comps.sum(axis=0)
+        return _Point(model, comps, probs, _loglik(N, probs))
+
+    point = evaluate(init)
+    trace = [point.loglik]
+    cycle = [_params(init)]  # parameter vectors of the current SQUAREM cycle
     converged = False
-    for _ in range(config.max_iters):
+    while len(trace) <= config.max_iters:
         try:
-            posteriors = _posterior(comps, probs, counts, config.floor)
+            posteriors = _posterior(point.comps, point.probs, counts, config.floor)
         except DegenerateLikelihood as err:
             err.trace = np.asarray(trace)
             raise
+        model = point.model
         phi, matrices = _maximize(model, cells, posteriors, N, total)
         model = MtdModel(
             model.alphabet, model.order, model.lag_order, phi, matrices, variant=model.variant
         )
-        comps = _component_terms(model, cells)
-        probs = comps.sum(axis=0)
-        trace.append(_loglik(N, probs))
-        if trace[-1] - trace[-2] < config.epsilon:
-            converged = True
+        new = evaluate(model)
+        trace.append(new.loglik)
+        converged = new.loglik - point.loglik < config.epsilon
+        point = new
+        if converged:
             break
-    return _make_report(model, trace, converged, None, counts)
+        cycle.append(_params(model))
+        # extrapolate only when a map from the kept point still fits the budget
+        if len(cycle) == 3 and len(trace) <= config.max_iters:
+            point = _extrapolate(*cycle, point, evaluate)
+            cycle = []
+    return _make_report(point.model, trace, converged, None, counts)
 
 
 def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> FitReport:
@@ -234,8 +325,6 @@ def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> Fi
     highest final log-likelihood (ties: lowest restart index).
     """
     config = config or EmConfig()
-    if config.n_restarts < 1:
-        raise ValueError("n_restarts must be >= 1")
     q = counts.alphabet.size
     seeds = np.random.SeedSequence(config.seed).spawn(max(config.n_restarts - 1, 0))
     best = None

@@ -78,6 +78,11 @@ def default_alphabet(q: int) -> Alphabet:
 DNA = Alphabet(("a", "c", "g", "t"))
 
 
+def _separator(alphabet: Alphabet) -> str:
+    """Letters in sequence and counts files are joined by ',' if any symbol is longer than one."""
+    return "," if any(len(s) > 1 for s in alphabet.symbols) else ""
+
+
 def word_to_index(letters, q: int) -> int:
     """Index of a word spelled oldest letter first (base-q numeral)."""
     idx = 0
@@ -126,7 +131,8 @@ class Sequence:
         return int(self.data.size)
 
     def labels(self) -> str:
-        return "".join(self.alphabet.symbols[i] for i in self.data)
+        """The symbols spelled in order, joined by ',' if any symbol has several characters."""
+        return _separator(self.alphabet).join(self.alphabet.symbols[i] for i in self.data)
 
 
 def _freeze(a) -> np.ndarray:
@@ -274,25 +280,32 @@ def _flat_matrices(model: MtdModel) -> np.ndarray:
     return np.concatenate([mat.ravel() for mat in model.matrices])
 
 
+def _lag_cells(word_indices: np.ndarray, g: int, q: int, l: int) -> np.ndarray:
+    """Position of pi_g(block_g(w), i_0(w)) in lag g's (q**l, q) matrix, row-major.
+
+    block_g is the l-letter block whose most recent letter sits at lag g.
+    """
+    cells = word_indices // q**g
+    cells %= q**l
+    cells *= q
+    cells += word_indices % q
+    return cells
+
+
 def _cell_index(model: MtdModel, word_indices: np.ndarray) -> np.ndarray:
     """Position of pi_g(block_g(w), i_0(w)) in :func:`_flat_matrices`, shape (G, n_words).
 
-    Row g-1 is (g-1)*q**(l+1) + block_g(w)*q + i_0(w), where block_g is
-    the l-letter block whose most recent letter sits at lag g.  The
+    Row g-1 is (g-1)*q**(l+1) plus the :func:`_lag_cells` of lag g.  The
     single-matrix variant drops the g offset, so every lag reads (and, in
     a ``bincount``, writes) the one shared matrix.
     """
     q = model.alphabet.size
     l = model.lag_order
     word_indices = np.asarray(word_indices, dtype=np.int64)
-    lags = np.arange(1, model.n_components + 1, dtype=np.int64)
     stride = 0 if model.variant == "single_matrix" else q ** (l + 1)
-    # in place: the (G, n_words) temporaries dominate peak memory on large counts
-    cells = word_indices // (q**lags)[:, None]
-    cells %= q**l
-    cells *= q
-    cells += ((lags - 1) * stride)[:, None]
-    cells += word_indices % q
+    cells = np.empty((model.n_components, word_indices.size), dtype=np.int64)
+    for g in range(1, model.n_components + 1):
+        np.add(_lag_cells(word_indices, g, q, l), (g - 1) * stride, out=cells[g - 1])
     return cells
 
 
@@ -303,23 +316,20 @@ def _component_terms(model: MtdModel, cells: np.ndarray) -> np.ndarray:
     return terms
 
 
-def component_word_probs(model: MtdModel, word_indices: np.ndarray) -> np.ndarray:
-    """phi_g * pi_g(block_g, i_0) for each component g and (m+1)-word.
-
-    Returns an array of shape (G, len(word_indices)); summing over axis 0
-    gives the mixture probability of each word's final letter given its
-    history.
-    """
-    return _component_terms(model, _cell_index(model, word_indices))
-
-
 def word_probabilities(model, word_indices: np.ndarray) -> np.ndarray:
     """Probability of each (m+1)-word's final letter given its history."""
     word_indices = np.asarray(word_indices, dtype=np.int64)
+    q = model.alphabet.size
     if isinstance(model, FullMarkovModel):
-        q = model.alphabet.size
         return model.table[word_indices // q, word_indices % q]
-    return component_word_probs(model, word_indices).sum(axis=0)
+    # one lag at a time: (G, n_words) arrays would set the peak memory of
+    # scoring large count tables
+    probs = np.zeros(word_indices.size)
+    for g in range(1, model.n_components + 1):
+        terms = model.matrix_for_lag(g).ravel()[_lag_cells(word_indices, g, q, model.lag_order)]
+        terms *= model.phi[g - 1]
+        probs += terms
+    return probs
 
 
 def transition_prob(model: MtdModel, history, next_symbol: int) -> float:

@@ -8,7 +8,7 @@ sequence, so downstream windows never span a foreign symbol.
 from __future__ import annotations
 
 from .errors import AlphabetMismatch, IoError
-from .model import Alphabet, Sequence
+from .model import Alphabet, Sequence, _separator
 
 
 def _letter_lookup(alphabet: Alphabet) -> dict[str, int]:
@@ -19,11 +19,11 @@ def _letter_lookup(alphabet: Alphabet) -> dict[str, int]:
     return lookup
 
 
-def _split_record(letters: str, lookup: dict[str, int], alphabet, name):
+def _split_record(letters, lookup: dict[str, int], alphabet, name):
     """Maximal runs of alphabet letters, one Sequence per run."""
     runs, run = [], []
-    for ch in letters:
-        idx = lookup.get(ch)
+    for symbol in letters:
+        idx = lookup.get(symbol)
         if idx is None:
             if run:
                 runs.append(run)
@@ -43,7 +43,9 @@ def read_sequences(path, fmt: str = "plain", alphabet: Alphabet | None = None) -
     ``fmt="plain"`` treats every nonblank line as one sequence;
     ``fmt="fasta"`` concatenates the lines of each '>' record and keeps
     the header as the sequence name.  Letter matching is
-    case-insensitive.  Raises :class:`AlphabetMismatch` when the file
+    case-insensitive.  When any symbol has several characters, the
+    letters are separated by ',' (as :func:`write_sequences` writes
+    them).  Raises :class:`AlphabetMismatch` when the file
     contains letters but none belong to the alphabet.
     """
     if alphabet is None:
@@ -56,6 +58,7 @@ def read_sequences(path, fmt: str = "plain", alphabet: Alphabet | None = None) -
     except (OSError, UnicodeDecodeError) as err:
         raise IoError(f"cannot read sequence file {path}: {err}") from err
     lookup = _letter_lookup(alphabet)
+    sep = _separator(alphabet)
     records: list[tuple[str, str]] = []
     if fmt == "plain":
         for i, line in enumerate(lines, start=1):
@@ -68,19 +71,20 @@ def read_sequences(path, fmt: str = "plain", alphabet: Alphabet | None = None) -
             line = line.strip()
             if line.startswith(">"):
                 if name is not None:
-                    records.append((name, "".join(chunks)))
+                    records.append((name, sep.join(chunks)))
                 name, chunks = line[1:].strip(), []
             elif line:
                 if name is None:
                     name = ""  # headerless leading data
                 chunks.append(line)
         if name is not None:
-            records.append((name, "".join(chunks)))
+            records.append((name, sep.join(chunks)))
     sequences: list[Sequence] = []
     total_letters = 0
     for name, letters in records:
         total_letters += len(letters)
-        sequences.extend(_split_record(letters, lookup, alphabet, name))
+        symbols = letters.split(sep) if sep else letters
+        sequences.extend(_split_record(symbols, lookup, alphabet, name))
     if total_letters and not sequences:
         raise AlphabetMismatch(
             f"{path} contains no symbols of the alphabet {alphabet.symbols}"
@@ -89,7 +93,7 @@ def read_sequences(path, fmt: str = "plain", alphabet: Alphabet | None = None) -
 
 
 def write_sequences(sequences, path) -> None:
-    """Write sequences as plain text, one per line."""
+    """Write sequences as plain text, one per line, spelled by :meth:`Sequence.labels`."""
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
             fh.write(seq.labels() + "\n")

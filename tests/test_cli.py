@@ -1,16 +1,32 @@
+import io
+
 import numpy as np
 import pytest
 
-from mtdchain import DNA, FullMarkovModel, MtdModel, read_model, to_theta_u, write_model
+from mtdchain import (
+    DNA,
+    FullMarkovModel,
+    MtdModel,
+    count_ngrams,
+    random_mtd,
+    read_model,
+    sample_sequence,
+    to_theta_u,
+    write_counts,
+    write_model,
+)
 from mtdchain import cli
 
 # Outputs of these exact commands, recorded before the EM kernel rewrite
-# (the count table before the array-backed counts); scripts parse them,
-# so they must stay byte-identical.
+# (the count table before the array-backed counts, the fit summary once EM
+# ran in SQUAREM cycles); scripts parse them, so they must stay
+# byte-identical.
 FIT_GOLDEN = (
     "final_loglik\titerations\tconverged\tbic\n"
-    "-5130.635749929632\t56\tTrue\t10522.19688222545\n"
+    "-5130.630734360894\t18\tTrue\t10522.186851087974\n"
 )
+# final_loglik of the same fit by plain EM, 56 EM maps
+PLAIN_EM_FIT_LOGLIK = -5130.635749929632
 EVAL_GOLDEN = (
     "loglik\tdim_theta_u\tdim_raw\tn_terms\tbic\n"
     "-6474.322710534654\t30\t38\t5988\t13209.570803435494\n"
@@ -52,7 +68,9 @@ def test_fit_summary_golden(corpus, tmp_path, capsys):
     argv = ["fit", "--in", corpus, "--alphabet", "acgt", "--order", "3",
             "--restarts", "3", "--seed", "7", "--out", str(tmp_path / "model.json")]
     assert cli.main(argv) == 0
-    assert capsys.readouterr().out == FIT_GOLDEN
+    out = capsys.readouterr().out
+    assert out == FIT_GOLDEN
+    assert float(out.splitlines()[1].split("\t")[0]) >= PLAIN_EM_FIT_LOGLIK
 
 
 def test_fit_without_out_fails_before_work(corpus, monkeypatch, capsys):
@@ -125,3 +143,41 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("mtdchain: error: ") and bad in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alphabet", "aa"],
+        ["--alphabet", "acgt", "--epsilon", "0"],
+        ["--alphabet", "acgt", "--epsilon", "0", "--algorithm", "berchtold"],
+        ["--alphabet", "acgt", "--restarts", "0"],
+        ["--alphabet", "acgt", "--max-iters", "0", "--algorithm", "berchtold"],
+    ],
+    ids=["alphabet", "epsilon", "epsilon-berchtold", "restarts", "max-iters-berchtold"],
+)
+def test_rejected_flag_value_is_usage_error(flags, corpus, tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr(cli, "read_sequences", forbidden)
+    argv = ["fit", "--in", corpus, "--order", "3", "--out", str(tmp_path / "m.json"), *flags]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("mtdchain: error: invalid flag value: ")
+
+
+def test_sample_then_count_multi_character_symbols(tmp_path, capsys):
+    model = random_mtd(12, 2, 1, seed=3)
+    model_path, sample_path = str(tmp_path / "model.json"), str(tmp_path / "sample.txt")
+    write_model(model_path, model)
+    argv = ["sample", "--model", model_path, "--length", "300", "--seed", "4", "--out", sample_path]
+    assert cli.main(argv) == 0
+    symbols = ",".join(model.alphabet.symbols)
+    argv = ["count", "--in", sample_path, "--alphabet", symbols, "--order", "2"]
+    assert cli.main(argv) == 0
+    expected = io.StringIO()
+    write_counts(count_ngrams([sample_sequence(model, 300, seed=4)], 2), expected)
+    assert capsys.readouterr().out == expected.getvalue()

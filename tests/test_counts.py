@@ -269,6 +269,13 @@ class TestSerialization:
         with pytest.raises(IoError, match=":2:"):
             read_counts(path, dna)
 
+    @pytest.mark.parametrize("count", ["-3", "99999999999999999999"])
+    def test_count_outside_int64(self, count, dna, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"gt\t4\nac\t{count}\n")
+        with pytest.raises(IoError, match=f"{path}:2: count {count} outside"):
+            read_counts(path, dna)
+
     def test_missing_file(self, dna, tmp_path):
         with pytest.raises(IoError):
             read_counts(tmp_path / "absent.tsv", dna)

@@ -1,8 +1,12 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtdchain.em as em_module
 import refdata
 from conftest import build_model, random_sequence
 from mtdchain import (
@@ -140,15 +144,38 @@ def oracle_em_fit(counts, init, config):
     return np.asarray(trace), model
 
 
-def assert_matches_oracle(counts, init, config):
-    report = em_fit(counts, init, config)
-    trace, model = oracle_em_fit(counts, init, config)
-    assert np.array_equal(report.loglik_trace, trace)
-    assert np.array_equal(report.model.phi, model.phi)
-    assert len(report.model.matrices) == len(model.matrices)
-    for got, expected in zip(report.model.matrices, model.matrices):
-        assert np.array_equal(got, expected)
-    return report
+def plain_em(counts, init, config):
+    """The paper's EM through the public e_step/m_step, every step checked against the oracle.
+
+    Posteriors, phi, matrices and log-likelihoods must agree bit for bit.
+    Stops as oracle_em_fit does; returns ``(trace, model)``.
+    """
+    model = init
+    trace = [loglik_from_counts(model, counts)]
+    assert trace[0] == oracle_loglik(model, counts)
+    for _ in range(config.max_iters):
+        posteriors = e_step(model, counts, config.floor)
+        assert np.array_equal(posteriors, oracle_e_step(model, counts, config.floor).T)
+        phi, matrices = m_step(posteriors, counts, model)
+        want_phi, want_matrices = oracle_m_step(posteriors.T, counts, model)
+        assert np.array_equal(phi, want_phi)
+        assert len(matrices) == len(want_matrices)
+        for got, expected in zip(matrices, want_matrices):
+            assert np.array_equal(got, expected)
+        model = MtdModel(
+            model.alphabet, model.order, model.lag_order, phi, matrices, variant=model.variant
+        )
+        trace.append(loglik_from_counts(model, counts))
+        assert trace[-1] == oracle_loglik(model, counts)
+        if trace[-1] - trace[-2] < config.epsilon:
+            break
+    return np.asarray(trace), model
+
+
+def assert_first_maps_plain(counts, init, config, trace):
+    """em_fit's two maps before its first extrapolation are the plain EM maps."""
+    report = em_fit(counts, init, dataclasses.replace(config, max_iters=2))
+    assert np.array_equal(report.loglik_trace, trace[:3])
 
 
 class TestKernelMatchesOracle:
@@ -160,9 +187,10 @@ class TestKernelMatchesOracle:
         truth = random_mtd(q, m, l, variant=variant, seed=q + m + l)
         counts = count_ngrams([sample_sequence(truth, 4000, seed=m)], m)
         config = EmConfig(epsilon=1e-6, max_iters=200)
-        report = assert_matches_oracle(counts, init_contingency(counts, l, variant), config)
-        assert report.iterations > 5
-        assert_matches_oracle(counts, random_mtd(q, m, l, variant=variant, seed=5), config)
+        for init in (init_contingency(counts, l, variant), random_mtd(q, m, l, variant=variant, seed=5)):
+            trace, _ = plain_em(counts, init, config)
+            assert len(trace) > 6
+            assert_first_maps_plain(counts, init, config, trace)
 
     def test_floor(self, song):
         counts = count_ngrams([random_sequence(song, 2000, 21)], 3)
@@ -172,15 +200,16 @@ class TestKernelMatchesOracle:
         rest = random_mtd(3, 3, 1, seed=22, alphabet=song)
         pi1 = np.array([[0.5, 0.5, 0.0]] * 3)
         init = MtdModel(song, 3, 1, rest.phi, [pi1, *rest.matrices[1:]])
-        report = assert_matches_oracle(counts, init, config)
-        assert report.model.matrices[0][:, 2].min() < 1e-6
+        _, model = plain_em(counts, init, config)
+        assert model.matrices[0][:, 2].min() < 1e-6
         # every word not ending in the first letter starts at zero
         # probability: the floor alone keeps the first E-step defined
         pi = np.array([[1.0, 0.0, 0.0]] * 3)
         init = MtdModel(song, 3, 1, [0.2, 0.3, 0.5], [pi, pi, pi])
-        report = assert_matches_oracle(counts, init, config)
-        assert report.loglik_trace[0] == float("-inf")
-        assert np.isfinite(report.final_loglik)
+        trace, _ = plain_em(counts, init, config)
+        assert trace[0] == float("-inf")
+        assert np.isfinite(trace[-1])
+        assert_first_maps_plain(counts, init, config, trace)
 
     def test_degenerate_init(self, song):
         pi = np.array([[1.0, 0.0, 0.0]] * 3)
@@ -207,8 +236,10 @@ class TestKernelMatchesOracle:
         truth = random_mtd(q, m, l, variant=variant, seed=seed)
         counts = count_ngrams([sample_sequence(truth, 600, seed=seed + 1)], m)
         init = random_mtd(q, m, l, variant=variant, seed=seed + 2)
-        report = assert_matches_oracle(counts, init, EmConfig(epsilon=1e-6, max_iters=60))
-        assert np.diff(report.loglik_trace).min() > -1e-9
+        config = EmConfig(epsilon=1e-6, max_iters=60)
+        trace, _ = plain_em(counts, init, config)
+        assert np.diff(trace).min() > -1e-9
+        assert_first_maps_plain(counts, init, config, trace)
 
 
 class TestEStep:
@@ -434,6 +465,58 @@ class TestEmFit:
         assert err.value.trace[0] == float("-inf")
 
 
+class TestAccelerated:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(2, 4),
+        m=st.integers(1, 4),
+        l=st.integers(1, 4),
+        single=st.booleans(),
+        seed=st.integers(0, 2**16),
+        max_iters=st.integers(1, 60),
+        floor=st.sampled_from([None, 1e-9]),
+    )
+    def test_monotone_and_valid(self, q, m, l, single, seed, max_iters, floor):
+        l = 1 if single else min(l, m)
+        variant = "single_matrix" if single else "general"
+        truth = random_mtd(q, m, l, variant=variant, seed=seed)
+        counts = count_ngrams([sample_sequence(truth, 600, seed=seed + 1)], m)
+        init = random_mtd(q, m, l, variant=variant, seed=seed + 2)
+        evaluated = []
+        terms = em_module._component_terms
+
+        def record(model, cells):
+            evaluated.append(model)
+            return terms(model, cells)
+
+        config = EmConfig(epsilon=1e-6, max_iters=max_iters, floor=floor)
+        with mock.patch.object(em_module, "_component_terms", record):
+            report = em_fit(counts, init, config)
+        assert np.diff(report.loglik_trace).min() > -1e-9
+        assert report.iterations <= max_iters
+        # every iterate, kept or tried, passes the model's validation anew
+        for model in evaluated:
+            again = MtdModel(
+                model.alphabet, model.order, model.lag_order, model.phi, model.matrices,
+                variant=model.variant,
+            )
+            assert again == model
+        # the reported model is the one whose likelihood ends the trace
+        assert report.final_loglik == loglik_from_counts(report.model, counts)
+
+    def test_single_matrix_stall(self):
+        # plain EM creeps here: it still gains >= epsilon per map after 300 maps
+        truth = random_mtd(3, 5, 1, variant="single_matrix", seed=1)
+        counts = count_ngrams([sample_sequence(truth, 20000, seed=2)], 5)
+        init = init_contingency(counts, 1, "single_matrix")
+        config = EmConfig(max_iters=300)
+        plain, _ = oracle_em_fit(counts, init, config)
+        fast = em_fit(counts, init, config)
+        assert len(plain) == 301 and plain[-1] - plain[-2] >= config.epsilon
+        assert fast.converged
+        assert fast.final_loglik >= plain[-1]
+
+
 class TestFitWithRestarts:
     def test_single_restart_equals_contingency_run(self, dna):
         counts = count_ngrams([random_sequence(dna, 400, 4)], 2)
@@ -479,8 +562,6 @@ class TestFitWithRestarts:
         # fit a corpus whose contingency init is fine but patch randomness out
         counts = count_ngrams([Sequence(song, [0, 0, 1, 0])], 2)
         pi = np.array([[1.0, 0.0, 0.0]] * 3)
-
-        import mtdchain.em as em_module
 
         original_cont = em_module.init_contingency
         original_rand = em_module.random_mtd

@@ -4,7 +4,9 @@ from mtdchain import (
     Alphabet,
     AlphabetMismatch,
     IoError,
+    Sequence,
     count_ngrams,
+    default_alphabet,
     read_sequences,
     word_to_index,
     write_sequences,
@@ -91,6 +93,20 @@ def test_write_then_read(dna, tmp_path):
     write_sequences(seqs_in, path)
     seqs_out = read_sequences(path, alphabet=dna)
     assert [s.labels() for s in seqs_out] == [s.labels() for s in seqs_in]
+
+
+def test_multi_character_symbols_round_trip(tmp_path):
+    ab = default_alphabet(12)
+    seqs_in = [Sequence(ab, [0, 11, 3, 10, 1]), Sequence(ab, [2, 2, 1])]
+    assert seqs_in[0].labels() == "s0,s11,s3,s10,s1"
+    path = tmp_path / "out.txt"
+    write_sequences(seqs_in, path)
+    seqs_out = read_sequences(path, alphabet=ab)
+    assert [list(s.data) for s in seqs_out] == [list(s.data) for s in seqs_in]
+    fasta = tmp_path / "out.fa"
+    fasta.write_text(">x\ns0,s11,s3\ns10,s1\n")
+    seqs = read_sequences(fasta, fmt="fasta", alphabet=ab)
+    assert [list(s.data) for s in seqs] == [[0, 11, 3, 10, 1]]
 
 
 def read_sequences_roundtrip_helper(dna, tmp_path):
