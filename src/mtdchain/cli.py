@@ -152,12 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _require_order(args) -> int:
     if args.order is None:
         raise MtdError("--order is required")
+    if args.order < 1:
+        raise _UsageError(f"invalid flag value: --order must be >= 1, got {args.order}")
     return args.order
 
 
 def cmd_count(args, argv) -> int:
+    order = _require_order(args)
     sequences = _load_corpus(args)
-    counts = count_ngrams(sequences, _require_order(args))
+    counts = count_ngrams(sequences, order)
     write_counts(counts, args.out or sys.stdout)
     return 0
 
@@ -177,12 +180,17 @@ def _em_config(args, **fields) -> EmConfig:
 def cmd_fit(args, argv) -> int:
     if not args.out:
         raise MtdError("fit requires --out for the model file")
+    order = _require_order(args)
+    if not 1 <= args.lag_order <= order:
+        raise _UsageError(
+            f"invalid flag value: --lag-order must be in 1..{order}, got {args.lag_order}"
+        )
     if args.algorithm == "em":
         config = _em_config(args, floor=args.floor, lag_order=args.lag_order)
     else:
         config = _from_flags(BerchtoldConfig, epsilon=args.epsilon, max_iters=args.max_iters)
     sequences = _load_corpus(args)
-    counts = count_ngrams(sequences, _require_order(args))
+    counts = count_ngrams(sequences, order)
     if args.algorithm == "em":
         report = fit_with_restarts(counts, config)
     else:

@@ -58,7 +58,9 @@ class NGramCounts:
         counts.flags.writeable = False
         self.alphabet = alphabet
         self.word_length = word_length
-        self.total = int(counts.sum())
+        self.total = sum(counts.tolist())  # Python ints: an int64 sum would wrap
+        if self.total > _INT64_MAX:
+            raise ValueError(f"total count {self.total} exceeds 2**63 - 1")
         self._words = words
         self._counts = counts
 
@@ -96,14 +98,18 @@ def _tally(alphabet: Alphabet, word_length: int, words: np.ndarray, weights=None
 
     This is the one construction path of every producer below: the
     distinct words come from ``np.unique`` and the weights of a repeated
-    word are summed exactly in int64.
+    word are summed exactly, as Python ints; a sum above 2**63 - 1 raises
+    ValueError.
     """
     if weights is None:
         distinct, sums = np.unique(words, return_counts=True)
     else:
         order = np.argsort(words)
         distinct, starts = np.unique(words[order], return_index=True)
-        sums = np.add.reduceat(weights[order], starts)
+        sums = np.add.reduceat(weights[order].astype(object), starts)
+        if sums.size and sums.max() > _INT64_MAX:
+            w = int(distinct[np.argmax(sums)])
+            raise ValueError(f"counts of word {w} sum to {sums.max()}, above 2**63 - 1")
     return NGramCounts(alphabet, word_length, distinct, sums)
 
 
@@ -223,4 +229,7 @@ def read_counts(path, alphabet: Alphabet) -> NGramCounts:
         ns.append(n)
     if word_length is None:
         raise EmptyCorpus(f"no counts in {path}")
-    return _tally(alphabet, word_length, np.array(words, np.int64), np.array(ns, np.int64))
+    try:
+        return _tally(alphabet, word_length, np.array(words, np.int64), np.array(ns, np.int64))
+    except ValueError as err:
+        raise IoError(f"{path}: {err}") from None

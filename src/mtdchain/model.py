@@ -122,7 +122,8 @@ class Sequence:
         arr = np.asarray(self.data, dtype=np.int64)
         if arr.ndim != 1:
             raise ShapeMismatch("sequence data must be one-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet.size):
+        # one reduction: a negative int64 viewed as uint64 exceeds every size
+        if arr.size and arr.view(np.uint64).max() >= self.alphabet.size:
             raise InvalidSymbol("sequence contains indices outside the alphabet")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -132,7 +133,9 @@ class Sequence:
 
     def labels(self) -> str:
         """The symbols spelled in order, joined by ',' if any symbol has several characters."""
-        return _separator(self.alphabet).join(self.alphabet.symbols[i] for i in self.data)
+        # object dtype keeps every symbol exactly as written (no fixed-width strings)
+        spelled = np.array(self.alphabet.symbols, dtype=object)[self.data]
+        return _separator(self.alphabet).join(spelled.tolist())
 
 
 def _freeze(a) -> np.ndarray:
@@ -428,22 +431,25 @@ def sequence_loglik(model, seq: Sequence) -> float:
 
 
 def _cumulative_rows(model):
-    """Row sampler: history index -> cumulative next-letter distribution."""
+    """Row sampler: history index -> cumulative next-letter distribution.
+
+    A row holds the first q - 1 partial sums, so bisecting a uniform draw
+    in [0, 1) over it gives a letter in 0..q-1 even when the full sum falls
+    short of 1.0 by rounding.  The sums stay numpy scalars: a table of
+    Python floats (``tolist``) builds faster but raised the peak RSS of
+    long in-process runs by several MB.
+    """
     q = model.alphabet.size
     n_hist = q**model.order
     if n_hist * q <= _SAMPLE_PRECOMPUTE_LIMIT:
         cum = np.cumsum(history_rows(model, np.arange(n_hist)), axis=1)
-        cum[:, -1] = 1.0
-        rows = [list(r) for r in cum]
-        return rows.__getitem__
+        return [list(r) for r in cum[:, :-1]].__getitem__
     cache: dict[int, list] = {}
 
     def lookup(h: int) -> list:
         row = cache.get(h)
         if row is None:
-            row = list(np.cumsum(history_rows(model, np.array([h]))[0]))
-            row[-1] = 1.0
-            cache[h] = row
+            row = cache[h] = list(np.cumsum(history_rows(model, np.array([h]))[0])[:-1])
         return row
 
     return lookup
@@ -476,11 +482,9 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
         row_for = _cumulative_rows(model)
         h = word_to_index(prefix, q)
         base = q ** (m - 1)
-        draws = rng.random(length - m)
-        for u in draws:
+        # a memoryview yields each draw as a Python float, made only when it is used
+        for u in memoryview(rng.random(length - m)):
             j = bisect_right(row_for(h), u)
-            if j >= q:  # cumulative row short of 1.0 by rounding
-                j = q - 1
             data.append(j)
             h = (h % base) * q + j
     return Sequence(model.alphabet, np.array(data, dtype=np.int64))

@@ -7,6 +7,8 @@ sequence, so downstream windows never span a foreign symbol.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import AlphabetMismatch, IoError
 from .model import Alphabet, Sequence, _separator
 
@@ -19,22 +21,26 @@ def _letter_lookup(alphabet: Alphabet) -> dict[str, int]:
     return lookup
 
 
-def _split_record(letters, lookup: dict[str, int], alphabet, name):
+def _decoder(alphabet: Alphabet):
+    """Record text -> symbol indices, -1 at a foreign symbol (high code points clip to -1)."""
+    lookup, sep = _letter_lookup(alphabet), _separator(alphabet)
+    if sep:
+        def decode(record):
+            tokens = record.split(sep)
+            index = {t: lookup.get(t, -1) for t in dict.fromkeys(tokens)}
+            return np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+        return decode
+    table = {ord(k): i for k, i in lookup.items() if len(k) == 1}
+    codes = np.array([table.get(c, -1) for c in range(max(table) + 2)], np.int64)
+    return lambda text: codes.take(np.frombuffer(text.encode("utf-32-le"), np.uint32), mode="clip")
+
+
+def _split_record(indices: np.ndarray, alphabet, name):
     """Maximal runs of alphabet letters, one Sequence per run."""
-    runs, run = [], []
-    for symbol in letters:
-        idx = lookup.get(symbol)
-        if idx is None:
-            if run:
-                runs.append(run)
-            run = []
-        else:
-            run.append(idx)
-    if run:
-        runs.append(run)
-    if len(runs) <= 1:
-        return [Sequence(alphabet, runs[0], name=name)] if runs else []
-    return [Sequence(alphabet, r, name=f"{name}:{i}") for i, r in enumerate(runs)]
+    cuts = [-1, *(indices < 0).nonzero()[0].tolist(), indices.size]
+    runs = [indices[a + 1 : b] for a, b in zip(cuts, cuts[1:]) if b > a + 1]
+    names = [name] if len(runs) == 1 else [f"{name}:{i}" for i in range(len(runs))]
+    return [Sequence(alphabet, r, name=n) for r, n in zip(runs, names)]
 
 
 def read_sequences(path, fmt: str = "plain", alphabet: Alphabet | None = None) -> list[Sequence]:
@@ -57,7 +63,7 @@ def read_sequences(path, fmt: str = "plain", alphabet: Alphabet | None = None) -
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as err:
         raise IoError(f"cannot read sequence file {path}: {err}") from err
-    lookup = _letter_lookup(alphabet)
+    decode = _decoder(alphabet)
     sep = _separator(alphabet)
     records: list[tuple[str, str]] = []
     if fmt == "plain":
@@ -83,8 +89,7 @@ def read_sequences(path, fmt: str = "plain", alphabet: Alphabet | None = None) -
     total_letters = 0
     for name, letters in records:
         total_letters += len(letters)
-        symbols = letters.split(sep) if sep else letters
-        sequences.extend(_split_record(symbols, lookup, alphabet, name))
+        sequences.extend(_split_record(decode(letters), alphabet, name))
     if total_letters and not sequences:
         raise AlphabetMismatch(
             f"{path} contains no symbols of the alphabet {alphabet.symbols}"

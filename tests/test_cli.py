@@ -153,8 +153,14 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
         ["--alphabet", "acgt", "--epsilon", "0", "--algorithm", "berchtold"],
         ["--alphabet", "acgt", "--restarts", "0"],
         ["--alphabet", "acgt", "--max-iters", "0", "--algorithm", "berchtold"],
+        ["--alphabet", "acgt", "--order", "0"],
+        ["--alphabet", "acgt", "--order", "3", "--lag-order", "5"],
+        ["--alphabet", "acgt", "--lag-order", "0"],
     ],
-    ids=["alphabet", "epsilon", "epsilon-berchtold", "restarts", "max-iters-berchtold"],
+    ids=[
+        "alphabet", "epsilon", "epsilon-berchtold", "restarts", "max-iters-berchtold",
+        "order-0", "lag-order-above-order", "lag-order-0",
+    ],
 )
 def test_rejected_flag_value_is_usage_error(flags, corpus, tmp_path, monkeypatch, capsys):
     def forbidden(*args, **kwargs):
@@ -167,6 +173,17 @@ def test_rejected_flag_value_is_usage_error(flags, corpus, tmp_path, monkeypatch
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("mtdchain: error: invalid flag value: ")
+
+
+def test_sample_golden(tmp_path, capsys):
+    # stdout recorded before the sampler loop and Sequence.labels were reworked
+    model_path = str(tmp_path / "model.json")
+    write_model(model_path, random_mtd(12, 2, 1, seed=3))
+    assert cli.main(["sample", "--model", model_path, "--length", "30", "--seed", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "s8,s11,s5,s11,s0,s7,s5,s9,s2,s10,s6,s10,s5,s5,s9,"
+        "s11,s5,s11,s10,s1,s6,s9,s11,s7,s1,s6,s6,s6,s11,s4\n"
+    )
 
 
 def test_sample_then_count_multi_character_symbols(tmp_path, capsys):

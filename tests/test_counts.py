@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,11 @@ class TestContainer:
         with pytest.raises(ValueError, match=f"word index {word} outside"):
             NGramCounts(ab, 2, words, [1, 1])
 
+    def test_total_above_int64(self, ab):
+        assert NGramCounts(ab, 1, [0, 1], [2**62, 2**62 - 1]).total == 2**63 - 1
+        with pytest.raises(ValueError, match="total count 9223372036854775808 exceeds"):
+            NGramCounts(ab, 1, [0, 1], [2**62, 2**62])
+
     def test_misaligned(self, ab):
         with pytest.raises(ValueError, match="aligned"):
             NGramCounts(ab, 2, [0, 1], [1])
@@ -170,6 +177,12 @@ class TestMergeCounts:
             again = read_counts(path, alphabet)
             assert list(again.items()) == list(whole.items())
             assert again.word_length == whole.word_length
+
+    def test_sum_above_int64_raises(self, ab):
+        big = NGramCounts(ab, 1, [0], [2**62])
+        assert merge_counts(big, NGramCounts(ab, 1, [0], [2**62 - 1]))[0] == 2**63 - 1
+        with pytest.raises(ValueError, match="sum to 9223372036854775808"):
+            merge_counts(big, big)
 
     def test_mismatch(self, ab, dna):
         with pytest.raises(AlphabetMismatch):
@@ -274,6 +287,14 @@ class TestSerialization:
         path = tmp_path / "counts.tsv"
         path.write_text(f"gt\t4\nac\t{count}\n")
         with pytest.raises(IoError, match=f"{path}:2: count {count} outside"):
+            read_counts(path, dna)
+
+    @pytest.mark.parametrize("words", [("ac", "gt"), ("ac", "ac")], ids=["total", "one-word"])
+    def test_sum_outside_int64(self, words, dna, tmp_path):
+        # each count fits int64, their sum does not
+        path = tmp_path / "counts.tsv"
+        path.write_text("".join(f"{w}\t5000000000000000000\n" for w in words))
+        with pytest.raises(IoError, match=re.escape(f"{path}: ") + ".*10000000000000000000"):
             read_counts(path, dna)
 
     def test_missing_file(self, dna, tmp_path):

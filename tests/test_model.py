@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from mtdchain import (
     transition_prob,
     word_to_index,
 )
-from mtdchain.model import history_rows
+from mtdchain.model import _SAMPLE_PRECOMPUTE_LIMIT, history_rows
 
 
 class TestAlphabet:
@@ -238,6 +240,19 @@ class TestSampleSequence:
         while len(expected) < 10:
             expected.append((expected[-1] + 1) % 3)
         assert list(seq.data) == expected
+
+    # sha256 digests of samples recorded before the sampler loop was reworked:
+    # the same seed must keep drawing the same letters
+    def test_golden_dense_table(self):
+        seq = sample_sequence(random_mtd(4, 3, 1, seed=5), 20000, seed=11)
+        digest = hashlib.sha256(seq.labels().encode()).hexdigest()
+        assert digest == "8bee1b99151527c160cf48496d0e1024b1d49a0a70b9f92808aff1d28762656a"
+
+    def test_golden_lazy_cache(self):
+        assert 4**12 > _SAMPLE_PRECOMPUTE_LIMIT  # rows are computed per visited history
+        seq = sample_sequence(random_mtd(4, 11, 1, seed=2), 5000, seed=3)
+        digest = hashlib.sha256(seq.data.astype("<i8").tobytes()).hexdigest()
+        assert digest == "459a7d28f42a0027252abe8801c89b647aaef7d177aa7e3825f514c3786c7dec"
 
     def test_length_equals_order(self, equiv_model_a):
         seq = sample_sequence(equiv_model_a, 2, seed=4)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtdchain import (
     Alphabet,
@@ -8,9 +10,11 @@ from mtdchain import (
     count_ngrams,
     default_alphabet,
     read_sequences,
+    seqio,
     word_to_index,
     write_sequences,
 )
+from mtdchain.model import _separator
 
 
 class TestPlain:
@@ -120,3 +124,77 @@ def test_unknown_format(dna, tmp_path):
     path.write_text("acgt\n")
     with pytest.raises(ValueError):
         read_sequences(path, fmt="genbank", alphabet=dna)
+
+
+def reference_split_record(letters, lookup, alphabet, name):
+    """The per-letter decoder read_sequences had before its array rewrite."""
+    runs, run = [], []
+    for symbol in letters:
+        idx = lookup.get(symbol)
+        if idx is None:
+            if run:
+                runs.append(run)
+            run = []
+        else:
+            run.append(idx)
+    if run:
+        runs.append(run)
+    if len(runs) <= 1:
+        return [Sequence(alphabet, runs[0], name=name)] if runs else []
+    return [Sequence(alphabet, r, name=f"{name}:{i}") for i, r in enumerate(runs)]
+
+
+def oracle_read(path, fmt, alphabet):
+    """read_sequences with its record assembly unchanged and the per-letter decoder above."""
+    lookup, sep = seqio._letter_lookup(alphabet), _separator(alphabet)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqio, "_decoder", lambda _: lambda text: text.split(sep) if sep else text)
+        mp.setattr(
+            seqio,
+            "_split_record",
+            lambda letters, ab, name: reference_split_record(letters, lookup, ab, name),
+        )
+        return seqio.read_sequences(path, fmt, alphabet)
+
+
+ORACLE_ALPHABETS = {
+    "dna": Alphabet(tuple("acgt")),
+    "case-pair": Alphabet(("a", "A", "b")),
+    "sharp-s": Alphabet(("ß", "a", "b")),  # "ß".upper() is "SS", two characters
+    "astral": Alphabet(("\U0001F642", "x")),
+    "q12": default_alphabet(12),  # multi-character symbols, ','-separated
+}
+FOREIGN = ["N", "é", "SS", "\u1e9e", " ", ",", "s", "s99", "\U0001F600", "\x00"]
+
+
+@st.composite
+def corpus_files(draw):
+    alphabet = ORACLE_ALPHABETS[draw(st.sampled_from(sorted(ORACLE_ALPHABETS)))]
+    variants = [v for s in alphabet.symbols for v in (s, s.lower(), s.upper())]
+    letters = st.lists(st.sampled_from(variants + FOREIGN), max_size=10)
+    line = letters.map(_separator(alphabet).join)
+    other = st.sampled_from(["", "  ", ">r", "> two words ", ">"])
+    lines = draw(st.lists(st.one_of(line, other), max_size=8))
+    return alphabet, draw(st.sampled_from(["plain", "fasta"])), "\n".join(lines) + "\n"
+
+
+def _outcome(read, path, fmt, alphabet):
+    try:
+        return [(s.name, s.data.tolist()) for s in read(path, fmt, alphabet)]
+    except AlphabetMismatch:
+        return "AlphabetMismatch"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corpus=corpus_files())
+@example(corpus=(ORACLE_ALPHABETS["dna"], "plain", "NacgNNtN\n\n  AcGt\nN\n"))
+@example(corpus=(ORACLE_ALPHABETS["dna"], "fasta", "acN\n>r1\nNac\ngtN\n\n>r2\n>r3\nAC\n"))
+@example(corpus=(ORACLE_ALPHABETS["sharp-s"], "plain", "ßaSSbß\n\u1e9eAB\nss\n"))
+@example(corpus=(ORACLE_ALPHABETS["q12"], "plain", "s0,S11,x,s3,,s10\ns1\n,s2,\n"))
+@example(corpus=(ORACLE_ALPHABETS["q12"], "fasta", ">a\ns0,s1\ns99,s2\n>b\nS4\n"))
+def test_decoder_matches_per_letter_oracle(tmp_path_factory, corpus):
+    alphabet, fmt, text = corpus
+    path = tmp_path_factory.mktemp("oracle") / "corpus.txt"
+    path.write_text(text, encoding="utf-8")
+    expected = _outcome(oracle_read, path, fmt, alphabet)
+    assert _outcome(read_sequences, path, fmt, alphabet) == expected
