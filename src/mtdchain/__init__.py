@@ -9,7 +9,6 @@ CLI with experiment harnesses.
 
 from .berchtold import BerchtoldConfig, GradientSet, berchtold_fit, berchtold_step, loglik_gradient
 from .counts import (
-    ContingencyTable,
     NGramCounts,
     count_ngrams,
     lag_contingency,

@@ -149,12 +149,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at_least(flag: str, value: int, low: int = 1) -> int:
+    if value < low:
+        raise _UsageError(f"invalid flag value: {flag} must be >= {low}, got {value}")
+    return value
+
+
+def _int_list(flag: str, text: str) -> list[int]:
+    """A comma-separated list flag of integers, each >= 1."""
+    try:
+        values = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise _UsageError(f"invalid flag value: {flag} must list integers >= 1, got {text!r}")
+    return values
+
+
 def _require_order(args) -> int:
     if args.order is None:
         raise MtdError("--order is required")
-    if args.order < 1:
-        raise _UsageError(f"invalid flag value: --order must be >= 1, got {args.order}")
-    return args.order
+    return _at_least("--order", args.order)
 
 
 def cmd_count(args, argv) -> int:
@@ -263,15 +278,16 @@ def cmd_convert(args, argv) -> int:
 
 
 def cmd_tv_experiment(args, argv) -> int:
-    q = parse_alphabet(args.alphabet).size if args.alphabet else args.alphabet_size
-    fit_orders = [int(x) for x in args.fit_orders.split(",") if x]
+    q = _at_least("--alphabet-size", args.alphabet_size, 2)
+    if args.alphabet:
+        q = parse_alphabet(args.alphabet).size
     rows, _ = tv_experiment(
-        gen_order=args.gen_order,
+        gen_order=_at_least("--gen-order", args.gen_order),
         q=q,
         seq_len=args.length,
-        fit_orders=fit_orders,
-        replicates=args.replicates,
-        word_len=args.word_len,
+        fit_orders=_int_list("--fit-orders", args.fit_orders),
+        replicates=_at_least("--replicates", args.replicates),
+        word_len=_at_least("--word-len", args.word_len),
         seed=args.seed,
     )
     lines = ["replicate\tfit_order\ttv"]
@@ -285,9 +301,9 @@ def cmd_tv_experiment(args, argv) -> int:
 
 def cmd_bic_compare(args, argv) -> int:
     config = _em_config(args)
+    orders = _int_list("--orders", args.orders)
+    lag_orders = _int_list("--lag-orders", args.lag_orders)
     sequences = _load_corpus(args)
-    orders = [int(x) for x in args.orders.split(",") if x]
-    lag_orders = [int(x) for x in args.lag_orders.split(",") if x]
     rows = bic_compare(
         sequences, orders, lag_orders, config=config, dim_convention=args.dim_convention
     )

@@ -13,8 +13,6 @@ only its letter separator is shared with sequence files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AlphabetMismatch, EmptyCorpus, IoError, LagOutOfRange
@@ -140,22 +138,8 @@ def merge_counts(a: NGramCounts, b: NGramCounts) -> NGramCounts:
     return _tally(a.alphabet, a.word_length, words, np.concatenate([a.values(), b.values()]))
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Co-occurrence counts between the lag-g block and the final letter."""
-
-    lag: int
-    block_length: int
-    table: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.table, dtype=np.int64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "table", arr)
-
-
-def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> ContingencyTable:
-    """Tally N-weighted (lag-g block, final letter) pairs into a q**l x q table."""
+def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> np.ndarray:
+    """Tally N-weighted (lag-g block, final letter) pairs into a read-only q**l x q int64 table."""
     m = counts.order
     lag = int(lag)
     block_length = int(block_length)
@@ -168,7 +152,9 @@ def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> Con
     cells = (ws // q**lag) % q**block_length * q + ws % q
     # float64 sums of int64 counts are exact: corpus totals stay below 2**53
     table = np.bincount(cells, weights=counts.values(), minlength=q ** (block_length + 1))
-    return ContingencyTable(lag, block_length, table.reshape(q**block_length, q).astype(np.int64))
+    table = table.reshape(q**block_length, q).astype(np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _count_lines(counts: NGramCounts):

@@ -84,6 +84,8 @@ class EmConfig:
             raise ValueError("max_iters must be >= 1")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
+        if self.floor is not None and not 0.0 < self.floor < np.inf:
+            raise ValueError(f"floor must be finite and > 0, got {self.floor}")
 
 
 @dataclass
@@ -183,11 +185,11 @@ def init_contingency(counts: NGramCounts, lag_order: int = 1, variant: str = "ge
     m = counts.order
     G = m - lag_order + 1
     if variant == "single_matrix":
-        pooled = sum(lag_contingency(counts, g, lag_order).table for g in range(1, G + 1))
+        pooled = sum(lag_contingency(counts, g, lag_order) for g in range(1, G + 1))
         mats = [_pseudocount_rows(pooled)]
     else:
         mats = [
-            _pseudocount_rows(lag_contingency(counts, g, lag_order).table)
+            _pseudocount_rows(lag_contingency(counts, g, lag_order))
             for g in range(1, G + 1)
         ]
     phi = np.full(G, 1.0 / G)

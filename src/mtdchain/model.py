@@ -364,13 +364,16 @@ def history_rows(model, history_indices: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _check_dense_size(q: int, order: int) -> None:
+    """Raise :class:`ModelTooLarge` if a dense order-m table has over MAX_TABLE_ENTRIES entries."""
+    if q ** (order + 1) > MAX_TABLE_ENTRIES:
+        raise ModelTooLarge(f"q**(m+1) = {q}**{order + 1} exceeds {MAX_TABLE_ENTRIES} entries")
+
+
 def full_transition_matrix(model: MtdModel) -> FullMarkovModel:
     """Expand an MTD model to its dense order-m transition table."""
     q = model.alphabet.size
-    if q ** (model.order + 1) > MAX_TABLE_ENTRIES:
-        raise ModelTooLarge(
-            f"q**(m+1) = {q}**{model.order + 1} exceeds {MAX_TABLE_ENTRIES} entries"
-        )
+    _check_dense_size(q, model.order)
     rows = history_rows(model, np.arange(q**model.order))
     return FullMarkovModel(model.alphabet, model.order, rows)
 

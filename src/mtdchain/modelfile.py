@@ -88,6 +88,8 @@ def read_model(path):
             raise IoError(f"unknown model_kind {kind!r} in {path}")
     except KeyError as err:
         raise IoError(f"model file {path} is missing key {err}") from None
+    except ValueError as err:
+        raise IoError(f"model file {path} holds an invalid model: {err}") from None
     return model, provenance
 
 

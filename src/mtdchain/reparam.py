@@ -12,8 +12,6 @@ used for BIC.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from .errors import NotAnMtdPoint, ShapeMismatch
@@ -33,9 +31,13 @@ class ThetaU:
 
     ``tables[g-1][b]`` is the next-letter distribution after the history
     equal to u everywhere except that the block with index b occupies lag
-    positions g..g+l-1.  The row at the all-u block is the same in every
-    table (it is the transition row of the history u...u) and is exposed
-    as :attr:`base_row`.
+    positions g..g+l-1.  Windows g-1 and g share positions g..g+l-2, so
+    the rows of table g whose top (oldest) letter is u equal the rows of
+    table g-1 whose bottom letter is u: both are the transition rows of
+    the histories that are u outside the shared positions.  The
+    constructor checks this with exact equality.  The row at the all-u
+    block is therefore the same in every table (it is the transition row
+    of the history u...u) and is exposed as :attr:`base_row`.
     """
 
     def __init__(self, alphabet: Alphabet, order, lag_order, u, tables):
@@ -51,10 +53,12 @@ class ThetaU:
             raise ShapeMismatch(f"expected {G} tables, got {len(tables)}")
         for g, t in enumerate(tables, start=1):
             validate_stochastic(t, q**lag_order, q, what=f"p_u table for lag {g}")
-        ub = self._u_block(u, lag_order, q)
-        for g, t in enumerate(tables[1:], start=2):
-            if not np.array_equal(t[ub], tables[0][ub]):
-                raise ValueError(f"all-u row of lag-{g} table differs from the base row")
+        shared = q ** (lag_order - 1)
+        for g in range(1, G):
+            if not np.array_equal(tables[g][u * shared : (u + 1) * shared], tables[g - 1][u::q]):
+                raise ValueError(
+                    f"lag-{g + 1} table differs from the lag-{g} table on their shared rows"
+                )
         self.alphabet = alphabet
         self.order = order
         self.lag_order = lag_order
@@ -63,10 +67,8 @@ class ThetaU:
 
     @staticmethod
     def _u_block(u: int, lag_order: int, q: int) -> int:
-        b = 0
-        for _ in range(lag_order):
-            b = b * q + u
-        return b
+        """Index of the block that is u at each of its ``lag_order`` letters."""
+        return u * (q**lag_order - 1) // (q - 1)
 
     @property
     def n_components(self) -> int:
@@ -102,9 +104,7 @@ def to_theta_u(model: MtdModel, u) -> ThetaU:
     q = model.alphabet.size
     u = model.alphabet.check_index(u)
     m, l = model.order, model.lag_order
-    u_all = 0
-    for _ in range(m):
-        u_all = u_all * q + u
+    u_all = ThetaU._u_block(u, m, q)
     u_block = ThetaU._u_block(u, l, q)
     tables = []
     for g in range(1, model.n_components + 1):
@@ -115,88 +115,35 @@ def to_theta_u(model: MtdModel, u) -> ThetaU:
     return ThetaU(model.alphabet, m, l, u, tables)
 
 
-def _interaction_rows(theta: ThetaU):
-    """Memoized Moebius interaction terms over within-window position sets.
-
-    For positions T = (p_1 < ... < p_k) spanning at most l and letters x_T,
-    the interaction is sum over subsets R of T of (-1)**|T-R| times the
-    stored row of the history that matches x on R and is u elsewhere.
-    Rows of the full table are base_row + sum of interactions over all
-    within-window subsets of the history's non-u positions.
-    """
-    q = theta.alphabet.size
-    l = theta.lag_order
-    u = theta.u
-    base = theta.base_row
-    cache: dict[tuple, np.ndarray] = {}
-
-    def stored_row(positions, letters):
-        if not positions:
-            return base
-        h = max(1, positions[-1] - l + 1)  # canonical window containing all positions
-        block = 0
-        for r in range(l - 1, -1, -1):  # block digits, oldest (highest position) first
-            p = h + r
-            block = block * q + (letters[positions.index(p)] if p in positions else u)
-        return theta.tables[h - 1][block]
-
-    def interaction(positions, letters):
-        key = (positions, letters)
-        row = cache.get(key)
-        if row is None:
-            row = np.zeros(q)
-            k = len(positions)
-            for size in range(k + 1):
-                sign = -1.0 if (k - size) % 2 else 1.0
-                for keep in combinations(range(k), size):
-                    row = row + sign * stored_row(
-                        tuple(positions[i] for i in keep),
-                        tuple(letters[i] for i in keep),
-                    )
-            cache[key] = row
-        return row
-
-    return interaction
-
-
 def from_theta_u(theta: ThetaU) -> FullMarkovModel:
     """Rebuild the dense transition table from one-block rows.
 
-    Not every row-stochastic table with a shared all-u row is the image
-    of an MTD model; reconstructed probabilities outside [-1e-9, 1+1e-9]
-    raise :class:`NotAnMtdPoint`.
+    An MTD row is the sum of anchored interaction terms over position
+    sets that fit in one window g..g+l-1.  Window g's table holds the sum
+    of the terms inside it, and the overlap with window g-1 (window g's
+    block with its top letter set to u) the sum of the terms inside
+    both.  A set inside k consecutive windows is inside k-1 of their
+    overlaps, so
+
+        row(x) = sum_g T_g[x on window g] - sum_{g>=2} T_g[x on window g, top letter u]
+
+    counts every interaction once, and the base row once.  For l = 1 this
+    is sum_g T_g[x_g] - (m-1) * base_row.
+
+    Not every consistent table set is the image of an MTD model;
+    reconstructed probabilities outside [-1e-9, 1+1e-9] raise
+    :class:`NotAnMtdPoint`.
     """
     q = theta.alphabet.size
     m, l, u = theta.order, theta.lag_order, theta.u
-    n_hist = q**m
-    histories = np.arange(n_hist)
-    if l == 1:
-        # row(h) = sum_g table_g[i_g] - (m-1) * base_row
-        table = np.tile(-(m - 1) * theta.base_row, (n_hist, 1))
-        for g in range(1, m + 1):
-            table += theta.tables[g - 1][(histories // q ** (g - 1)) % q]
-    else:
-        interaction = _interaction_rows(theta)
-        table = np.tile(theta.base_row, (n_hist, 1))
-        G = theta.n_components
-        for h in histories:
-            letters = [(int(h) // q ** (p - 1)) % q for p in range(1, m + 1)]
-            non_u = [p for p in range(1, m + 1) if letters[p - 1] != u]
-            if not non_u:
-                continue
-            seen = set()
-            row = table[h]
-            for g in range(1, G + 1):
-                window = [p for p in non_u if g <= p <= g + l - 1]
-                for size in range(1, len(window) + 1):
-                    for positions in combinations(window, size):
-                        if positions in seen:
-                            continue
-                        seen.add(positions)
-                        row = row + interaction(
-                            positions, tuple(letters[p - 1] for p in positions)
-                        )
-            table[h] = row
+    histories = np.arange(q**m)
+    shared = q ** (l - 1)
+    table = np.zeros((q**m, q))
+    for g, t in enumerate(theta.tables, start=1):
+        blocks = (histories // q ** (g - 1)) % q**l
+        table += t[blocks]
+        if g > 1:
+            table -= t[u * shared + blocks % shared]
     low, high = table.min(), table.max()
     if low < -1e-9 or high > 1.0 + 1e-9:
         bad = np.unravel_index(

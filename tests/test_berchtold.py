@@ -76,7 +76,7 @@ class TestGradient:
         model = MtdModel(dna, 2, 1, [0.4, 0.6], [np.full((4, 4), 0.25)] * 2)
         grads = loglik_gradient(model, counts)
         for g in (1, 2):
-            table = lag_contingency(counts, g, 1).table
+            table = lag_contingency(counts, g, 1)
             expected = model.phi[g - 1] * 4.0 * table
             assert np.abs(grads.d_pi[g - 1] - expected).max() < 1e-9
 
@@ -129,7 +129,7 @@ class TestFit:
         init = init_contingency(counts)
         config = BerchtoldConfig(epsilon=1e-8, min_delta=1e-9, max_iters=5000)
         report = berchtold_fit(counts, init, config)
-        table = lag_contingency(counts, 1, 1).table.astype(float)
+        table = lag_contingency(counts, 1, 1).astype(float)
         mle = table / table.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             contrib = np.where(table > 0, table * np.log(mle), 0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -146,33 +147,124 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "command, flags",
     [
-        ["--alphabet", "aa"],
-        ["--alphabet", "acgt", "--epsilon", "0"],
-        ["--alphabet", "acgt", "--epsilon", "0", "--algorithm", "berchtold"],
-        ["--alphabet", "acgt", "--restarts", "0"],
-        ["--alphabet", "acgt", "--max-iters", "0", "--algorithm", "berchtold"],
-        ["--alphabet", "acgt", "--order", "0"],
-        ["--alphabet", "acgt", "--order", "3", "--lag-order", "5"],
-        ["--alphabet", "acgt", "--lag-order", "0"],
+        ("fit", ["--alphabet", "aa"]),
+        ("fit", ["--alphabet", "acgt", "--epsilon", "0"]),
+        ("fit", ["--alphabet", "acgt", "--epsilon", "0", "--algorithm", "berchtold"]),
+        ("fit", ["--alphabet", "acgt", "--restarts", "0"]),
+        ("fit", ["--alphabet", "acgt", "--max-iters", "0", "--algorithm", "berchtold"]),
+        ("fit", ["--alphabet", "acgt", "--order", "0"]),
+        ("fit", ["--alphabet", "acgt", "--order", "3", "--lag-order", "5"]),
+        ("fit", ["--alphabet", "acgt", "--lag-order", "0"]),
+        ("fit", ["--alphabet", "acgt", "--floor", "-1"]),
+        ("fit", ["--alphabet", "acgt", "--floor", "nan"]),
+        ("bic-compare", ["--orders", "0"]),
+        ("bic-compare", ["--orders", "2,x"]),
+        ("bic-compare", ["--orders", "2", "--lag-orders", "0"]),
+        ("tv-experiment", ["--fit-orders", "2,0"]),
+        ("tv-experiment", ["--gen-order", "0"]),
+        ("tv-experiment", ["--word-len", "0"]),
+        ("tv-experiment", ["--alphabet-size", "1"]),
+        ("tv-experiment", ["--replicates", "0"]),
     ],
     ids=[
         "alphabet", "epsilon", "epsilon-berchtold", "restarts", "max-iters-berchtold",
-        "order-0", "lag-order-above-order", "lag-order-0",
+        "order-0", "lag-order-above-order", "lag-order-0", "floor-negative", "floor-nan",
+        "orders-0", "orders-not-int", "lag-orders-0", "fit-orders-0", "gen-order-0",
+        "word-len-0", "alphabet-size-1", "replicates-0",
     ],
 )
-def test_rejected_flag_value_is_usage_error(flags, corpus, tmp_path, monkeypatch, capsys):
+def test_rejected_flag_value_is_usage_error(
+    command, flags, corpus, tmp_path, monkeypatch, capsys
+):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the flags were checked")
 
-    monkeypatch.setattr(cli, "read_sequences", forbidden)
-    argv = ["fit", "--in", corpus, "--order", "3", "--out", str(tmp_path / "m.json"), *flags]
-    assert cli.main(argv) == 2
+    for name in ("read_sequences", "bic_compare", "tv_experiment"):
+        monkeypatch.setattr(cli, name, forbidden)
+    argv = {
+        "fit": ["fit", "--in", corpus, "--order", "3", "--out", str(tmp_path / "m.json")],
+        "bic-compare": ["bic-compare", "--in", corpus, "--alphabet", "acgt"],
+        "tv-experiment": ["tv-experiment"],
+    }[command]
+    assert cli.main(argv + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("mtdchain: error: invalid flag value: ")
+
+
+def _assert_one_line_failure(argv, capsys, *mentions):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("mtdchain: error: ")
+    for text in mentions:
+        assert text in captured.err
+
+
+def test_rejected_model_file_is_one_line_error(corpus, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    write_model(path, _model())
+    path.write_text(path.read_text().replace('"phi": [\n    0.5,', '"phi": [\n    0.9,'))
+    _assert_one_line_failure(["eval", "--model", str(path), "--in", corpus], capsys, str(path))
+
+
+def test_bic_compare_order_too_large_is_one_line_error(corpus, capsys):
+    argv = ["bic-compare", "--in", corpus, "--alphabet", "acgt", "--orders", "30"]
+    _assert_one_line_failure(argv, capsys, "exceeds")
+
+
+# Outputs of these commands recorded before from_theta_u became a window-chain sum
+CONVERT_THETA_U_SHA256 = "fd98fb43b8d186c14e27c3890bfbab1092957f6d329a83968f789757fe3522fb"
+BIC_COMPARE_GOLDEN = (
+    "order\tlag_order\tn_terms\tloglik_full\tdim_full\tbic_full"
+    "\tloglik_mtd\tdim_mtd\tbic_mtd\tdelta_bic\n"
+    "1\t1\t5996\t-6013.52352539126\t12\t12131.43322509319"
+    "\t-6013.52352539126\t12\t12131.43322509319\t0.0\n"
+    "2\t1\t5992\t-5750.411482623633\t48\t11918.335630456724"
+    "\t-5771.303046593978\t21\t11725.267884217095\t193.06774623962883\n"
+    "2\t2\t5992\t-5750.411482623633\t48\t11918.335630456724"
+    "\t-5750.411482623633\t48\t11918.335630456724\t0.0\n"
+    "3\t1\t5988\t-5048.496614091014\t192\t11766.915675325616"
+    "\t-5130.630734360894\t30\t10522.186851087974\t1244.7288242376417\n"
+    "3\t2\t5988\t-5048.496614091014\t192\t11766.915675325616"
+    "\t-5100.702398211651\t84\t10931.995867048621\t834.9198082769944\n"
+)
+TV_EXPERIMENT_GOLDEN = (
+    "replicate\tfit_order\ttv\n"
+    "0\t1\t0.4184718286722858\n0\t2\t0.1956882469390547\n0\t3\t0.20488213819524675\n"
+    "1\t1\t0.42855213335935927\n1\t2\t0.22934051136660577\n1\t3\t0.23056088260420932\n"
+    "mean\t1\t0.42351198101582255\nmean\t2\t0.21251437915283022\n"
+    "mean\t3\t0.21772151039972804\n"
+)
+
+
+def test_convert_to_theta_u_golden(tmp_path, monkeypatch):
+    # relative paths: the command line is part of the file's provenance
+    monkeypatch.chdir(tmp_path)
+    write_model("model.json", random_mtd(4, 4, 2, seed=11, alphabet=DNA))
+    argv = ["convert", "--model", "model.json", "--to", "theta_u", "--ref-letter", "g",
+            "--out", "theta.json"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "theta.json").read_bytes()).hexdigest()
+    assert digest == CONVERT_THETA_U_SHA256
+
+
+def test_bic_compare_golden(corpus, capsys):
+    argv = ["bic-compare", "--in", corpus, "--alphabet", "acgt", "--orders", "1,2,3",
+            "--lag-orders", "1,2", "--restarts", "2", "--seed", "3"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == BIC_COMPARE_GOLDEN
+
+
+def test_tv_experiment_golden(capsys):
+    argv = ["tv-experiment", "--gen-order", "2", "--alphabet-size", "3", "--length", "400",
+            "--fit-orders", "1,2,3", "--replicates", "2", "--word-len", "3", "--seed", "5"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == TV_EXPERIMENT_GOLDEN
 
 
 def test_sample_golden(tmp_path, capsys):

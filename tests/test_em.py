@@ -328,7 +328,7 @@ class TestMStep:
         probs[0] = 1.0
         phi, mats = m_step(probs, counts, model)
         assert np.abs(phi - np.array([1.0, 0.0])).max() < 1e-15
-        table = lag_contingency(counts, 1, 1).table.astype(float)
+        table = lag_contingency(counts, 1, 1).astype(float)
         observed = table.sum(axis=1) > 0
         expected = table[observed] / table[observed].sum(axis=1, keepdims=True)
         assert np.abs(mats[0][observed] - expected).max() < 1e-12
@@ -342,7 +342,7 @@ class TestMStep:
         model = random_mtd(4, 1, 1, seed=6, alphabet=dna)
         post = e_step(model, counts)
         phi, mats = m_step(post, counts, model)
-        table = lag_contingency(counts, 1, 1).table.astype(float)
+        table = lag_contingency(counts, 1, 1).astype(float)
         expected = table / table.sum(axis=1, keepdims=True)
         assert np.abs(mats[0] - expected).max() < 1e-12
 
@@ -421,7 +421,7 @@ class TestEmFit:
     def test_fixed_point_converges_fast(self, dna):
         seq = random_sequence(dna, 300, 3)
         counts = count_ngrams([seq], 2)
-        table = lag_contingency(counts, 1, 2).table.astype(float)
+        table = lag_contingency(counts, 1, 2).astype(float)
         sums = table.sum(axis=1, keepdims=True)
         mle = np.where(sums > 0, table / np.where(sums == 0, 1.0, sums), 0.25)
         init = MtdModel(dna, 2, 2, [1.0], [mle])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -55,9 +57,14 @@ def test_theta_u_round_trip(tmp_path):
     assert loaded == theta
 
 
-def test_theta_u_tagged(tmp_path):
-    import json
+@pytest.mark.parametrize("q, m, l, u", [(2, 4, 1, 1), (2, 5, 3, 0), (4, 3, 2, 3), (3, 3, 3, 2)])
+def test_theta_u_round_trip_passes_overlap_check(tmp_path, q, m, l, u):
+    theta = to_theta_u(random_mtd(q, m, l, seed=q + m + l), u)
+    loaded, _ = round_trip(tmp_path, theta)
+    assert loaded == theta
 
+
+def test_theta_u_tagged(tmp_path):
     theta = to_theta_u(random_mtd(3, 2, 1, seed=6), 0)
     path = tmp_path / "theta.json"
     write_model(path, theta)
@@ -103,6 +110,31 @@ def test_unknown_kind(tmp_path):
     )
     with pytest.raises(IoError):
         read_model(path)
+
+
+def _edited(tmp_path, model, edit):
+    path = tmp_path / "edited.json"
+    write_model(path, model)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_rejected_phi_is_io_error(tmp_path):
+    path = _edited(tmp_path, random_mtd(2, 2, 1, seed=9), lambda doc: doc.update(phi=[0.9, 0.9]))
+    with pytest.raises(IoError, match="edited.json"):
+        read_model(path)
+
+
+def test_inconsistent_theta_u_overlap_is_io_error(tmp_path):
+    def edit(doc):
+        # lag-2 block (u, 1) shares its row with lag-1 block (1, u); change only the lag-2 copy
+        doc["matrices"][1][1] = doc["matrices"][1][1][::-1]
+
+    theta = to_theta_u(random_mtd(2, 3, 2, seed=10), 0)
+    with pytest.raises(IoError, match="edited.json"):
+        read_model(_edited(tmp_path, theta, edit))
 
 
 def test_trace_file(tmp_path):

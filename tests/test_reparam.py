@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refdata
 from mtdchain import (
@@ -59,7 +63,102 @@ class TestToThetaU:
         assert np.array_equal(theta.base_row, theta.tables[0][ub])
 
 
+def _moebius_from_theta_u(theta):
+    """The per-history Moebius reconstruction ``from_theta_u`` used to run.
+
+    Every row is the base row plus the interaction of each within-window
+    set of its non-u positions; an interaction is the alternating sum of
+    the stored rows over the subsets of its positions.  Kept as an
+    independent oracle for the window-chain sum.
+    """
+    q, m, l, u = theta.alphabet.size, theta.order, theta.lag_order, theta.u
+    cache = {}
+
+    def stored_row(positions, letters):
+        if not positions:
+            return theta.base_row
+        h = max(1, positions[-1] - l + 1)  # first window holding every position
+        block = 0
+        for p in range(h + l - 1, h - 1, -1):
+            block = block * q + (letters[positions.index(p)] if p in positions else u)
+        return theta.tables[h - 1][block]
+
+    def interaction(positions, letters):
+        key = (positions, letters)
+        if key not in cache:
+            k = len(positions)
+            cache[key] = sum(
+                (-1.0) ** (k - size) * stored_row(
+                    tuple(positions[i] for i in keep), tuple(letters[i] for i in keep)
+                )
+                for size in range(k + 1)
+                for keep in combinations(range(k), size)
+            )
+        return cache[key]
+
+    table = np.tile(theta.base_row, (q**m, 1))
+    for h in range(q**m):
+        letters = [(h // q ** (p - 1)) % q for p in range(1, m + 1)]
+        non_u = [p for p in range(1, m + 1) if letters[p - 1] != u]
+        sets = {
+            positions
+            for g in range(1, m - l + 2)
+            for size in range(1, l + 1)
+            for positions in combinations([p for p in non_u if g <= p < g + l], size)
+        }
+        for positions in sets:
+            table[h] = table[h] + interaction(
+                positions, tuple(letters[p - 1] for p in positions)
+            )
+    table = np.clip(table, 0.0, 1.0)
+    return table / table.sum(axis=1, keepdims=True)
+
+
+def _two_letter_l2_tables(overlap_row):
+    """q=2, m=3, l=2, u=0 tables; the lag-2 row at block 1 should equal lag-1 block 2."""
+    base = [1.0, 0.0]
+    t1 = np.array([base, [0.0, 1.0], [0.5, 0.5], [0.3, 0.7]])
+    t2 = np.array([base, overlap_row, [0.0, 1.0], [0.2, 0.8]])
+    return [t1, t2]
+
+
 class TestFromThetaU:
+    @pytest.mark.parametrize(
+        "q, m, l, u",
+        [(2, 1, 1, 1), (3, 3, 1, 2), (2, 4, 2, 0), (3, 3, 2, 1), (2, 5, 3, 1),
+         (3, 4, 3, 0), (2, 4, 4, 1), (4, 4, 2, 3), (2, 6, 2, 1)],
+    )
+    def test_matches_moebius_oracle(self, q, m, l, u):
+        theta = to_theta_u(random_mtd(q, m, l, seed=q * 100 + m * 10 + l), u)
+        assert np.abs(from_theta_u(theta).table - _moebius_from_theta_u(theta)).max() < 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(2, 4),
+        m=st.integers(1, 5),
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_property(self, q, m, data, seed):
+        l = data.draw(st.integers(1, m), label="l")
+        u = data.draw(st.integers(0, q - 1), label="u")
+        model = random_mtd(q, m, l, seed=seed)
+        back = from_theta_u(to_theta_u(model, u))
+        assert np.abs(back.table - full_transition_matrix(model).table).max() < 1e-12
+
+    def test_overlap_mismatch_rejected(self):
+        ab = Alphabet(("a", "b"))
+        ThetaU(ab, 3, 2, 0, _two_letter_l2_tables([0.5, 0.5]))
+        # same all-u row in both tables, but the shared position-2 row differs
+        with pytest.raises(ValueError):
+            ThetaU(ab, 3, 2, 0, _two_letter_l2_tables([0.4, 0.6]))
+
+    def test_infeasible_point_rejected_l2(self):
+        theta = ThetaU(Alphabet(("a", "b")), 3, 2, 0, _two_letter_l2_tables([0.5, 0.5]))
+        # history "bab": t1[1] + t2[2] - t2[0] = [0, 1] + [0, 1] - [1, 0]
+        with pytest.raises(NotAnMtdPoint):
+            from_theta_u(theta)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_round_trip_l1(self, seed):
         rng = np.random.default_rng(seed)
