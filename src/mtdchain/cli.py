@@ -166,6 +166,11 @@ def _int_list(flag: str, text: str) -> list[int]:
     return values
 
 
+def _check_variant(variant: str, lag_orders) -> None:
+    if variant == "single_matrix" and max(lag_orders) > 1:
+        raise _UsageError(f"invalid flag value: single_matrix needs lag order 1, not {lag_orders}")
+
+
 def _require_order(args) -> int:
     if args.order is None:
         raise MtdError("--order is required")
@@ -200,6 +205,7 @@ def cmd_fit(args, argv) -> int:
         raise _UsageError(
             f"invalid flag value: --lag-order must be in 1..{order}, got {args.lag_order}"
         )
+    _check_variant(args.variant, [args.lag_order])
     if args.algorithm == "em":
         config = _em_config(args, floor=args.floor, lag_order=args.lag_order)
     else:
@@ -303,6 +309,9 @@ def cmd_bic_compare(args, argv) -> int:
     config = _em_config(args)
     orders = _int_list("--orders", args.orders)
     lag_orders = _int_list("--lag-orders", args.lag_orders)
+    _check_variant(args.variant, lag_orders)
+    if min(lag_orders) > max(orders):
+        raise _UsageError("invalid flag value: no --lag-orders entry is <= an --orders entry")
     sequences = _load_corpus(args)
     rows = bic_compare(
         sequences, orders, lag_orders, config=config, dim_convention=args.dim_convention

@@ -8,29 +8,32 @@ on the word's position, so one pass over the distinct observed words
 (weighted by their counts) is a full E-step, and the M-step is closed
 form.  Each E+M pair cannot decrease the conditional log-likelihood.
 
-Both steps run on one kernel, built once per fit: the (G, n_words) array
-of flat cell indices (g-1)*q**(l+1) + block_g(w)*q + i_0(w) into the model's
-matrices laid end to end (the single-matrix variant drops the g offset,
-so its lags pool into one matrix).  An iteration is then one gather for
+Both steps run on one kernel, :class:`_Kernel`, built once per fit and
+shared with the Berchtold baseline.  It works on the parameter vector
+theta = (phi, every matrix entry) and holds the (G, n_words) array of
+flat cell indices (g-1)*q**(l+1) + block_g(w)*q + i_0(w) into the
+matrix part of theta (the single-matrix variant drops the g offset, so
+its lags pool into one matrix).  An iteration is then one gather for
 the weighted components phi_g * pi_g(w), whose sum over g is the E-step
 denominator p(w) and also gives the log-likelihood of the current
 iterate, and one ``bincount`` over the same cells for the M-step
-numerators.
+numerators, which maps theta to theta.  Only the reported model is
+built as an :class:`MtdModel`.
 
 The EM map F runs in SQUAREM cycles (Varadhan & Roland 2008, Scand.
 J. Stat. 35:335), scheme SqS3.  A cycle takes two EM maps
-from theta_0, theta_1 = F(theta_0) and theta_2 = F(theta_1), over the
-parameter vector theta = (phi, every matrix entry), and extrapolates to
-theta' = theta_0 - 2 alpha r + alpha**2 v with r = theta_1 - theta_0,
-v = theta_2 - 2 theta_1 + theta_0 and alpha = -|r|/|v| (at most -1).
-theta' is kept only if it has no negative entry, validates as a model
-once phi and each row are renormalized, and its log-likelihood, which
-the gather for its next E-step yields, is at least that of theta_2;
-otherwise alpha is halved towards -1, where theta' is theta_2 itself.
-The cycle ends with one EM map from the kept point, so every kept
-iterate is a validated model and the likelihood never goes down.  The
-paper's plain EM, without extrapolation, is a loop over :func:`e_step`
-and :func:`m_step`, which run the same map.
+from theta_0, theta_1 = F(theta_0) and theta_2 = F(theta_1), and
+extrapolates to theta' = theta_0 - 2 alpha r + alpha**2 v with
+r = theta_1 - theta_0, v = theta_2 - 2 theta_1 + theta_0 and
+alpha = -|r|/|v| (at most -1).  theta' is kept only if it has no
+negative entry, passes the kernel's feasibility check (the tests
+:class:`MtdModel` makes) once phi and each row are renormalized, and its
+log-likelihood, which the gather for its next E-step yields, is at least
+that of theta_2; otherwise alpha is halved towards -1, where theta' is
+theta_2 itself.  The cycle ends with one EM map from the kept point, so
+every kept iterate is a feasible model and the likelihood never goes
+down.  The paper's plain EM, without extrapolation, is a loop over
+:func:`e_step` and :func:`m_step`, which run the same map.
 """
 
 from __future__ import annotations
@@ -42,15 +45,7 @@ import numpy as np
 
 from .counts import NGramCounts, lag_contingency
 from .errors import AllRestartsFailed, DegenerateLikelihood, EmptyCorpus, ShapeMismatch
-from .model import (
-    MtdModel,
-    _cell_index,
-    _component_terms,
-    _flat_matrices,
-    random_mtd,
-    spell_word,
-    word_probabilities,
-)
+from .model import ROW_SUM_TOL, MtdModel, _cell_index, random_mtd, spell_word, word_probabilities
 from .reparam import ThetaU, bic, model_dimension, to_theta_u
 
 # step halving stops short of alpha = -1, where the extrapolation is theta_2 itself
@@ -86,6 +81,8 @@ class EmConfig:
             raise ValueError("n_restarts must be >= 1")
         if self.floor is not None and not 0.0 < self.floor < np.inf:
             raise ValueError(f"floor must be finite and > 0, got {self.floor}")
+        if self.variant == "single_matrix" and self.lag_order != 1:
+            raise ValueError(f"single_matrix variant requires lag_order 1, got {self.lag_order}")
 
 
 @dataclass
@@ -113,38 +110,104 @@ def loglik_from_counts(model, counts: NGramCounts) -> float:
     return _loglik(counts.values(), word_probabilities(model, counts.word_indices()))
 
 
-def _fit_cells(model: MtdModel, counts: NGramCounts) -> np.ndarray:
-    if counts.word_length != model.order + 1:
-        raise ShapeMismatch(
-            f"counts are over {counts.word_length}-words, model needs {model.order + 1}"
+class _Point(NamedTuple):
+    """A parameter vector with its gather: components, their sum p(w), log-likelihood."""
+
+    theta: np.ndarray
+    comps: np.ndarray
+    probs: np.ndarray
+    loglik: float
+
+
+class _Kernel:
+    """The likelihood of ``counts`` as a function of theta = (phi, every matrix entry).
+
+    Built once per (counts, model shape): it holds the :func:`_cell_index`
+    cells of the observed words, their counts N, the model ``like`` whose
+    shape theta has and that model's own theta, ``start``.  ``rows(theta)``
+    is the (rows, q) view of the matrix entries.
+    """
+
+    def __init__(self, counts: NGramCounts, like: MtdModel):
+        if counts.word_length != like.order + 1:
+            raise ShapeMismatch(
+                f"counts are over {counts.word_length}-words, model needs {like.order + 1}"
+            )
+        self.counts = counts
+        self.like = like
+        self.G, self.q = like.n_components, like.alphabet.size
+        self.cells = _cell_index(like, counts.word_indices())
+        self.N = counts.values()
+        self.start = np.concatenate([like.phi, *(mat.ravel() for mat in like.matrices)])
+
+    def rows(self, theta: np.ndarray) -> np.ndarray:
+        return theta[self.G :].reshape(-1, self.q)
+
+    def split(self, theta: np.ndarray):
+        """``(phi, matrices)`` of theta; matrices has shape (number of matrices, q**l, q)."""
+        return theta[: self.G], self.rows(theta).reshape(len(self.like.matrices), -1, self.q)
+
+    def model(self, theta: np.ndarray) -> MtdModel:
+        like, (phi, matrices) = self.like, self.split(theta)
+        return MtdModel(like.alphabet, like.order, like.lag_order, phi, matrices, like.variant)
+
+    def feasible(self, theta: np.ndarray) -> bool:
+        """The tests :class:`MtdModel` makes: finite, in [0, 1], phi and every row summing to 1."""
+        return bool(
+            np.isfinite(theta).all()
+            and theta.min() >= 0.0
+            and theta.max() <= 1.0
+            and abs(theta[: self.G].sum() - 1.0) <= ROW_SUM_TOL
+            and (np.abs(self.rows(theta).sum(axis=1) - 1.0) <= ROW_SUM_TOL).all()
         )
-    return _cell_index(model, counts.word_indices())
 
-
-def _posterior(comps, probs, counts: NGramCounts, floor: float | None) -> np.ndarray:
-    """Normalize components by their sum ``probs``; floored components are summed anew."""
-    if floor is not None:
-        comps = np.maximum(comps, floor)
+    def gather(self, theta: np.ndarray) -> _Point:
+        comps = theta[self.G :][self.cells]
+        comps *= theta[: self.G, None]
         probs = comps.sum(axis=0)
-    if (probs <= 0.0).any():
-        w = int(counts.word_indices()[np.argmax(probs <= 0.0)])
-        word = spell_word(w, counts.word_length, counts.alphabet)
-        raise DegenerateLikelihood(
-            f"observed word {word!r} (index {w}) has zero probability under the current model",
-            word_index=w,
-            word=word,
-        )
-    return comps / probs
+        return _Point(theta, comps, probs, _loglik(self.N, probs))
 
+    def check_positive(self, probs: np.ndarray) -> None:
+        """Raise :class:`DegenerateLikelihood` naming the first observed word with p(w) <= 0."""
+        if (probs <= 0.0).any():
+            counts = self.counts
+            w = int(counts.word_indices()[np.argmax(probs <= 0.0)])
+            word = spell_word(w, counts.word_length, counts.alphabet)
+            raise DegenerateLikelihood(
+                f"observed word {word!r} (index {w}) has zero probability under the current model",
+                word_index=w,
+                word=word,
+            )
 
-def _maximize(model: MtdModel, cells, posteriors, N, total):
-    weighted = posteriors * N
-    phi = weighted.sum(axis=1) / total
-    previous = np.stack(model.matrices)
-    num = np.bincount(cells.ravel(), weights=weighted.ravel(), minlength=previous.size)
-    q = model.alphabet.size
-    matrices = _normalize_rows(num.reshape(-1, q), previous.reshape(-1, q))
-    return phi, list(matrices.reshape(previous.shape))
+    def posterior(self, point: _Point, floor: float | None) -> np.ndarray:
+        """Normalize components by their sum; floored components are summed anew."""
+        comps, probs = point.comps, point.probs
+        if floor is not None:
+            comps = np.maximum(comps, floor)
+            probs = comps.sum(axis=0)
+        self.check_positive(probs)
+        return comps / probs
+
+    def maximize(self, theta: np.ndarray, posteriors: np.ndarray) -> np.ndarray:
+        """The M-step from ``theta``: rows with no weighted count keep their value."""
+        weighted = posteriors * self.N
+        phi = weighted.sum(axis=1) / self.counts.total
+        rows = self.rows(theta)
+        num = np.bincount(self.cells.ravel(), weights=weighted.ravel(), minlength=rows.size)
+        num = num.reshape(rows.shape)
+        sums = num.sum(axis=1, keepdims=True)
+        rows = np.where(sums > 0.0, num / np.where(sums == 0.0, 1.0, sums), rows)
+        return np.concatenate([phi, rows.ravel()])
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        """d L / d theta; p(w) is summed as ``phi @ pi``, the order Berchtold's fit was built on."""
+        pi_vals = theta[self.G :][self.cells]
+        probs = theta[: self.G] @ pi_vals
+        self.check_positive(probs)
+        ratio = self.N / probs
+        weights = (theta[: self.G, None] * ratio).ravel()
+        d_pi = np.bincount(self.cells.ravel(), weights=weights, minlength=theta.size - self.G)
+        return np.concatenate([pi_vals @ ratio, d_pi])
 
 
 def e_step(model: MtdModel, counts: NGramCounts, floor: float | None = None) -> np.ndarray:
@@ -154,8 +217,8 @@ def e_step(model: MtdModel, counts: NGramCounts, floor: float | None = None) -> 
     mixture probability, unless ``floor`` bounds the component weights
     below first.
     """
-    comps = _component_terms(model, _fit_cells(model, counts))
-    return _posterior(comps, comps.sum(axis=0), counts, floor)
+    kernel = _Kernel(counts, model)
+    return kernel.posterior(kernel.gather(kernel.start), floor)
 
 
 def m_step(posteriors: np.ndarray, counts: NGramCounts, model: MtdModel):
@@ -166,13 +229,9 @@ def m_step(posteriors: np.ndarray, counts: NGramCounts, model: MtdModel):
     from ``model`` unchanged: any stochastic row is optimal there, and
     keeping the previous iterate preserves determinism and monotonicity.
     """
-    return _maximize(model, _fit_cells(model, counts), posteriors, counts.values(), counts.total)
-
-
-def _normalize_rows(num: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    row_sums = num.sum(axis=1)
-    out = np.where(row_sums[:, None] > 0.0, num / np.where(row_sums == 0.0, 1.0, row_sums)[:, None], previous)
-    return out
+    kernel = _Kernel(counts, model)
+    phi, matrices = kernel.split(kernel.maximize(kernel.start, posteriors))
+    return phi, list(matrices)
 
 
 def init_contingency(counts: NGramCounts, lag_order: int = 1, variant: str = "general") -> MtdModel:
@@ -216,42 +275,7 @@ def _make_report(model, trace, converged, restart_index, counts) -> FitReport:
     )
 
 
-class _Point(NamedTuple):
-    """An iterate with its E-step gather: components, their sum p(w), log-likelihood."""
-
-    model: MtdModel
-    comps: np.ndarray
-    probs: np.ndarray
-    loglik: float
-
-
-def _params(model: MtdModel) -> np.ndarray:
-    return np.concatenate([model.phi, _flat_matrices(model)])
-
-
-def _model_at(theta: np.ndarray, like: MtdModel) -> MtdModel | None:
-    """The model at parameter vector ``theta`` after renormalizing; None if infeasible."""
-    if not (theta >= 0.0).all():
-        return None
-    G, q = like.n_components, like.alphabet.size
-    rows = theta[G:].reshape(-1, q)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phi = theta[:G] / theta[:G].sum()
-        rows = rows / rows.sum(axis=1, keepdims=True)
-    try:
-        return MtdModel(
-            like.alphabet,
-            like.order,
-            like.lag_order,
-            phi,
-            list(rows.reshape(len(like.matrices), -1, q)),
-            variant=like.variant,
-        )
-    except ValueError:
-        return None
-
-
-def _extrapolate(t0, t1, t2, p2: _Point, evaluate) -> _Point:
+def _extrapolate(t0, t1, t2, p2: _Point, kernel: _Kernel) -> _Point:
     """The SqS3 point of the cycle t0 -> t1 -> t2 (``p2`` is at t2), or ``p2`` if none is kept."""
     r = t1 - t0
     v = t2 - 2.0 * t1 + t0
@@ -260,11 +284,16 @@ def _extrapolate(t0, t1, t2, p2: _Point, evaluate) -> _Point:
         return p2
     alpha = min(-np.linalg.norm(r) / norm_v, -1.0)
     while alpha < _ALPHA_FLOOR:
-        model = _model_at(t0 - 2.0 * alpha * r + alpha**2 * v, p2.model)
-        if model is not None:
-            point = evaluate(model)
-            if point.loglik > -np.inf and point.loglik >= p2.loglik:
-                return point
+        theta = t0 - 2.0 * alpha * r + alpha**2 * v
+        if (theta >= 0.0).all():
+            with np.errstate(invalid="ignore", divide="ignore"):
+                theta[: kernel.G] /= theta[: kernel.G].sum()
+                rows = kernel.rows(theta)
+                rows /= rows.sum(axis=1, keepdims=True)
+            if kernel.feasible(theta):
+                point = kernel.gather(theta)
+                if point.loglik > -np.inf and point.loglik >= p2.loglik:
+                    return point
         alpha = (alpha - 1.0) / 2.0
     return p2
 
@@ -281,42 +310,29 @@ def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) 
     trace is attached to the raised error.
     """
     config = config or EmConfig()
-    cells = _fit_cells(init, counts)
-    N = counts.values()
-    total = counts.total
-
-    def evaluate(model: MtdModel) -> _Point:
-        comps = _component_terms(model, cells)
-        probs = comps.sum(axis=0)
-        return _Point(model, comps, probs, _loglik(N, probs))
-
-    point = evaluate(init)
+    kernel = _Kernel(counts, init)
+    point = kernel.gather(kernel.start)
     trace = [point.loglik]
-    cycle = [_params(init)]  # parameter vectors of the current SQUAREM cycle
+    cycle = [point.theta]  # parameter vectors of the current SQUAREM cycle
     converged = False
     while len(trace) <= config.max_iters:
         try:
-            posteriors = _posterior(point.comps, point.probs, counts, config.floor)
+            posteriors = kernel.posterior(point, config.floor)
         except DegenerateLikelihood as err:
             err.trace = np.asarray(trace)
             raise
-        model = point.model
-        phi, matrices = _maximize(model, cells, posteriors, N, total)
-        model = MtdModel(
-            model.alphabet, model.order, model.lag_order, phi, matrices, variant=model.variant
-        )
-        new = evaluate(model)
+        new = kernel.gather(kernel.maximize(point.theta, posteriors))
         trace.append(new.loglik)
         converged = new.loglik - point.loglik < config.epsilon
         point = new
         if converged:
             break
-        cycle.append(_params(model))
+        cycle.append(point.theta)
         # extrapolate only when a map from the kept point still fits the budget
         if len(cycle) == 3 and len(trace) <= config.max_iters:
-            point = _extrapolate(*cycle, point, evaluate)
+            point = _extrapolate(*cycle, point, kernel)
             cycle = []
-    return _make_report(point.model, trace, converged, None, counts)
+    return _make_report(kernel.model(point.theta), trace, converged, None, counts)
 
 
 def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> FitReport:

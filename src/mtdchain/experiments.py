@@ -87,9 +87,13 @@ def bic_compare(
 
     Positive ``delta_bic`` (dense minus mixture) means the mixture model
     is preferred.  Counts (and therefore the number of likelihood terms)
-    are rebuilt at each order.
+    are rebuilt at each order.  Raises ``ValueError`` before any work if
+    no lag order is at most an order, or if ``config`` rejects a lag order.
     """
+    if min(lag_orders) > max(orders):
+        raise ValueError("no (order, lag order) pair has lag order <= order")
     base = config or EmConfig()
+    configs = {l: replace(base, lag_order=l) for l in lag_orders}
     rows = []
     for m in orders:
         counts = count_ngrams(sequences, m)
@@ -101,7 +105,7 @@ def bic_compare(
         for l in lag_orders:
             if l > m:
                 continue
-            report = fit_with_restarts(counts, replace(base, lag_order=l))
+            report = fit_with_restarts(counts, configs[l])
             dim = model_dimension(report.model, dim_convention)
             bic_mtd = bic(report.final_loglik, dim, n_terms)
             rows.append(

@@ -196,7 +196,7 @@ class MtdModel:
         phi = _freeze(phi)
         if phi.shape != (G,):
             raise ShapeMismatch(f"phi has shape {phi.shape}, expected ({G},)")
-        if phi.min() < 0.0 or abs(phi.sum() - 1.0) > ROW_SUM_TOL:
+        if not (phi >= 0.0).all() or abs(phi.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError("phi must be nonnegative and sum to 1")
         matrices = [_freeze(mat) for mat in matrices]
         expected = 1 if variant == "single_matrix" else G
@@ -278,11 +278,6 @@ def _check_history(model, history) -> np.ndarray:
     return hist
 
 
-def _flat_matrices(model: MtdModel) -> np.ndarray:
-    """The model's matrices laid end to end, row-major: the table :func:`_cell_index` indexes."""
-    return np.concatenate([mat.ravel() for mat in model.matrices])
-
-
 def _lag_cells(word_indices: np.ndarray, g: int, q: int, l: int) -> np.ndarray:
     """Position of pi_g(block_g(w), i_0(w)) in lag g's (q**l, q) matrix, row-major.
 
@@ -296,7 +291,7 @@ def _lag_cells(word_indices: np.ndarray, g: int, q: int, l: int) -> np.ndarray:
 
 
 def _cell_index(model: MtdModel, word_indices: np.ndarray) -> np.ndarray:
-    """Position of pi_g(block_g(w), i_0(w)) in :func:`_flat_matrices`, shape (G, n_words).
+    """Position of pi_g(block_g(w), i_0(w)) in the matrices laid end to end, shape (G, n_words).
 
     Row g-1 is (g-1)*q**(l+1) plus the :func:`_lag_cells` of lag g.  The
     single-matrix variant drops the g offset, so every lag reads (and, in
@@ -310,13 +305,6 @@ def _cell_index(model: MtdModel, word_indices: np.ndarray) -> np.ndarray:
     for g in range(1, model.n_components + 1):
         np.add(_lag_cells(word_indices, g, q, l), (g - 1) * stride, out=cells[g - 1])
     return cells
-
-
-def _component_terms(model: MtdModel, cells: np.ndarray) -> np.ndarray:
-    """phi_g * pi_g(block_g, i_0) gathered through a :func:`_cell_index` array."""
-    terms = _flat_matrices(model)[cells]
-    terms *= model.phi[:, None]
-    return terms
 
 
 def word_probabilities(model, word_indices: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sequence
 from mtdchain import (
@@ -18,7 +20,9 @@ from mtdchain import (
     loglik_from_counts,
     random_mtd,
     sample_sequence,
+    word_to_index,
 )
+from mtdchain.model import _cell_index
 
 
 def raw_loglik(phi, matrices, counts, lag_order):
@@ -36,19 +40,123 @@ def raw_loglik(phi, matrices, counts, lag_order):
     return total
 
 
+# Reference Berchtold fit: the per-row steps, the per-iteration cell index and
+# the model built and validated at every iteration that the shared fit kernel
+# replaced.  berchtold_fit must reproduce its iterates bit for bit.
+
+
+def oracle_loglik_gradient(model, counts):
+    ws = counts.word_indices()
+    N = counts.values().astype(np.float64)
+    cells = _cell_index(model, ws)
+    flat = np.concatenate([mat.ravel() for mat in model.matrices])
+    pi_vals = flat[cells]
+    p = model.phi @ pi_vals
+    if (p <= 0.0).any():
+        raise DegenerateLikelihood("oracle: observed word with zero probability")
+    ratio = N / p
+    d_phi = pi_vals @ ratio
+    d_pi = np.bincount(cells.ravel(), weights=(model.phi[:, None] * ratio).ravel(), minlength=flat.size)
+    return d_phi, list(d_pi.reshape(np.shape(model.matrices)))
+
+
+def oracle_step(vector, gradient, delta):
+    a = int(np.argmax(gradient))
+    b = int(np.argmin(gradient))
+    out = np.array(vector, dtype=np.float64)
+    if a == b:
+        return out
+    move = min(float(delta), float(out[b]), 1.0 - float(out[a]))
+    out[b] -= move
+    out[a] += move
+    return np.clip(out, 0.0, 1.0)
+
+
+def oracle_berchtold_fit(counts, init, config):
+    """Returns ``(trace, model, converged)``."""
+    model = init
+    current = loglik_from_counts(model, counts)
+    if current == float("-inf"):
+        raise DegenerateLikelihood("oracle: initial model assigns zero probability")
+    trace = [current]
+    delta = config.delta0
+    converged = False
+    for _ in range(config.max_iters):
+        d_phi, d_pi = oracle_loglik_gradient(model, counts)
+        phi = oracle_step(model.phi, d_phi, delta)
+        mats = [
+            np.stack([oracle_step(row, d_pi[i][r], delta) for r, row in enumerate(mat)])
+            for i, mat in enumerate(model.matrices)
+        ]
+        candidate = MtdModel(
+            model.alphabet, model.order, model.lag_order, phi, mats, variant=model.variant
+        )
+        cand_ll = loglik_from_counts(candidate, counts)
+        if cand_ll > current:
+            increase = cand_ll - current
+            model, current = candidate, cand_ll
+            trace.append(current)
+            if increase < config.epsilon:
+                converged = True
+                break
+        else:
+            delta *= config.delta_decay
+            if delta < config.min_delta:
+                converged = True
+                break
+    return np.asarray(trace), model, converged
+
+
+def assert_matches_oracle(counts, init, config):
+    report = berchtold_fit(counts, init, config)
+    trace, model, converged = oracle_berchtold_fit(counts, init, config)
+    assert np.array_equal(report.loglik_trace, trace)
+    assert report.model == model
+    assert report.converged == converged
+    assert report.iterations == len(trace) - 1
+    return report
+
+
+class TestMatchesOracle:
+    @pytest.mark.parametrize("l,variant", [(1, "general"), (3, "general"), (1, "single_matrix")])
+    def test_bit_identical(self, l, variant):
+        truth = random_mtd(4, 6, l, variant=variant, seed=l + 60)
+        counts = count_ngrams([sample_sequence(truth, 3000, seed=l)], 6)
+        for init in (init_contingency(counts, l, variant), random_mtd(4, 6, l, variant=variant, seed=7)):
+            report = assert_matches_oracle(counts, init, BerchtoldConfig(max_iters=120))
+            assert report.iterations > 10
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(2, 4),
+        m=st.integers(1, 4),
+        l=st.integers(1, 4),
+        single=st.booleans(),
+        seed=st.integers(0, 2**16),
+        max_iters=st.integers(1, 80),
+    )
+    def test_property(self, q, m, l, single, seed, max_iters):
+        l = 1 if single else min(l, m)
+        variant = "single_matrix" if single else "general"
+        truth = random_mtd(q, m, l, variant=variant, seed=seed)
+        counts = count_ngrams([sample_sequence(truth, 600, seed=seed + 1)], m)
+        init = random_mtd(q, m, l, variant=variant, seed=seed + 2)
+        assert_matches_oracle(counts, init, BerchtoldConfig(epsilon=1e-6, max_iters=max_iters))
+
+
 class TestGradient:
     def test_single_component_phi_gradient(self, dna):
         counts = count_ngrams([random_sequence(dna, 90, 0)], 2)
         mat = np.full((16, 4), 0.25)
         model = MtdModel(dna, 2, 2, [1.0], [mat])
-        grads = loglik_gradient(model, counts)
-        assert grads.d_phi[0] == pytest.approx(counts.total, abs=1e-9)
+        d_phi, _ = loglik_gradient(model, counts)
+        assert d_phi[0] == pytest.approx(counts.total, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_differences(self, seed):
         model = random_mtd(3, 2, 1, seed=seed)
         counts = count_ngrams([random_sequence(model.alphabet, 300, seed + 10)], 2)
-        grads = loglik_gradient(model, counts)
+        d_phi, d_pi = loglik_gradient(model, counts)
         h = 1e-6
         phi = model.phi.copy()
         mats = [m.copy() for m in model.matrices]
@@ -57,7 +165,7 @@ class TestGradient:
             up[g] += h
             down[g] -= h
             fd = (raw_loglik(up, mats, counts, 1) - raw_loglik(down, mats, counts, 1)) / (2 * h)
-            assert fd == pytest.approx(grads.d_phi[g], rel=1e-4)
+            assert fd == pytest.approx(d_phi[g], rel=1e-4)
         for g in range(2):
             for b in range(3):
                 for j in range(3):
@@ -68,17 +176,17 @@ class TestGradient:
                     fd = (
                         raw_loglik(phi, up, counts, 1) - raw_loglik(phi, down, counts, 1)
                     ) / (2 * h)
-                    assert fd == pytest.approx(grads.d_pi[g][b, j], rel=1e-4, abs=1e-6)
+                    assert fd == pytest.approx(d_pi[g][b, j], rel=1e-4, abs=1e-6)
 
     def test_uniform_model_closed_form(self, dna):
         # with all-uniform matrices p(w) = 1/q, so d_pi(g)[i, j] = phi_g * q * #(i, j)
         counts = count_ngrams([random_sequence(dna, 200, 3)], 2)
         model = MtdModel(dna, 2, 1, [0.4, 0.6], [np.full((4, 4), 0.25)] * 2)
-        grads = loglik_gradient(model, counts)
+        _, d_pi = loglik_gradient(model, counts)
         for g in (1, 2):
             table = lag_contingency(counts, g, 1)
             expected = model.phi[g - 1] * 4.0 * table
-            assert np.abs(grads.d_pi[g - 1] - expected).max() < 1e-9
+            assert np.abs(d_pi[g - 1] - expected).max() < 1e-9
 
     def test_degenerate(self, song):
         pi = np.array([[1.0, 0.0, 0.0]] * 3)
@@ -110,6 +218,27 @@ class TestStep:
         out = berchtold_step(np.array([0.25, 0.25, 0.25, 0.25]),
                              np.array([2.0, 2.0, 1.0, 1.0]), 0.1)
         assert np.abs(out - np.array([0.35, 0.25, 0.15, 0.25])).max() < 1e-12
+
+    def test_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(5)
+        vectors = rng.random((40, 4))
+        vectors /= vectors.sum(axis=1, keepdims=True)
+        gradients = rng.normal(size=(40, 4))
+        vectors[0], gradients[0] = [0.25] * 4, [2.0, 2.0, 1.0, 1.0]  # ties
+        vectors[1], gradients[1] = [0.2, 0.3, 0.5, 0.0], [1.0] * 4  # a == b
+        vectors[2], gradients[2] = [0.5, 0.02, 0.38, 0.1], [3.0, 1.0, 2.0, 2.0]  # source clamp
+        vectors[3], gradients[3] = [0.95, 0.05, 0.0, 0.0], [1.0, 0.5, 0.5, 0.5]  # both clamps
+        vectors[4], gradients[4] = [0.9, 0.0, 0.0, 0.1], [3.0, 0.0, 1.0, 2.0]  # empty source
+        # off the simplex: the target clamp alone, and a == b left unclipped
+        vectors[5], gradients[5] = [0.97, 0.5, 0.2, 0.1], [1.0, 0.0, 0.5, 0.5]
+        vectors[6], gradients[6] = [1.5, -0.5, 0.0, 0.0], [1.0] * 4
+        out = berchtold_step(vectors, gradients, 0.1)
+        assert out.shape == vectors.shape
+        for row, vector, gradient in zip(out, vectors, gradients):
+            assert np.array_equal(row, berchtold_step(vector, gradient, 0.1))
+            assert np.array_equal(row, oracle_step(vector, gradient, 0.1))
+        assert np.array_equal(out[[1, 4, 6]], vectors[[1, 4, 6]])
+        assert (out[2, 1], out[3, 0], out[5, 0]) == (0.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_stays_on_simplex(self, seed):
@@ -168,8 +297,10 @@ class TestFit:
         pi = np.array([[1.0, 0.0, 0.0]] * 3)
         init = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
         counts = count_ngrams([Sequence(song, [0, 0, 1])], 2)
-        with pytest.raises(DegenerateLikelihood):
+        with pytest.raises(DegenerateLikelihood) as err:
             berchtold_fit(counts, init, BerchtoldConfig())
+        assert err.value.word_index == word_to_index([0, 0, 1], 3)
+        assert err.value.word == "112"
 
     def test_trace_starts_at_init_loglik(self, dna):
         counts = count_ngrams([random_sequence(dna, 200, 8)], 2)

@@ -159,9 +159,14 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
         ("fit", ["--alphabet", "acgt", "--lag-order", "0"]),
         ("fit", ["--alphabet", "acgt", "--floor", "-1"]),
         ("fit", ["--alphabet", "acgt", "--floor", "nan"]),
+        ("fit", ["--alphabet", "acgt", "--variant", "single_matrix", "--lag-order", "2"]),
+        ("fit", ["--alphabet", "acgt", "--variant", "single_matrix", "--lag-order", "2",
+                 "--algorithm", "berchtold"]),
         ("bic-compare", ["--orders", "0"]),
         ("bic-compare", ["--orders", "2,x"]),
         ("bic-compare", ["--orders", "2", "--lag-orders", "0"]),
+        ("bic-compare", ["--orders", "1", "--lag-orders", "2"]),
+        ("bic-compare", ["--orders", "2", "--lag-orders", "1,2", "--variant", "single_matrix"]),
         ("tv-experiment", ["--fit-orders", "2,0"]),
         ("tv-experiment", ["--gen-order", "0"]),
         ("tv-experiment", ["--word-len", "0"]),
@@ -171,7 +176,9 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
     ids=[
         "alphabet", "epsilon", "epsilon-berchtold", "restarts", "max-iters-berchtold",
         "order-0", "lag-order-above-order", "lag-order-0", "floor-negative", "floor-nan",
-        "orders-0", "orders-not-int", "lag-orders-0", "fit-orders-0", "gen-order-0",
+        "single-matrix-lag-order-2", "single-matrix-lag-order-2-berchtold",
+        "orders-0", "orders-not-int", "lag-orders-0", "lag-orders-above-orders",
+        "single-matrix-lag-orders-1-2", "fit-orders-0", "gen-order-0",
         "word-len-0", "alphabet-size-1", "replicates-0",
     ],
 )

@@ -17,6 +17,7 @@ from mtdchain import (
     EmptyCorpus,
     MtdModel,
     Sequence,
+    berchtold_fit,
     count_ngrams,
     e_step,
     em_fit,
@@ -482,25 +483,26 @@ class TestAccelerated:
         truth = random_mtd(q, m, l, variant=variant, seed=seed)
         counts = count_ngrams([sample_sequence(truth, 600, seed=seed + 1)], m)
         init = random_mtd(q, m, l, variant=variant, seed=seed + 2)
-        evaluated = []
-        terms = em_module._component_terms
+        tried = []
+        gather = em_module._Kernel.gather
 
-        def record(model, cells):
-            evaluated.append(model)
-            return terms(model, cells)
+        def record(kernel, theta):
+            tried.append(theta.copy())
+            return gather(kernel, theta)
 
         config = EmConfig(epsilon=1e-6, max_iters=max_iters, floor=floor)
-        with mock.patch.object(em_module, "_component_terms", record):
+        with mock.patch.object(em_module._Kernel, "gather", record):
             report = em_fit(counts, init, config)
         assert np.diff(report.loglik_trace).min() > -1e-9
         assert report.iterations <= max_iters
-        # every iterate, kept or tried, passes the model's validation anew
-        for model in evaluated:
-            again = MtdModel(
-                model.alphabet, model.order, model.lag_order, model.phi, model.matrices,
-                variant=model.variant,
+        assert len(tried) >= len(report.loglik_trace)
+        # every parameter vector the fit tried or kept validates as a model
+        G = init.n_components
+        for theta in tried:
+            MtdModel(
+                init.alphabet, m, l, theta[:G], list(theta[G:].reshape(len(init.matrices), -1, q)),
+                variant=variant,
             )
-            assert again == model
         # the reported model is the one whose likelihood ends the trace
         assert report.final_loglik == loglik_from_counts(report.model, counts)
 
@@ -515,6 +517,30 @@ class TestAccelerated:
         assert len(plain) == 301 and plain[-1] - plain[-2] >= config.epsilon
         assert fast.converged
         assert fast.final_loglik >= plain[-1]
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("fit", [em_fit, berchtold_fit], ids=["em", "berchtold"])
+    def test_cells_and_model_built_once(self, fit, monkeypatch):
+        truth = random_mtd(3, 3, 2, seed=3)
+        counts = count_ngrams([sample_sequence(truth, 2000, seed=4)], 3)
+        init = init_contingency(counts, 2)
+        built, indexed = [], []
+        construct, cell_index = MtdModel.__init__, em_module._cell_index
+
+        def counted_construct(self, *args, **kwargs):
+            built.append(1)
+            construct(self, *args, **kwargs)
+
+        def counted_cell_index(*args):
+            indexed.append(1)
+            return cell_index(*args)
+
+        monkeypatch.setattr(MtdModel, "__init__", counted_construct)
+        monkeypatch.setattr(em_module, "_cell_index", counted_cell_index)
+        report = fit(counts, init)
+        assert report.iterations > 3
+        assert (len(built), len(indexed)) == (1, 1)
 
 
 class TestFitWithRestarts:

@@ -24,6 +24,23 @@ def test_bic_compare_single_matrix_dimension():
     assert row["bic_mtd"] == report.bic == bic(row["loglik_mtd"], row["dim_mtd"], row["n_terms"])
 
 
+@pytest.mark.parametrize(
+    "orders, lag_orders, config",
+    [([1], [2, 3], None), ([1, 2], [1, 2], EmConfig(variant="single_matrix"))],
+    ids=["no-pair", "single-matrix-lag-order-2"],
+)
+def test_bic_compare_rejects_before_work(orders, lag_orders, config, monkeypatch):
+    import mtdchain.experiments as experiments
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the pairs were checked")
+
+    monkeypatch.setattr(experiments, "count_ngrams", forbidden)
+    seqs = [sample_sequence(random_mtd(4, 2, 1, seed=5), 200, seed=6)]
+    with pytest.raises(ValueError):
+        bic_compare(seqs, orders, lag_orders, config)
+
+
 def test_fit_full_markov_size_guard():
     # 4**31 table entries: the word indices fit in int64, the dense table does not fit in memory
     counts = count_ngrams([sample_sequence(random_mtd(4, 2, 1, seed=5), 40, seed=6)], 30)

@@ -73,6 +73,8 @@ class TestMtdModelValidation:
             MtdModel(dna, 2, 1, [0.6, 0.6], [u, u])
         with pytest.raises(ValueError):
             MtdModel(dna, 2, 1, [-0.1, 1.1], [u, u])
+        with pytest.raises(ValueError):
+            MtdModel(dna, 2, 1, [np.nan, np.nan], [u, u])
 
     def test_rows_must_be_stochastic(self, dna):
         bad = np.full((4, 4), 0.25)
