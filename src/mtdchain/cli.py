@@ -206,9 +206,9 @@ def cmd_fit(args, argv) -> int:
             f"invalid flag value: --lag-order must be in 1..{order}, got {args.lag_order}"
         )
     _check_variant(args.variant, [args.lag_order])
-    if args.algorithm == "em":
-        config = _em_config(args, floor=args.floor, lag_order=args.lag_order)
-    else:
+    # EmConfig checks every fit flag, so Berchtold rejects the same invalid values
+    config = _em_config(args, floor=args.floor, lag_order=args.lag_order)
+    if args.algorithm == "berchtold":
         config = _from_flags(BerchtoldConfig, epsilon=args.epsilon, max_iters=args.max_iters)
     sequences = _load_corpus(args)
     counts = count_ngrams(sequences, order)
@@ -346,6 +346,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _at_least("--seed", args.seed, 0)
         return _COMMANDS[args.command](args, argv)
     except _UsageError as err:
         print(f"mtdchain: error: {err}", file=sys.stderr)

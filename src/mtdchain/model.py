@@ -16,6 +16,7 @@ the (m+1)-word index sum_g idx(i_g) * q**g.
 from __future__ import annotations
 
 import warnings
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -422,28 +423,31 @@ def sequence_loglik(model, seq: Sequence) -> float:
 
 
 def _cumulative_rows(model):
-    """Row sampler: history index -> cumulative next-letter distribution.
+    """Flat sampling table: ``(table, offsets)``.
 
-    A row holds the first q - 1 partial sums, so bisecting a uniform draw
-    in [0, 1) over it gives a letter in 0..q-1 even when the full sum falls
-    short of 1.0 by rounding.  The sums stay numpy scalars: a table of
-    Python floats (``tolist``) builds faster but raised the peak RSS of
-    long in-process runs by several MB.
+    ``table`` is an ``array('d')`` holding, row after row, each history's
+    first q - 1 next-letter partial sums; history h's row starts at
+    ``offsets[h]``.  Bisecting a uniform draw in [0, 1) over a row gives a
+    letter in 0..q-1 even when the full sum falls short of 1.0 by rounding.
+    Up to ``_SAMPLE_PRECOMPUTE_LIMIT`` entries every row is computed up
+    front and ``offsets`` is a ``range``; above it a row is appended on its
+    history's first visit and a dict keeps its offset.
     """
     q = model.alphabet.size
+    width = q - 1
     n_hist = q**model.order
     if n_hist * q <= _SAMPLE_PRECOMPUTE_LIMIT:
         cum = np.cumsum(history_rows(model, np.arange(n_hist)), axis=1)
-        return [list(r) for r in cum[:, :-1]].__getitem__
-    cache: dict[int, list] = {}
+        return array("d", cum[:, :-1].tobytes()), range(0, n_hist * width, width)
+    table = array("d")
 
-    def lookup(h: int) -> list:
-        row = cache.get(h)
-        if row is None:
-            row = cache[h] = list(np.cumsum(history_rows(model, np.array([h]))[0])[:-1])
-        return row
+    class Offsets(dict):
+        def __missing__(self, h: int) -> int:
+            lo = self[h] = len(table)
+            table.frombytes(np.cumsum(history_rows(model, np.array([h]))[0])[:-1].tobytes())
+            return lo
 
-    return lookup
+    return table, Offsets()
 
 
 def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
@@ -468,17 +472,19 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
             raise ShapeMismatch(f"init prefix length {prefix.size}, expected {m}")
         if m and (prefix.min() < 0 or prefix.max() >= q):
             raise InvalidSymbol("init prefix contains indices outside the alphabet")
-    data = list(int(s) for s in prefix)
+    letters = array("q", prefix.tolist())
     if length > m:
-        row_for = _cumulative_rows(model)
+        table, offsets = _cumulative_rows(model)
+        width = q - 1
         h = word_to_index(prefix, q)
         base = q ** (m - 1)
         # a memoryview yields each draw as a Python float, made only when it is used
         for u in memoryview(rng.random(length - m)):
-            j = bisect_right(row_for(h), u)
-            data.append(j)
+            lo = offsets[h]
+            j = bisect_right(table, u, lo, lo + width) - lo
+            letters.append(j)
             h = (h % base) * q + j
-    return Sequence(model.alphabet, np.array(data, dtype=np.int64))
+    return Sequence(model.alphabet, np.frombuffer(letters, dtype=np.int64))
 
 
 def _positive_rows(rng, shape) -> np.ndarray:

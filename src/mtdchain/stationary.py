@@ -54,11 +54,12 @@ def stationary_histories(model) -> np.ndarray:
     m = model.order
     table = _dense_table(model)
     n_hist = q**m
-    # successor state of history h after letter j: (h mod q**(m-1)) * q + j
-    targets = ((np.arange(n_hist) % q ** (m - 1))[:, None] * q + np.arange(q)[None, :]).ravel()
     mu = np.full(n_hist, 1.0 / n_hist)
     for _ in range(_MAX_SWEEPS):
-        nxt = np.bincount(targets, weights=(mu[:, None] * table).ravel(), minlength=n_hist)
+        # history h = a * q**(m-1) + r moves to r * q + j after letter j, and
+        # flat entry h * q + j is a * q**m + (r * q + j): summing the (q, n_hist)
+        # view over a adds each successor's terms in increasing h
+        nxt = (mu[:, None] * table).reshape(q, n_hist).sum(axis=0)
         if np.abs(nxt - mu).sum() <= _POWER_TOL:
             return nxt
         mu = nxt

@@ -172,6 +172,14 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
         ("tv-experiment", ["--word-len", "0"]),
         ("tv-experiment", ["--alphabet-size", "1"]),
         ("tv-experiment", ["--replicates", "0"]),
+        ("fit", ["--alphabet", "acgt", "--floor", "-5", "--algorithm", "berchtold"]),
+        ("fit", ["--alphabet", "acgt", "--restarts", "0", "--algorithm", "berchtold"]),
+        ("count", ["--seed", "-1"]),
+        ("fit", ["--alphabet", "acgt", "--seed", "-1"]),
+        ("fit", ["--alphabet", "acgt", "--seed", "-1", "--algorithm", "berchtold"]),
+        ("sample", ["--seed", "-1"]),
+        ("bic-compare", ["--orders", "2", "--seed", "-1"]),
+        ("tv-experiment", ["--seed", "-1"]),
     ],
     ids=[
         "alphabet", "epsilon", "epsilon-berchtold", "restarts", "max-iters-berchtold",
@@ -180,6 +188,9 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
         "orders-0", "orders-not-int", "lag-orders-0", "lag-orders-above-orders",
         "single-matrix-lag-orders-1-2", "fit-orders-0", "gen-order-0",
         "word-len-0", "alphabet-size-1", "replicates-0",
+        "floor-negative-berchtold", "restarts-0-berchtold",
+        "count-seed-negative", "fit-seed-negative", "fit-seed-negative-berchtold",
+        "sample-seed-negative", "bic-compare-seed-negative", "tv-experiment-seed-negative",
     ],
 )
 def test_rejected_flag_value_is_usage_error(
@@ -188,10 +199,12 @@ def test_rejected_flag_value_is_usage_error(
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the flags were checked")
 
-    for name in ("read_sequences", "bic_compare", "tv_experiment"):
+    for name in ("read_sequences", "read_model", "bic_compare", "tv_experiment"):
         monkeypatch.setattr(cli, name, forbidden)
     argv = {
+        "count": ["count", "--in", corpus, "--alphabet", "acgt", "--order", "3"],
         "fit": ["fit", "--in", corpus, "--order", "3", "--out", str(tmp_path / "m.json")],
+        "sample": ["sample", "--model", str(tmp_path / "m.json"), "--length", "10"],
         "bic-compare": ["bic-compare", "--in", corpus, "--alphabet", "acgt"],
         "tv-experiment": ["tv-experiment"],
     }[command]

@@ -1,8 +1,12 @@
 import hashlib
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mtdchain.model
 import refdata
 from conftest import build_model, random_sequence
 from mtdchain import (
@@ -282,6 +286,92 @@ class TestSampleSequence:
         rows = counts / visits[:, None]
         tv = np.abs(rows - table).sum(axis=1)
         assert tv.max() < 0.01
+
+
+def _list_rows_oracle(model):
+    """The row sampler before the flat table: per-history lists of numpy scalars."""
+    q = model.alphabet.size
+    n_hist = q**model.order
+    if n_hist * q <= mtdchain.model._SAMPLE_PRECOMPUTE_LIMIT:
+        cum = np.cumsum(history_rows(model, np.arange(n_hist)), axis=1)
+        return [list(r) for r in cum[:, :-1]].__getitem__
+    cache = {}
+
+    def lookup(h):
+        row = cache.get(h)
+        if row is None:
+            row = cache[h] = list(np.cumsum(history_rows(model, np.array([h]))[0])[:-1])
+        return row
+
+    return lookup
+
+
+def _list_rows_sample(model, length, seed, init):
+    """``sample_sequence`` before the flat table, for a valid ``init`` (oracle)."""
+    m = model.order
+    q = model.alphabet.size
+    rng = np.random.default_rng(seed)
+    prefix = rng.integers(0, q, size=m) if isinstance(init, str) else np.asarray(init)
+    data = [int(s) for s in prefix]
+    if length > m:
+        row_for = _list_rows_oracle(model)
+        h = word_to_index(prefix, q)
+        base = q ** (m - 1)
+        for u in memoryview(rng.random(length - m)):
+            j = bisect_right(row_for(h), u)
+            data.append(j)
+            h = (h % base) * q + j
+    return np.array(data, dtype=np.int64)
+
+
+def _with_point_masses(rows, rng):
+    """``rows`` with about half turned into point masses and the rest thinned to exact zeros."""
+    rows = rows.copy()
+    for row in rows:
+        keep = rng.random(row.size) < 0.5
+        if rng.random() < 0.5 or not keep.any():
+            keep[:] = False
+            keep[rng.integers(row.size)] = True
+        row[~keep] = 0.0
+        row /= row.sum()
+    return rows
+
+
+@st.composite
+def sampler_cases(draw):
+    q = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["general", "single_matrix", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.booleans())
+    alphabet = mtdchain.model.default_alphabet(q)
+    if kind == "dense":
+        table = rng.random((q**m, q))
+        table /= table.sum(axis=1, keepdims=True)
+        model = FullMarkovModel(alphabet, m, _with_point_masses(table, rng) if zeros else table)
+    else:
+        l = 1 if kind == "single_matrix" else draw(st.integers(1, m))
+        base = random_mtd(q, m, l, variant=kind, seed=int(rng.integers(2**32)))
+        mats = [_with_point_masses(a, rng) if zeros else a for a in base.matrices]
+        model = MtdModel(alphabet, m, l, base.phi, mats, variant=kind)
+    length = m + draw(st.sampled_from([0, 1, 2, 300]))
+    init = "uniform"
+    if draw(st.booleans()):
+        init = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+    return model, length, init
+
+
+class TestSamplerMatchesListOracle:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=sampler_cases(), seed=st.integers(0, 2**32 - 1), lazy=st.booleans())
+    def test_property(self, case, seed, lazy):
+        model, length, init = case
+        with pytest.MonkeyPatch.context() as mp:
+            if lazy:  # every table is over the limit, so rows are filled on first visit
+                mp.setattr(mtdchain.model, "_SAMPLE_PRECOMPUTE_LIMIT", 0)
+            got = sample_sequence(model, length, seed=seed, init=init)
+            expected = _list_rows_sample(model, length, seed, init)
+        assert np.array_equal(got.data, expected)
 
 
 class TestRandomMtd:

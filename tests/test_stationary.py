@@ -9,6 +9,7 @@ from mtdchain import (
     NonConvergentStationary,
     WordDistribution,
     full_transition_matrix,
+    random_full_markov,
     random_mtd,
     stationary_histories,
     tv_distance,
@@ -47,6 +48,35 @@ class TestStationaryHistories:
         chain = FullMarkovModel(abc, 1, table)
         with pytest.raises(NonConvergentStationary):
             stationary_histories(chain)
+
+
+def _bincount_stationary(model) -> np.ndarray:
+    """The power iteration as one bincount over each entry's successor history (oracle)."""
+    q = model.alphabet.size
+    m = model.order
+    if isinstance(model, MtdModel):
+        model = full_transition_matrix(model)
+    table = model.table
+    n_hist = q**m
+    # successor state of history h after letter j: (h mod q**(m-1)) * q + j
+    targets = ((np.arange(n_hist) % q ** (m - 1))[:, None] * q + np.arange(q)[None, :]).ravel()
+    mu = np.full(n_hist, 1.0 / n_hist)
+    for _ in range(10**5):
+        nxt = np.bincount(targets, weights=(mu[:, None] * table).ravel(), minlength=n_hist)
+        if np.abs(nxt - mu).sum() <= 1e-12:
+            return nxt
+        mu = nxt
+    raise AssertionError("oracle power iteration did not converge")
+
+
+@pytest.mark.parametrize("q,m", [(2, 5), (3, 3), (4, 4), (12, 2)])
+@pytest.mark.parametrize("kind", ["mtd-l1", "mtd-l2", "dense"])
+def test_stationary_matches_bincount_oracle(q, m, kind):
+    if kind == "dense":
+        model = random_full_markov(q, m, seed=q + m)
+    else:
+        model = random_mtd(q, m, int(kind[-1]), seed=q + m)
+    assert np.array_equal(stationary_histories(model), _bincount_stationary(model))
 
 
 class TestWordDistribution:
