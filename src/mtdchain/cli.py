@@ -254,6 +254,7 @@ def cmd_eval(args, argv) -> int:
 
 
 def cmd_sample(args, argv) -> int:
+    _at_least("--length", args.length)
     model, _ = read_model(args.model)
     model = _as_transition_model(model)
     init = "uniform"
@@ -287,10 +288,11 @@ def cmd_tv_experiment(args, argv) -> int:
     q = _at_least("--alphabet-size", args.alphabet_size, 2)
     if args.alphabet:
         q = parse_alphabet(args.alphabet).size
+    gen_order = _at_least("--gen-order", args.gen_order)
     rows, _ = tv_experiment(
-        gen_order=_at_least("--gen-order", args.gen_order),
+        gen_order=gen_order,
         q=q,
-        seq_len=args.length,
+        seq_len=_at_least("--length", args.length, gen_order),
         fit_orders=_int_list("--fit-orders", args.fit_orders),
         replicates=_at_least("--replicates", args.replicates),
         word_len=_at_least("--word-len", args.word_len),

@@ -4,11 +4,13 @@ Counting windows never cross sequence boundaries, so a corpus may be
 ingested per sequence (or per chunk of sequences) and combined with
 :func:`merge_counts`.  A count table is two aligned read-only int64
 arrays: the observed word indices, strictly ascending, and their
-counts, all positive.  Every table is built the same way, by
-``np.unique`` over word indices plus an exact int64 sum of their
-weights, and fitting code reads the two arrays directly.  The counts
-file format (``word<TAB>count`` lines) is defined here and nowhere else;
-only its letter separator is shared with sequence files.
+counts, all positive.  Every table is built by one function from word
+indices and optional weights: a ``np.bincount`` over the word space
+when the words are at least as many, else ``np.unique``, with the
+weights of a repeated word summed exactly.  Fitting code reads the two
+arrays directly.  The counts file format (``word<TAB>count`` lines) is
+defined here and nowhere else; only its letter separator is shared with
+sequence files.
 """
 
 from __future__ import annotations
@@ -94,12 +96,19 @@ class NGramCounts:
 def _tally(alphabet: Alphabet, word_length: int, words: np.ndarray, weights=None) -> NGramCounts:
     """Count table of ``words``, each occurrence weighted 1 or by ``weights``.
 
-    This is the one construction path of every producer below: the
-    distinct words come from ``np.unique`` and the weights of a repeated
-    word are summed exactly, as Python ints; a sum above 2**63 - 1 raises
-    ValueError.
+    This is the one construction path of every producer below.  Unweighted
+    words are tallied by ``np.bincount`` over the whole word space when
+    it has no more entries than there are words, and by ``np.unique``
+    (a sort) otherwise; both give the same table.  Weighted words come
+    from ``np.unique`` and the weights of a repeated word are summed
+    exactly, as Python ints; a sum above 2**63 - 1 raises ValueError.
     """
-    if weights is None:
+    space = alphabet.size**word_length
+    if weights is None and space <= words.size:
+        table = np.bincount(words, minlength=space)
+        distinct = np.flatnonzero(table)
+        sums = table[distinct]
+    elif weights is None:
         distinct, sums = np.unique(words, return_counts=True)
     else:
         order = np.argsort(words)

@@ -13,12 +13,14 @@ shared with the Berchtold baseline.  It works on the parameter vector
 theta = (phi, every matrix entry) and holds the (G, n_words) array of
 flat cell indices (g-1)*q**(l+1) + block_g(w)*q + i_0(w) into the
 matrix part of theta (the single-matrix variant drops the g offset, so
-its lags pool into one matrix).  An iteration is then one gather for
-the weighted components phi_g * pi_g(w), whose sum over g is the E-step
-denominator p(w) and also gives the log-likelihood of the current
-iterate, and one ``bincount`` over the same cells for the M-step
-numerators, which maps theta to theta.  Only the reported model is
-built as an :class:`MtdModel`.
+its lags pool into one matrix).  An iteration is then one gather of the
+weighted components phi_g * pi_g(w) from the small table phi_g times
+lag g's matrix, whose sum over g is the E-step denominator p(w) and
+also gives the log-likelihood of the current iterate; the components,
+divided by p(w) and multiplied by N(w) in place, are the weights of one
+``bincount`` over the same cells for the M-step numerators, which maps
+theta to theta.  Only the reported model is built as an
+:class:`MtdModel`.
 
 The EM map F runs in SQUAREM cycles (Varadhan & Roland 2008, Scand.
 J. Stat. 35:335), scheme SqS3.  A cycle takes two EM maps
@@ -73,8 +75,8 @@ class EmConfig:
     lag_order: int = 1
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.n_restarts < 1:
@@ -123,9 +125,17 @@ class _Kernel:
     """The likelihood of ``counts`` as a function of theta = (phi, every matrix entry).
 
     Built once per (counts, model shape): it holds the :func:`_cell_index`
-    cells of the observed words, their counts N, the model ``like`` whose
-    shape theta has and that model's own theta, ``start``.  ``rows(theta)``
-    is the (rows, q) view of the matrix entries.
+    cells of the observed words, their counts N as float64 (exact, as
+    corpus totals stay below 2**53, and cast once, not in every map), the
+    model ``like`` whose shape theta has and that model's own theta,
+    ``start``.  ``rows(theta)`` is the (rows, q) view of the matrix
+    entries.
+
+    :meth:`gather` scales each lag's matrix by phi_g into a (G, q**(l+1))
+    table and takes the components from it at ``table_cells``, the same
+    IEEE products as scaling each gathered entry.  In the general variant
+    these are the cells; the single-matrix variant's table has a row per
+    lag, so its ``table_cells`` add the g offset its pooled cells drop.
     """
 
     def __init__(self, counts: NGramCounts, like: MtdModel):
@@ -136,8 +146,12 @@ class _Kernel:
         self.counts = counts
         self.like = like
         self.G, self.q = like.n_components, like.alphabet.size
+        self.width = self.q ** (like.lag_order + 1)
         self.cells = _cell_index(like, counts.word_indices())
-        self.N = counts.values()
+        self.table_cells = self.cells
+        if like.variant == "single_matrix":
+            self.table_cells = self.cells + self.width * np.arange(self.G)[:, None]
+        self.N = counts.values().astype(np.float64)
         self.start = np.concatenate([like.phi, *(mat.ravel() for mat in like.matrices)])
 
     def rows(self, theta: np.ndarray) -> np.ndarray:
@@ -162,8 +176,8 @@ class _Kernel:
         )
 
     def gather(self, theta: np.ndarray) -> _Point:
-        comps = theta[self.G :][self.cells]
-        comps *= theta[: self.G, None]
+        table = theta[: self.G, None] * theta[self.G :].reshape(-1, self.width)
+        comps = table.take(self.table_cells)
         probs = comps.sum(axis=0)
         return _Point(theta, comps, probs, _loglik(self.N, probs))
 
@@ -180,17 +194,26 @@ class _Kernel:
             )
 
     def posterior(self, point: _Point, floor: float | None) -> np.ndarray:
-        """Normalize components by their sum; floored components are summed anew."""
+        """Normalize components by their sum, in place: ``point.comps`` is used up.
+
+        Floored components are a copy, summed anew.
+        """
         comps, probs = point.comps, point.probs
         if floor is not None:
             comps = np.maximum(comps, floor)
             probs = comps.sum(axis=0)
         self.check_positive(probs)
-        return comps / probs
+        comps /= probs
+        return comps
 
-    def maximize(self, theta: np.ndarray, posteriors: np.ndarray) -> np.ndarray:
-        """The M-step from ``theta``: rows with no weighted count keep their value."""
-        weighted = posteriors * self.N
+    def weights(self, point: _Point, floor: float | None) -> np.ndarray:
+        """N(w) times the posteriors, in place as in :meth:`posterior`: the M-step's input."""
+        weighted = self.posterior(point, floor)
+        weighted *= self.N
+        return weighted
+
+    def maximize(self, theta: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+        """The M-step from ``theta`` and :meth:`weights`: rows with no weight keep their value."""
         phi = weighted.sum(axis=1) / self.counts.total
         rows = self.rows(theta)
         num = np.bincount(self.cells.ravel(), weights=weighted.ravel(), minlength=rows.size)
@@ -230,7 +253,7 @@ def m_step(posteriors: np.ndarray, counts: NGramCounts, model: MtdModel):
     keeping the previous iterate preserves determinism and monotonicity.
     """
     kernel = _Kernel(counts, model)
-    phi, matrices = kernel.split(kernel.maximize(kernel.start, posteriors))
+    phi, matrices = kernel.split(kernel.maximize(kernel.start, posteriors * kernel.N))
     return phi, list(matrices)
 
 
@@ -317,11 +340,11 @@ def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) 
     converged = False
     while len(trace) <= config.max_iters:
         try:
-            posteriors = kernel.posterior(point, config.floor)
+            weighted = kernel.weights(point, config.floor)
         except DegenerateLikelihood as err:
             err.trace = np.asarray(trace)
             raise
-        new = kernel.gather(kernel.maximize(point.theta, posteriors))
+        new = kernel.gather(kernel.maximize(point.theta, weighted))
         trace.append(new.loglik)
         converged = new.loglik - point.loglik < config.epsilon
         point = new

@@ -379,9 +379,10 @@ def _window_word_indices(data: np.ndarray, k: int, q: int) -> np.ndarray:
     n = data.size
     if n < k:
         return np.empty(0, dtype=np.int64)
-    idx = np.zeros(n - k + 1, dtype=np.int64)
-    for off in range(k):
-        idx = idx * q + data[off : n - k + 1 + off]
+    idx = np.array(data[: n - k + 1], dtype=np.int64)
+    for off in range(1, k):
+        idx *= q
+        idx += data[off : n - k + 1 + off]
     return idx
 
 

@@ -152,6 +152,9 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
         ("fit", ["--alphabet", "aa"]),
         ("fit", ["--alphabet", "acgt", "--epsilon", "0"]),
         ("fit", ["--alphabet", "acgt", "--epsilon", "0", "--algorithm", "berchtold"]),
+        ("fit", ["--alphabet", "acgt", "--epsilon", "nan"]),
+        ("fit", ["--alphabet", "acgt", "--epsilon", "inf"]),
+        ("fit", ["--alphabet", "acgt", "--epsilon", "nan", "--algorithm", "berchtold"]),
         ("fit", ["--alphabet", "acgt", "--restarts", "0"]),
         ("fit", ["--alphabet", "acgt", "--max-iters", "0", "--algorithm", "berchtold"]),
         ("fit", ["--alphabet", "acgt", "--order", "0"]),
@@ -172,6 +175,8 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
         ("tv-experiment", ["--word-len", "0"]),
         ("tv-experiment", ["--alphabet-size", "1"]),
         ("tv-experiment", ["--replicates", "0"]),
+        ("tv-experiment", ["--gen-order", "5", "--length", "4"]),
+        ("sample", ["--length", "0"]),
         ("fit", ["--alphabet", "acgt", "--floor", "-5", "--algorithm", "berchtold"]),
         ("fit", ["--alphabet", "acgt", "--restarts", "0", "--algorithm", "berchtold"]),
         ("count", ["--seed", "-1"]),
@@ -182,12 +187,14 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
         ("tv-experiment", ["--seed", "-1"]),
     ],
     ids=[
-        "alphabet", "epsilon", "epsilon-berchtold", "restarts", "max-iters-berchtold",
+        "alphabet", "epsilon", "epsilon-berchtold", "epsilon-nan", "epsilon-inf",
+        "epsilon-nan-berchtold", "restarts", "max-iters-berchtold",
         "order-0", "lag-order-above-order", "lag-order-0", "floor-negative", "floor-nan",
         "single-matrix-lag-order-2", "single-matrix-lag-order-2-berchtold",
         "orders-0", "orders-not-int", "lag-orders-0", "lag-orders-above-orders",
         "single-matrix-lag-orders-1-2", "fit-orders-0", "gen-order-0",
-        "word-len-0", "alphabet-size-1", "replicates-0",
+        "word-len-0", "alphabet-size-1", "replicates-0", "tv-experiment-length-below-gen-order",
+        "sample-length-0",
         "floor-negative-berchtold", "restarts-0-berchtold",
         "count-seed-negative", "fit-seed-negative", "fit-seed-negative-berchtold",
         "sample-seed-negative", "bic-compare-seed-negative", "tv-experiment-seed-negative",
@@ -296,6 +303,14 @@ def test_sample_golden(tmp_path, capsys):
         "s8,s11,s5,s11,s0,s7,s5,s9,s2,s10,s6,s10,s5,s5,s9,"
         "s11,s5,s11,s10,s1,s6,s9,s11,s7,s1,s6,s6,s6,s11,s4\n"
     )
+
+
+def test_sample_shorter_than_model_order_is_data_error(tmp_path, capsys):
+    # the order comes from the model file, so this is not a usage error
+    model_path = str(tmp_path / "model.json")
+    write_model(model_path, random_mtd(3, 3, 1, seed=3))
+    argv = ["sample", "--model", model_path, "--length", "2"]
+    _assert_one_line_failure(argv, capsys, "shorter than order 3")
 
 
 def test_sample_then_count_multi_character_symbols(tmp_path, capsys):

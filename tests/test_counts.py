@@ -2,8 +2,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import random_sequence
 from mtdchain import (
@@ -91,6 +92,33 @@ class TestCountNgrams:
         counts = NGramCounts(ab, 2, [0, 1], [3, 0])
         assert len(counts) == 1
         assert counts[1] == 0
+
+    # q**k below, equal to and above the number of windows: both tallies are used
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(2, 5),
+        order=st.integers(1, 4),
+        lengths=st.lists(st.integers(0, 90), max_size=5),
+        seed=st.integers(0, 2**16),
+    )
+    @example(q=2, order=1, lengths=[60, 0, 1], seed=1)
+    @example(q=2, order=1, lengths=[5], seed=2)
+    @example(q=3, order=2, lengths=[20, 13], seed=3)
+    @example(q=5, order=4, lengths=[90, 4, 2], seed=4)
+    @example(q=4, order=3, lengths=[], seed=5)
+    def test_against_unique_of_windows(self, q, order, lengths, seed):
+        alphabet = default_alphabet(q)
+        seqs = [random_sequence(alphabet, n, seed + i) for i, n in enumerate(lengths)]
+        k = order + 1
+        powers = q ** np.arange(k - 1, -1, -1)
+        windows = [np.empty(0, dtype=np.int64)]
+        windows += [sliding_window_view(s.data, k) @ powers for s in seqs if len(s) >= k]
+        words, ns = np.unique(np.concatenate(windows), return_counts=True)
+        counts = count_ngrams(seqs, order, alphabet=alphabet)
+        assert np.array_equal(counts.word_indices(), words)
+        assert np.array_equal(counts.values(), ns)
+        for array in (counts.word_indices(), counts.values()):
+            assert array.dtype == np.int64 and not array.flags.writeable
 
 
 class TestContainer:
