@@ -255,10 +255,13 @@ def cmd_eval(args, argv) -> int:
 
 def cmd_sample(args, argv) -> int:
     _at_least("--length", args.length)
+    # every model has order >= 1; a prefix of another length is a data error
+    if args.prefix == "":
+        raise _UsageError("invalid flag value: --prefix must not be empty")
     model, _ = read_model(args.model)
     model = _as_transition_model(model)
     init = "uniform"
-    if args.prefix:
+    if args.prefix is not None:
         init = model.alphabet.encode(
             args.prefix.split(",") if "," in args.prefix else list(args.prefix)
         )

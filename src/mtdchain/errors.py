@@ -14,7 +14,7 @@ class ShapeMismatch(MtdError):
 
 
 class ModelTooLarge(MtdError):
-    """A dense expansion would exceed its size guard, or word indices would overflow int64."""
+    """A dense table, 64-bit word indices or a sample's buffers would be too large."""
 
 
 class AlphabetMismatch(MtdError):

@@ -19,6 +19,7 @@ import warnings
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -30,6 +31,12 @@ _INT64_MAX = 2**63 - 1
 
 # dense transition tables above this size are not precomputed for sampling
 _SAMPLE_PRECOMPUTE_LIMIT = 4 * 10**6
+# draws that run a guessed chunk start from history 0 before the chunk begins
+_SAMPLE_BURN_IN = 32
+# one lockstep step costs about as much as drawing this many times q letters
+# one at a time (measured for q = 2..20): a sample too short to repay its
+# span + burn-in steps is drawn by the scalar pass alone
+_SAMPLE_STEP_COST = 8
 
 
 @dataclass(frozen=True)
@@ -428,11 +435,14 @@ def _cumulative_rows(model):
 
     ``table`` is an ``array('d')`` holding, row after row, each history's
     first q - 1 next-letter partial sums; history h's row starts at
-    ``offsets[h]``.  Bisecting a uniform draw in [0, 1) over a row gives a
-    letter in 0..q-1 even when the full sum falls short of 1.0 by rounding.
-    Up to ``_SAMPLE_PRECOMPUTE_LIMIT`` entries every row is computed up
-    front and ``offsets`` is a ``range``; above it a row is appended on its
-    history's first visit and a dict keeps its offset.
+    ``offsets[h]``.  A row is non-decreasing, so the letter a uniform draw
+    u in [0, 1) picks is both ``bisect_right`` over the row and the count
+    of the row's entries <= u; either gives a letter in 0..q-1 even when
+    the full sum falls short of 1.0 by rounding.  Up to
+    ``_SAMPLE_PRECOMPUTE_LIMIT`` entries every row is computed up front and
+    ``offsets`` is a ``range``, so the sampler may read the table as
+    columns; above it a row is appended on its history's first visit and a
+    dict keeps its offset.
     """
     q = model.alphabet.size
     width = q - 1
@@ -451,11 +461,58 @@ def _cumulative_rows(model):
     return table, Offsets()
 
 
+def _step_histories(columns, h, u, q, base) -> None:
+    """Move each history in ``h`` (in place) on by the letter its draw in ``u`` picks.
+
+    ``columns[k].take(h * (q - 1))`` is partial sum k of each history's row.
+    """
+    starts = h * len(columns)
+    letters = np.zeros(h.size, dtype=np.int64)
+    for col in columns:
+        letters += col.take(starts) <= u
+    h %= base
+    h *= q
+    h += letters
+
+
+def _speculate(table, u, hist, h0, span, q, base) -> None:
+    """Guess ``hist[s]``, the history after draw s, by chunks of ``span`` draws in lockstep.
+
+    Chunk 0 starts from ``h0`` and is exact.  Every later chunk starts from
+    history 0 run over the ``_SAMPLE_BURN_IN`` draws before it, which is
+    the right start unless the two chains have not yet met.
+    """
+    chunks = -(-u.size // span)
+    flat = np.frombuffer(table, dtype=np.float64)
+    columns = [flat[k:] for k in range(q - 1)]
+    h = np.zeros(chunks, dtype=np.int64)
+    burn_in = min(_SAMPLE_BURN_IN, span)
+    for s in range(span - burn_in, span):
+        _step_histories(columns, h[1:], u[s::span][: chunks - 1], q, base)
+    h[0] = h0
+    for s in range(span):
+        draws = u[s::span]  # the chunks still running at step s are the first len(draws)
+        running = h[: draws.size]
+        _step_histories(columns, running, draws, q, base)
+        hist[s::span] = running
+
+
 def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
     """Draw a length-n sequence from the model, deterministically per seed.
 
     ``init`` is either ``"uniform"`` (first m letters i.i.d. uniform) or an
-    explicit m-letter prefix (symbol indices, oldest first).
+    explicit m-letter prefix (symbol indices, oldest first).  The letters
+    depend only on the model, ``length``, ``seed`` and ``init``, never on
+    how the draws are chunked: the prefix (if uniform) comes from
+    ``rng.integers``, and letter t > m is the row of the history before it
+    bisected at the (t - m)-th value of one ``rng.random(length - m)`` call.
+
+    With a precomputed table a long sample is cut into chunks of about
+    sqrt(2 (n - m)) draws that run in numpy lockstep, each later chunk from
+    a guessed start.  A scalar pass then walks the chunks in order and
+    re-draws each from its true start only until its history meets the
+    guessed one, after which the two share every letter.  Raises
+    :class:`ModelTooLarge` when the draws or letters cannot be allocated.
     """
     m = model.order
     q = model.alphabet.size
@@ -473,19 +530,39 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
             raise ShapeMismatch(f"init prefix length {prefix.size}, expected {m}")
         if m and (prefix.min() < 0 or prefix.max() >= q):
             raise InvalidSymbol("init prefix contains indices outside the alphabet")
-    letters = array("q", prefix.tolist())
-    if length > m:
+    n = length - m
+    try:
+        letters = np.empty(length, dtype=np.int64)
+        u = rng.random(n)
+    except (ValueError, MemoryError) as err:
+        raise ModelTooLarge(f"cannot allocate a sample of {length} letters: {err}") from None
+    letters[:m] = prefix
+    # hist[s] is the history after draw s until the last line turns it into its letter
+    hist = letters[m:]
+    if n:
         table, offsets = _cumulative_rows(model)
         width = q - 1
-        h = word_to_index(prefix, q)
         base = q ** (m - 1)
-        # a memoryview yields each draw as a Python float, made only when it is used
-        for u in memoryview(rng.random(length - m)):
-            lo = offsets[h]
-            j = bisect_right(table, u, lo, lo + width) - lo
-            letters.append(j)
-            h = (h % base) * q + j
-    return Sequence(model.alphabet, np.frombuffer(letters, dtype=np.int64))
+        h = word_to_index(prefix, q)
+        span = isqrt(2 * n)
+        # a lazily filled table has no columns to read in lockstep yet
+        if isinstance(offsets, range) and _SAMPLE_STEP_COST * q * (span + _SAMPLE_BURN_IN) <= n:
+            _speculate(table, u, hist, h, span, q, base)
+        else:
+            span = n
+            hist.fill(-1)  # never a history, so the scalar pass draws every letter
+        draws, guess = memoryview(u), memoryview(hist)
+        for lo in range(0, n, span):
+            hi = min(lo + span, n)
+            for t in range(lo, hi):
+                o = offsets[h]
+                h = (h % base) * q + bisect_right(table, draws[t], o, o + width) - o
+                if guess[t] == h:
+                    break  # the guessed chain from here on is the true one
+                guess[t] = h
+            h = guess[hi - 1]
+        hist %= q
+    return Sequence(model.alphabet, letters)
 
 
 def _positive_rows(rng, shape) -> np.ndarray:

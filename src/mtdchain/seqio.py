@@ -12,6 +12,11 @@ import numpy as np
 from .errors import AlphabetMismatch, IoError
 from .model import Alphabet, Sequence, _separator
 
+# one decode call takes consecutive records up to about this many characters:
+# short records share a call, and the decoder's buffers stay near the size of
+# one long record
+_DECODE_BATCH = 1 << 16
+
 
 def _letter_lookup(alphabet: Alphabet) -> dict[str, int]:
     lookup = {}
@@ -35,12 +40,30 @@ def _decoder(alphabet: Alphabet):
     return lambda text: codes.take(np.frombuffer(text.encode("utf-32-le"), np.uint32), mode="clip")
 
 
-def _split_record(indices: np.ndarray, alphabet, name):
-    """Maximal runs of alphabet letters, one Sequence per run."""
-    cuts = [-1, *(indices < 0).nonzero()[0].tolist(), indices.size]
-    runs = [indices[a + 1 : b] for a, b in zip(cuts, cuts[1:]) if b > a + 1]
-    names = [name] if len(runs) == 1 else [f"{name}:{i}" for i in range(len(runs))]
-    return [Sequence(alphabet, r, name=n) for r, n in zip(runs, names)]
+def _decode_records(decode, records, sep: str, alphabet) -> list[Sequence]:
+    """Decode ``records``, ``(name, text)`` pairs, in one call and cut the result into runs.
+
+    A run is a maximal stretch of alphabet letters inside one record, and
+    each becomes one Sequence, named after its record (with ``:i`` when the
+    record has several runs).
+    """
+    # the separator between records keeps their tokens apart
+    indices = decode(sep.join(text for _, text in records))
+    foreign = (indices < 0).nonzero()[0].tolist()
+    sequences: list[Sequence] = []
+    k, start = 0, 0
+    for name, text in records:
+        end = start + (text.count(sep) + 1 if sep else len(text))
+        cuts = [start - 1]
+        while k < len(foreign) and foreign[k] < end:
+            cuts.append(foreign[k])
+            k += 1
+        cuts.append(end)
+        runs = [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if b > a + 1]
+        names = [name] if len(runs) == 1 else [f"{name}:{i}" for i in range(len(runs))]
+        sequences.extend(Sequence(alphabet, indices[a:b], name=n) for (a, b), n in zip(runs, names))
+        start = end
+    return sequences
 
 
 def read_sequences(path, fmt: str = "plain", alphabet: Alphabet | None = None) -> list[Sequence]:
@@ -86,11 +109,13 @@ def read_sequences(path, fmt: str = "plain", alphabet: Alphabet | None = None) -
         if name is not None:
             records.append((name, sep.join(chunks)))
     sequences: list[Sequence] = []
-    total_letters = 0
-    for name, letters in records:
-        total_letters += len(letters)
-        sequences.extend(_split_record(decode(letters), alphabet, name))
-    if total_letters and not sequences:
+    first = size = 0
+    for i, (_, text) in enumerate(records, start=1):
+        size += len(text)
+        if size >= _DECODE_BATCH or i == len(records):
+            sequences += _decode_records(decode, records[first:i], sep, alphabet)
+            first, size = i, 0
+    if any(text for _, text in records) and not sequences:
         raise AlphabetMismatch(
             f"{path} contains no symbols of the alphabet {alphabet.symbols}"
         )

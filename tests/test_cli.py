@@ -177,6 +177,7 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
         ("tv-experiment", ["--replicates", "0"]),
         ("tv-experiment", ["--gen-order", "5", "--length", "4"]),
         ("sample", ["--length", "0"]),
+        ("sample", ["--prefix", ""]),
         ("fit", ["--alphabet", "acgt", "--floor", "-5", "--algorithm", "berchtold"]),
         ("fit", ["--alphabet", "acgt", "--restarts", "0", "--algorithm", "berchtold"]),
         ("count", ["--seed", "-1"]),
@@ -194,7 +195,7 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
         "orders-0", "orders-not-int", "lag-orders-0", "lag-orders-above-orders",
         "single-matrix-lag-orders-1-2", "fit-orders-0", "gen-order-0",
         "word-len-0", "alphabet-size-1", "replicates-0", "tv-experiment-length-below-gen-order",
-        "sample-length-0",
+        "sample-length-0", "sample-prefix-empty",
         "floor-negative-berchtold", "restarts-0-berchtold",
         "count-seed-negative", "fit-seed-negative", "fit-seed-negative-berchtold",
         "sample-seed-negative", "bic-compare-seed-negative", "tv-experiment-seed-negative",
@@ -311,6 +312,14 @@ def test_sample_shorter_than_model_order_is_data_error(tmp_path, capsys):
     write_model(model_path, random_mtd(3, 3, 1, seed=3))
     argv = ["sample", "--model", model_path, "--length", "2"]
     _assert_one_line_failure(argv, capsys, "shorter than order 3")
+
+
+def test_sample_too_long_to_allocate_is_one_line_error(tmp_path, capsys):
+    # 10**20 letters exceed numpy's largest array shape, so nothing is allocated
+    model_path = str(tmp_path / "model.json")
+    write_model(model_path, random_mtd(3, 2, 1, seed=3))
+    argv = ["sample", "--model", model_path, "--length", str(10**20)]
+    _assert_one_line_failure(argv, capsys, "cannot allocate a sample of 100000000000000000000")
 
 
 def test_sample_then_count_multi_character_symbols(tmp_path, capsys):

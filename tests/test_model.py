@@ -1,5 +1,6 @@
 import hashlib
 from bisect import bisect_right
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -260,6 +261,19 @@ class TestSampleSequence:
         digest = hashlib.sha256(seq.data.astype("<i8").tobytes()).hexdigest()
         assert digest == "459a7d28f42a0027252abe8801c89b647aaef7d177aa7e3825f514c3786c7dec"
 
+    def test_golden_chunked(self):
+        # a sample long enough to be drawn in many speculative chunks
+        model = random_mtd(4, 8, 1, seed=8)
+        assert 4**9 <= _SAMPLE_PRECOMPUTE_LIMIT
+        seq = sample_sequence(model, 10**6, seed=1)
+        digest = hashlib.sha256(seq.data.astype("<i8").tobytes()).hexdigest()
+        assert digest == "9b78fc9a97c9c50b83a8258af352e671987b3e49fde26df1df16b128d3e0bacd"
+
+    def test_too_long_to_allocate(self, equiv_model_a):
+        # 10**20 letters exceed numpy's largest array shape, so nothing is allocated
+        with pytest.raises(ModelTooLarge, match="cannot allocate"):
+            sample_sequence(equiv_model_a, 10**20, seed=0)
+
     def test_length_equals_order(self, equiv_model_a):
         seq = sample_sequence(equiv_model_a, 2, seed=4)
         assert len(seq) == 2
@@ -337,6 +351,14 @@ def _with_point_masses(rows, rng):
     return rows
 
 
+def _chunk_boundaries(span):
+    """Draw counts n cut into chunks of ``span`` (isqrt(2 n) == span): k span and k span +- 1."""
+    counts = range(span * span // 2, (span + 1) ** 2 // 2 + 1)
+    found = [n for n in counts if isqrt(2 * n) == span and n % span in (0, 1, span - 1)]
+    assert {n % span for n in found} == {0, 1, span - 1}
+    return found
+
+
 @st.composite
 def sampler_cases(draw):
     q = draw(st.integers(2, 5))
@@ -354,7 +376,13 @@ def sampler_cases(draw):
         base = random_mtd(q, m, l, variant=kind, seed=int(rng.integers(2**32)))
         mats = [_with_point_masses(a, rng) if zeros else a for a in base.matrices]
         model = MtdModel(alphabet, m, l, base.phi, mats, variant=kind)
-    length = m + draw(st.sampled_from([0, 1, 2, 300]))
+    extra = draw(st.sampled_from(["short", "many chunks", "chunk boundary"]))
+    if extra == "short":
+        length = m + draw(st.sampled_from([0, 1, 2, 300]))
+    elif extra == "many chunks":
+        length = m + 5000
+    else:
+        length = m + draw(st.sampled_from(_chunk_boundaries(draw(st.integers(2, 40)))))
     init = "uniform"
     if draw(st.booleans()):
         init = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
@@ -363,15 +391,49 @@ def sampler_cases(draw):
 
 class TestSamplerMatchesListOracle:
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(case=sampler_cases(), seed=st.integers(0, 2**32 - 1), lazy=st.booleans())
-    def test_property(self, case, seed, lazy):
+    @given(
+        case=sampler_cases(),
+        seed=st.integers(0, 2**32 - 1),
+        path=st.sampled_from(["default", "chunked", "lazy"]),
+    )
+    def test_property(self, case, seed, path):
         model, length, init = case
         with pytest.MonkeyPatch.context() as mp:
-            if lazy:  # every table is over the limit, so rows are filled on first visit
+            if path == "lazy":  # every table is over the limit, so rows are filled on first visit
                 mp.setattr(mtdchain.model, "_SAMPLE_PRECOMPUTE_LIMIT", 0)
+            if path == "chunked":  # speculate however short the sample
+                mp.setattr(mtdchain.model, "_SAMPLE_STEP_COST", 0)
             got = sample_sequence(model, length, seed=seed, init=init)
             expected = _list_rows_sample(model, length, seed, init)
         assert np.array_equal(got.data, expected)
+
+    @pytest.mark.parametrize("span", [2, 30, 31, 32, 33, 40])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_cycle_never_rejoins(self, song, span, m):
+        # the next phrase is always (last + 1) mod 3, so two chains out of
+        # phase never meet and every wrongly guessed chunk is re-drawn to its end
+        pi = np.roll(np.eye(3), 1, axis=1)
+        model = MtdModel(song, m, 1, [1.0] + [0.0] * (m - 1), [pi] * m)
+        n = span * span // 2  # isqrt(2 n) == span
+        prefix = [1, 2][:m]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mtdchain.model, "_SAMPLE_STEP_COST", 0)
+            got = sample_sequence(model, m + n, seed=0, init=prefix)
+        assert np.array_equal(got.data, (np.arange(m + n) + 1) % 3)
+        assert np.array_equal(got.data, _list_rows_sample(model, m + n, 0, prefix))
+
+    def test_draw_equal_to_a_partial_sum_picks_the_next_letter(self):
+        # bisect_right: a draw equal to the partial sum P(0) gives letter 1, in
+        # the lockstep chunks as in the scalar pass
+        n = 400
+        u = np.random.default_rng(7).random(n)  # an explicit init draws no prefix
+        for t in (0, 1, n // 2, n - 1):
+            model = FullMarkovModel(Alphabet(("a", "b")), 1, [[u[t], 1 - u[t]]] * 2)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mtdchain.model, "_SAMPLE_STEP_COST", 0)
+                got = sample_sequence(model, 1 + n, seed=7, init=[0])
+            assert got.data[1 + t] == 1
+            assert np.array_equal(got.data, _list_rows_sample(model, 1 + n, 7, [0]))
 
 
 class TestRandomMtd:

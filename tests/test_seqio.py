@@ -144,17 +144,62 @@ def reference_split_record(letters, lookup, alphabet, name):
     return [Sequence(alphabet, r, name=f"{name}:{i}") for i, r in enumerate(runs)]
 
 
-def oracle_read(path, fmt, alphabet):
-    """read_sequences with its record assembly unchanged and the per-letter decoder above."""
+def array_split_record(indices, alphabet, name):
+    """One record's runs as read_sequences cut them before it decoded a whole file at once."""
+    cuts = [-1, *(indices < 0).nonzero()[0].tolist(), indices.size]
+    runs = [indices[a + 1 : b] for a, b in zip(cuts, cuts[1:]) if b > a + 1]
+    names = [name] if len(runs) == 1 else [f"{name}:{i}" for i in range(len(runs))]
+    return [Sequence(alphabet, r, name=n) for r, n in zip(runs, names)]
+
+
+def oracle_read(path, fmt, alphabet, split_record):
+    """read_sequences as it was before it decoded a whole file at once.
+
+    Every record is assembled as then and passed on its own to
+    ``split_record(text, name)``.
+    """
+    sep = _separator(alphabet)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = []
+    if fmt == "plain":
+        records = [(f"line{i}", line.strip()) for i, line in enumerate(lines, 1) if line.strip()]
+    else:
+        name, chunks = None, []
+        for line in lines:
+            line = line.strip()
+            if line.startswith(">"):
+                if name is not None:
+                    records.append((name, sep.join(chunks)))
+                name, chunks = line[1:].strip(), []
+            elif line:
+                if name is None:
+                    name = ""
+                chunks.append(line)
+        if name is not None:
+            records.append((name, sep.join(chunks)))
+    sequences = [s for name, text in records for s in split_record(text, name)]
+    if any(text for _, text in records) and not sequences:
+        raise AlphabetMismatch("no symbols of the alphabet")
+    return sequences
+
+
+def per_letter_read(path, fmt, alphabet):
+    """The oracle with the per-letter decoder above."""
     lookup, sep = seqio._letter_lookup(alphabet), _separator(alphabet)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(seqio, "_decoder", lambda _: lambda text: text.split(sep) if sep else text)
-        mp.setattr(
-            seqio,
-            "_split_record",
-            lambda letters, ab, name: reference_split_record(letters, lookup, ab, name),
-        )
-        return seqio.read_sequences(path, fmt, alphabet)
+    return oracle_read(
+        path, fmt, alphabet,
+        lambda text, name: reference_split_record(
+            text.split(sep) if sep else text, lookup, alphabet, name
+        ),
+    )
+
+
+def per_record_read(path, fmt, alphabet):
+    """The oracle with today's array decoder called once per record."""
+    decode = seqio._decoder(alphabet)
+    return oracle_read(
+        path, fmt, alphabet, lambda text, name: array_split_record(decode(text), alphabet, name)
+    )
 
 
 ORACLE_ALPHABETS = {
@@ -196,5 +241,37 @@ def test_decoder_matches_per_letter_oracle(tmp_path_factory, corpus):
     alphabet, fmt, text = corpus
     path = tmp_path_factory.mktemp("oracle") / "corpus.txt"
     path.write_text(text, encoding="utf-8")
-    expected = _outcome(oracle_read, path, fmt, alphabet)
+    expected = _outcome(per_letter_read, path, fmt, alphabet)
     assert _outcome(read_sequences, path, fmt, alphabet) == expected
+
+
+@pytest.mark.parametrize(
+    "name,fmt,text",
+    [
+        ("dna", "plain", "acgt\nNacgNNtN\n\n  AcGt\nN\nt\n"),
+        ("dna", "fasta", "acN\n>r1\nNac\ngtN\n\n>r2\n>r3\nAC\n>r4\nN\n"),
+        ("q12", "plain", "s0,S11,x,s3,,s10\ns1\n,s2,\ns4,s5\n"),
+        ("q12", "fasta", ">a\ns0,s1\ns99,s2\n>b\nS4\n>c\n>d\nx\n"),
+        ("astral", "plain", "\U0001F642x\U0001F600x\n\U0001F642\n"),
+    ],
+    ids=["plain-foreign", "fasta-foreign", "multi-character", "multi-character-fasta", "astral"],
+)
+def test_batched_decode_matches_one_record_at_a_time_examples(name, fmt, text, tmp_path):
+    alphabet = ORACLE_ALPHABETS[name]
+    path = tmp_path / "corpus.txt"
+    path.write_text(text, encoding="utf-8")
+    expected = _outcome(per_record_read, path, fmt, alphabet)
+    assert _outcome(read_sequences, path, fmt, alphabet) == expected
+    assert len(expected) > 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(corpus=corpus_files(), batch=st.sampled_from([1, 4, seqio._DECODE_BATCH]))
+def test_batched_decode_matches_one_record_at_a_time(tmp_path_factory, corpus, batch):
+    alphabet, fmt, text = corpus
+    path = tmp_path_factory.mktemp("records") / "corpus.txt"
+    path.write_text(text, encoding="utf-8")
+    expected = _outcome(per_record_read, path, fmt, alphabet)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqio, "_DECODE_BATCH", batch)  # 1: every record decoded on its own
+        assert _outcome(read_sequences, path, fmt, alphabet) == expected
