@@ -33,10 +33,6 @@ _INT64_MAX = 2**63 - 1
 _SAMPLE_PRECOMPUTE_LIMIT = 4 * 10**6
 # draws that run a guessed chunk start from history 0 before the chunk begins
 _SAMPLE_BURN_IN = 32
-# one lockstep step costs about as much as drawing this many times q letters
-# one at a time (measured for q = 2..20): a sample too short to repay its
-# span + burn-in steps is drawn by the scalar pass alone
-_SAMPLE_STEP_COST = 8
 
 
 @dataclass(frozen=True)
@@ -507,7 +503,7 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
     ``rng.integers``, and letter t > m is the row of the history before it
     bisected at the (t - m)-th value of one ``rng.random(length - m)`` call.
 
-    With a precomputed table a long sample is cut into chunks of about
+    With a precomputed table the sample is cut into chunks of about
     sqrt(2 (n - m)) draws that run in numpy lockstep, each later chunk from
     a guessed start.  A scalar pass then walks the chunks in order and
     re-draws each from its true start only until its history meets the
@@ -546,7 +542,7 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
         h = word_to_index(prefix, q)
         span = isqrt(2 * n)
         # a lazily filled table has no columns to read in lockstep yet
-        if isinstance(offsets, range) and _SAMPLE_STEP_COST * q * (span + _SAMPLE_BURN_IN) <= n:
+        if isinstance(offsets, range):
             _speculate(table, u, hist, h, span, q, base)
         else:
             span = n

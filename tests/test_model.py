@@ -394,15 +394,13 @@ class TestSamplerMatchesListOracle:
     @given(
         case=sampler_cases(),
         seed=st.integers(0, 2**32 - 1),
-        path=st.sampled_from(["default", "chunked", "lazy"]),
+        path=st.sampled_from(["default", "lazy"]),
     )
     def test_property(self, case, seed, path):
         model, length, init = case
         with pytest.MonkeyPatch.context() as mp:
             if path == "lazy":  # every table is over the limit, so rows are filled on first visit
                 mp.setattr(mtdchain.model, "_SAMPLE_PRECOMPUTE_LIMIT", 0)
-            if path == "chunked":  # speculate however short the sample
-                mp.setattr(mtdchain.model, "_SAMPLE_STEP_COST", 0)
             got = sample_sequence(model, length, seed=seed, init=init)
             expected = _list_rows_sample(model, length, seed, init)
         assert np.array_equal(got.data, expected)
@@ -416,9 +414,7 @@ class TestSamplerMatchesListOracle:
         model = MtdModel(song, m, 1, [1.0] + [0.0] * (m - 1), [pi] * m)
         n = span * span // 2  # isqrt(2 n) == span
         prefix = [1, 2][:m]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mtdchain.model, "_SAMPLE_STEP_COST", 0)
-            got = sample_sequence(model, m + n, seed=0, init=prefix)
+        got = sample_sequence(model, m + n, seed=0, init=prefix)
         assert np.array_equal(got.data, (np.arange(m + n) + 1) % 3)
         assert np.array_equal(got.data, _list_rows_sample(model, m + n, 0, prefix))
 
@@ -429,9 +425,7 @@ class TestSamplerMatchesListOracle:
         u = np.random.default_rng(7).random(n)  # an explicit init draws no prefix
         for t in (0, 1, n // 2, n - 1):
             model = FullMarkovModel(Alphabet(("a", "b")), 1, [[u[t], 1 - u[t]]] * 2)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mtdchain.model, "_SAMPLE_STEP_COST", 0)
-                got = sample_sequence(model, 1 + n, seed=7, init=[0])
+            got = sample_sequence(model, 1 + n, seed=7, init=[0])
             assert got.data[1 + t] == 1
             assert np.array_equal(got.data, _list_rows_sample(model, 1 + n, 7, [0]))
 
