@@ -276,8 +276,7 @@ def cmd_convert(args, argv) -> int:
         raise MtdError(f"{args.command} requires --out for the model file")
     model, _ = read_model(args.model)
     if args.target == "full_markov":
-        model = _as_transition_model(model)
-        converted = full_transition_matrix(model) if isinstance(model, MtdModel) else model
+        converted = full_transition_matrix(_as_transition_model(model))
     elif isinstance(model, MtdModel):
         u = model.alphabet.index(args.ref_letter) if args.ref_letter else 0
         converted = to_theta_u(model, u)

@@ -22,6 +22,7 @@ from .model import (
     _INT64_MAX,
     Alphabet,
     _check_word_space,
+    _lag_cells,
     _separator,
     _window_word_indices,
     word_to_index,
@@ -157,8 +158,7 @@ def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> np.
     if not 1 <= lag <= m - block_length + 1:
         raise LagOutOfRange(f"lag {lag} outside 1..{m - block_length + 1}")
     q = counts.alphabet.size
-    ws = counts.word_indices()
-    cells = (ws // q**lag) % q**block_length * q + ws % q
+    cells = _lag_cells(counts.word_indices(), lag, q, block_length)
     # float64 sums of int64 counts are exact: corpus totals stay below 2**53
     table = np.bincount(cells, weights=counts.values(), minlength=q ** (block_length + 1))
     table = table.reshape(q**block_length, q).astype(np.int64)

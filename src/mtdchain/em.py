@@ -41,6 +41,7 @@ down.  The paper's plain EM, without extrapolation, is a loop over
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -97,8 +98,12 @@ class FitReport:
     iterations: int
     converged: bool
     restart_index: int | None
-    theta_u: ThetaU
     bic: float
+
+    @cached_property
+    def theta_u(self) -> ThetaU:
+        """One-block table of the fitted model around letter 0, built on first read."""
+        return to_theta_u(self.model, 0)
 
 
 def _loglik(N: np.ndarray, probs: np.ndarray) -> float:
@@ -285,7 +290,6 @@ def _pseudocount_rows(table: np.ndarray) -> np.ndarray:
 
 def _make_report(model, trace, converged, restart_index, counts) -> FitReport:
     trace = np.asarray(trace, dtype=np.float64)
-    theta = to_theta_u(model, 0)
     return FitReport(
         model=model,
         loglik_trace=trace,
@@ -293,7 +297,6 @@ def _make_report(model, trace, converged, restart_index, counts) -> FitReport:
         iterations=len(trace) - 1,
         converged=converged,
         restart_index=restart_index,
-        theta_u=theta,
         bic=bic(float(trace[-1]), model_dimension(model), counts.total),
     )
 

@@ -11,6 +11,10 @@ spelled oldest letter first is read as a base-q numeral, so the most
 recent letter is the least significant digit.  A history (i_m, ..., i_1)
 has index sum_g idx(i_g) * q**(g-1); appending the next letter i_0 gives
 the (m+1)-word index sum_g idx(i_g) * q**g.
+
+Window layout: lag g's l-letter block sits at history digits
+g-1 .. g+l-2, which is axis 1 of :func:`_window`'s
+(q**(m-g-l+1), q**l, q**(g-1), q) view of a dense (q**m, q) table.
 """
 
 from __future__ import annotations
@@ -336,21 +340,18 @@ def transition_prob(model: MtdModel, history, next_symbol: int) -> float:
     hist = _check_history(model, history)
     q = model.alphabet.size
     j = model.alphabet.check_index(next_symbol)
-    if isinstance(model, FullMarkovModel):
-        return float(model.table[word_to_index(hist, q), j])
     word = word_to_index(hist, q) * q + j
     return float(word_probabilities(model, np.array([word]))[0])
 
 
 def history_rows(model, history_indices: np.ndarray) -> np.ndarray:
-    """Next-letter distribution row for each history index; shape (H, q)."""
+    """Rows of listed histories, one gather per lag (to_theta_u, lazy sampling); shape (H, q)."""
     history_indices = np.asarray(history_indices, dtype=np.int64)
     if isinstance(model, FullMarkovModel):
         return model.table[history_indices]
     q = model.alphabet.size
     rows = np.zeros((history_indices.size, q))
     for g in range(1, model.n_components + 1):
-        # history digit positions g-1 .. g+l-2 hold the lag-g block
         blocks = (history_indices // q ** (g - 1)) % q**model.lag_order
         rows += model.phi[g - 1] * model.matrix_for_lag(g)[blocks]
     return rows
@@ -362,12 +363,28 @@ def _check_dense_size(q: int, order: int) -> None:
         raise ModelTooLarge(f"q**(m+1) = {q}**{order + 1} exceeds {MAX_TABLE_ENTRIES} entries")
 
 
-def full_transition_matrix(model: MtdModel) -> FullMarkovModel:
-    """Expand an MTD model to its dense order-m transition table."""
-    q = model.alphabet.size
-    _check_dense_size(q, model.order)
-    rows = history_rows(model, np.arange(q**model.order))
-    return FullMarkovModel(model.alphabet, model.order, rows)
+def _window(table: np.ndarray, g: int, b: int) -> np.ndarray:
+    """View of a dense (q**m, q) table whose axis 1 is the b-letter block at lag g."""
+    q = table.shape[1]
+    return table.reshape(-1, q**b, q ** (g - 1), q)
+
+
+def _build_dense(q: int, order: int, terms) -> np.ndarray:
+    """Zeros plus each (q**b, q) block table of ``terms`` added in turn along ``_window(g, b)``."""
+    _check_dense_size(q, order)
+    table = np.zeros((q**order, q))
+    for g, b, block_table in terms:
+        _window(table, g, b)[...] += block_table[:, None, :]
+    return table
+
+
+def full_transition_matrix(model) -> FullMarkovModel:
+    """The dense order-m transition table of an MTD model; a dense model is returned as is."""
+    if isinstance(model, FullMarkovModel):
+        return model
+    terms = [(g, model.lag_order, p * model.matrix_for_lag(g)) for g, p in enumerate(model.phi, 1)]
+    table = _build_dense(model.alphabet.size, model.order, terms)
+    return FullMarkovModel(model.alphabet, model.order, table)
 
 
 def _check_word_space(q: int, k: int) -> None:
@@ -444,7 +461,7 @@ def _cumulative_rows(model):
     width = q - 1
     n_hist = q**model.order
     if n_hist * q <= _SAMPLE_PRECOMPUTE_LIMIT:
-        cum = np.cumsum(history_rows(model, np.arange(n_hist)), axis=1)
+        cum = np.cumsum(full_transition_matrix(model).table, axis=1)
         return array("d", cum[:, :-1].tobytes()), range(0, n_hist * width, width)
     table = array("d")
 
@@ -508,10 +525,12 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
     a guessed start.  A scalar pass then walks the chunks in order and
     re-draws each from its true start only until its history meets the
     guessed one, after which the two share every letter.  Raises
-    :class:`ModelTooLarge` when the draws or letters cannot be allocated.
+    :class:`ModelTooLarge` when history indices overflow int64 or the
+    draws or letters cannot be allocated.
     """
     m = model.order
     q = model.alphabet.size
+    _check_word_space(q, m)
     length = int(length)
     if length < m:
         raise ShapeMismatch(f"length {length} shorter than order {m}")

@@ -20,6 +20,8 @@ from .model import (
     Alphabet,
     FullMarkovModel,
     MtdModel,
+    _build_dense,
+    _check_word_space,
     _freeze,
     history_rows,
     validate_stochastic,
@@ -99,11 +101,12 @@ def to_theta_u(model: MtdModel, u) -> ThetaU:
     """Transition rows of all one-block perturbations of the u...u history.
 
     Computed directly from the model's components, without expanding the
-    full q**m table.
+    full q**m table: :func:`history_rows` gathers the rows of these histories.
     """
     q = model.alphabet.size
     u = model.alphabet.check_index(u)
     m, l = model.order, model.lag_order
+    _check_word_space(q, m)
     u_all = ThetaU._u_block(u, m, q)
     u_block = ThetaU._u_block(u, l, q)
     tables = []
@@ -127,8 +130,9 @@ def from_theta_u(theta: ThetaU) -> FullMarkovModel:
 
         row(x) = sum_g T_g[x on window g] - sum_{g>=2} T_g[x on window g, top letter u]
 
-    counts every interaction once, and the base row once.  For l = 1 this
-    is sum_g T_g[x_g] - (m-1) * base_row.
+    counts every interaction once, and the base row once; for l = 1 it is
+    sum_g T_g[x_g] - (m-1) * base_row.  Each term is broadcast along a window
+    of the dense table, the overlap negated at the (l-1)-letter block at lag g.
 
     Not every consistent table set is the image of an MTD model;
     reconstructed probabilities outside [-1e-9, 1+1e-9] raise
@@ -136,14 +140,13 @@ def from_theta_u(theta: ThetaU) -> FullMarkovModel:
     """
     q = theta.alphabet.size
     m, l, u = theta.order, theta.lag_order, theta.u
-    histories = np.arange(q**m)
     shared = q ** (l - 1)
-    table = np.zeros((q**m, q))
+    terms = []
     for g, t in enumerate(theta.tables, start=1):
-        blocks = (histories // q ** (g - 1)) % q**l
-        table += t[blocks]
+        terms.append((g, l, t))
         if g > 1:
-            table -= t[u * shared + blocks % shared]
+            terms.append((g, l - 1, -t[u * shared : (u + 1) * shared]))
+    table = _build_dense(q, m, terms)
     low, high = table.min(), table.max()
     if low < -1e-9 or high > 1.0 + 1e-9:
         bad = np.unravel_index(

@@ -7,12 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphabetMismatch, ModelTooLarge, NonConvergentStationary
-from .model import (
-    MAX_TABLE_ENTRIES,
-    Alphabet,
-    FullMarkovModel,
-    full_transition_matrix,
-)
+from .model import MAX_TABLE_ENTRIES, Alphabet, full_transition_matrix
 
 _POWER_TOL = 1e-12
 _MAX_SWEEPS = 10**5
@@ -38,22 +33,14 @@ class WordDistribution:
         object.__setattr__(self, "probs", arr)
 
 
-def _dense_table(model) -> np.ndarray:
-    if isinstance(model, FullMarkovModel):
-        return model.table
-    return full_transition_matrix(model).table
-
-
 def stationary_histories(model) -> np.ndarray:
     """Stationary distribution over the q**m history states, by power iteration.
 
     Iterates mu <- mu T on the expanded chain until the L1 change drops
     to 1e-12 (at most 1e5 sweeps, else :class:`NonConvergentStationary`).
     """
-    q = model.alphabet.size
-    m = model.order
-    table = _dense_table(model)
-    n_hist = q**m
+    table = full_transition_matrix(model).table
+    n_hist, q = table.shape
     mu = np.full(n_hist, 1.0 / n_hist)
     for _ in range(_MAX_SWEEPS):
         # history h = a * q**(m-1) + r moves to r * q + j after letter j, and
@@ -77,16 +64,12 @@ def word_distribution(model, word_length: int) -> WordDistribution:
         raise ValueError("word_length must be >= 1")
     if q**k > MAX_TABLE_ENTRIES:
         raise ModelTooLarge(f"q**k = {q}**{k} exceeds {MAX_TABLE_ENTRIES} entries")
-    mu = stationary_histories(model)
-    if k <= m:
-        # marginal over the most recent k letters (low digits of the history)
-        probs = np.bincount(np.arange(q**m) % q**k, weights=mu, minlength=q**k)
-    else:
-        table = _dense_table(model)
-        probs = mu
-        for j in range(m, k):
-            rows = table[np.arange(q**j) % q**m]
-            probs = (probs[:, None] * rows).ravel()
+    dense = full_transition_matrix(model)
+    # marginal over the most recent min(k, m) letters (low digits of the history)
+    probs = stationary_histories(dense).reshape(-1, q ** min(k, m)).sum(axis=0)
+    for j in range(m, k):
+        # the last m letters of a j-word, its low digits, are the history of its next letter
+        probs = (probs.reshape(q ** (j - m), q**m, 1) * dense.table).ravel()
     return WordDistribution(model.alphabet, k, probs)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import refdata
-from mtdchain import Alphabet, MtdModel, Sequence
+from mtdchain import Alphabet, MtdModel, Sequence, random_mtd
 
 
 @pytest.fixture
@@ -49,3 +50,14 @@ def crystallin_em(dna):
 def random_sequence(alphabet, length, seed):
     rng = np.random.default_rng(seed)
     return Sequence(alphabet, rng.integers(0, alphabet.size, size=length))
+
+
+@st.composite
+def random_mtds(draw, max_q=5, max_order=6, variants=("general", "single_matrix")):
+    """Random MTD models with q in 2..max_q, m in 1..max_order, l in 1..m and any of ``variants``."""
+    q = draw(st.integers(2, max_q), label="q")
+    m = draw(st.integers(1, max_order), label="m")
+    variant = draw(st.sampled_from(variants), label="variant")
+    l = 1 if variant == "single_matrix" else draw(st.integers(1, m), label="l")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    return random_mtd(q, m, l, variant=variant, seed=seed)

@@ -8,6 +8,7 @@ from mtdchain import (
     DNA,
     FullMarkovModel,
     MtdModel,
+    ThetaU,
     count_ngrams,
     random_mtd,
     read_model,
@@ -320,6 +321,33 @@ def test_sample_too_long_to_allocate_is_one_line_error(tmp_path, capsys):
     write_model(model_path, random_mtd(3, 2, 1, seed=3))
     argv = ["sample", "--model", model_path, "--length", str(10**20)]
     _assert_one_line_failure(argv, capsys, "cannot allocate a sample of 100000000000000000000")
+
+
+@pytest.mark.parametrize("command", ["eval", "sample", "convert"])
+def test_theta_u_too_large_to_expand_is_one_line_error(corpus, tmp_path, capsys, command):
+    # thirty 4 x 4 tables in the file; the dense table they expand to has 4**31 entries
+    model_path = str(tmp_path / "theta.json")
+    write_model(model_path, ThetaU(DNA, 30, 1, 0, [np.full((4, 4), 0.25)] * 30))
+    argv = {
+        "eval": ["eval", "--model", model_path, "--in", corpus],
+        "sample": ["sample", "--model", model_path, "--length", "100"],
+        "convert": ["convert", "--model", model_path, "--to", "full_markov",
+                    "--out", str(tmp_path / "dense.json")],
+    }[command]
+    _assert_one_line_failure(argv, capsys, "exceeds")
+
+
+@pytest.mark.parametrize("command", ["convert", "sample"])
+def test_history_index_overflow_is_one_line_error(tmp_path, capsys, command):
+    # forty 4 x 4 matrices in the file; 4**40 histories overflow 64-bit indices
+    model_path = str(tmp_path / "model.json")
+    write_model(model_path, random_mtd(4, 40, 1, seed=1))
+    argv = {
+        "convert": ["convert", "--model", model_path, "--to", "theta_u",
+                    "--out", str(tmp_path / "theta.json")],
+        "sample": ["sample", "--model", model_path, "--length", "100"],
+    }[command]
+    _assert_one_line_failure(argv, capsys, "overflow 64-bit word indices")
 
 
 def test_sample_then_count_multi_character_symbols(tmp_path, capsys):

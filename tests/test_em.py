@@ -29,6 +29,7 @@ from mtdchain import (
     m_step,
     random_mtd,
     sample_sequence,
+    to_theta_u,
     word_to_index,
 )
 
@@ -582,6 +583,13 @@ class TestFitWithRestarts:
             b.bic,
         )
         assert a.theta_u == b.theta_u
+
+    def test_theta_u_built_on_first_read(self, dna):
+        counts = count_ngrams([random_sequence(dna, 500, 6)], 2)
+        report = fit_with_restarts(counts, EmConfig(n_restarts=2, seed=7))
+        assert "theta_u" not in vars(report)
+        assert report.theta_u == to_theta_u(report.model, 0)
+        assert report.theta_u is report.theta_u
 
     def test_all_restarts_failed(self, song):
         # forcing failure requires a degenerate *initial* model, so feed the

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mtdchain.model
 import refdata
-from conftest import build_model, random_sequence
+from conftest import build_model, random_mtds, random_sequence
 from mtdchain import (
     Alphabet,
     FullMarkovModel,
@@ -187,6 +187,19 @@ class TestFullTransitionMatrix:
                     model.matrices[g - 1][ig] - model.matrices[g - 1][ig2]
                 )
                 assert np.abs((table[h] - table[h2]) - expected).max() < 1e-12
+
+
+class TestDenseBuilder:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(model=random_mtds())
+    def test_matches_all_histories_gather(self, model):
+        # the gather over every history index is how the table was built before broadcasting
+        expected = history_rows(model, np.arange(model.alphabet.size**model.order))
+        assert np.array_equal(full_transition_matrix(model).table, expected)
+
+    def test_dense_model_returned_as_is(self):
+        dense = random_full_markov(3, 2, seed=1)
+        assert full_transition_matrix(dense) is dense
 
 
 class TestSequenceLoglik:

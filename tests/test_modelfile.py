@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_mtds
 from mtdchain import (
     FullMarkovModel,
     IoError,
@@ -62,6 +65,17 @@ def test_theta_u_round_trip_passes_overlap_check(tmp_path, q, m, l, u):
     theta = to_theta_u(random_mtd(q, m, l, seed=q + m + l), u)
     loaded, _ = round_trip(tmp_path, theta)
     assert loaded == theta
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=random_mtds(), kind=st.sampled_from(["mtd", "theta_u", "dense"]), data=st.data())
+def test_round_trip_property(tmp_path_factory, model, kind, data):
+    if kind == "theta_u":
+        model = to_theta_u(model, data.draw(st.integers(0, model.alphabet.size - 1), label="u"))
+    elif kind == "dense":
+        model = full_transition_matrix(model)
+    loaded, _ = round_trip(tmp_path_factory.mktemp("model"), model)
+    assert loaded == model
 
 
 def test_theta_u_tagged(tmp_path):

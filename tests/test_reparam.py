@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refdata
+from conftest import random_mtds
 from mtdchain import (
     Alphabet,
     MtdModel,
@@ -114,6 +115,22 @@ def _moebius_from_theta_u(theta):
     return table / table.sum(axis=1, keepdims=True)
 
 
+def _gather_from_theta_u(theta):
+    """``from_theta_u``'s table by one (q**m, q) gather per window and overlap (oracle)."""
+    q = theta.alphabet.size
+    m, l, u = theta.order, theta.lag_order, theta.u
+    histories = np.arange(q**m)
+    shared = q ** (l - 1)
+    table = np.zeros((q**m, q))
+    for g, t in enumerate(theta.tables, start=1):
+        blocks = (histories // q ** (g - 1)) % q**l
+        table += t[blocks]
+        if g > 1:
+            table -= t[u * shared + blocks % shared]
+    table = np.clip(table, 0.0, 1.0)
+    return table / table.sum(axis=1, keepdims=True)
+
+
 def _two_letter_l2_tables(overlap_row):
     """q=2, m=3, l=2, u=0 tables; the lag-2 row at block 1 should equal lag-1 block 2."""
     base = [1.0, 0.0]
@@ -145,6 +162,13 @@ class TestFromThetaU:
         model = random_mtd(q, m, l, seed=seed)
         back = from_theta_u(to_theta_u(model, u))
         assert np.abs(back.table - full_transition_matrix(model).table).max() < 1e-12
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(model=random_mtds(variants=("general",)), data=st.data())
+    def test_matches_gather_oracle(self, model, data):
+        u = data.draw(st.integers(0, model.alphabet.size - 1), label="u")
+        theta = to_theta_u(model, u)
+        assert np.array_equal(from_theta_u(theta).table, _gather_from_theta_u(theta))
 
     def test_overlap_mismatch_rejected(self):
         ab = Alphabet(("a", "b"))

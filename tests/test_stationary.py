@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_mtds
 from mtdchain import (
     Alphabet,
     AlphabetMismatch,
@@ -15,6 +18,7 @@ from mtdchain import (
     tv_distance,
     word_distribution,
 )
+from mtdchain.model import history_rows
 
 
 @pytest.fixture
@@ -77,6 +81,27 @@ def test_stationary_matches_bincount_oracle(q, m, kind):
     else:
         model = random_mtd(q, m, int(kind[-1]), seed=q + m)
     assert np.array_equal(stationary_histories(model), _bincount_stationary(model))
+
+
+def _gather_word_distribution(model, k) -> np.ndarray:
+    """Word probabilities by a ``bincount`` marginal up to order m and row gathers above (oracle)."""
+    q, m = model.alphabet.size, model.order
+    mu = stationary_histories(model)
+    if k <= m:
+        return np.bincount(np.arange(q**m) % q**k, weights=mu, minlength=q**k)
+    table = history_rows(model, np.arange(q**m))
+    probs = mu
+    for j in range(m, k):
+        probs = (probs[:, None] * table[np.arange(q**j) % q**m]).ravel()
+    return probs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=random_mtds(), data=st.data())
+def test_word_distribution_matches_gather_oracle(model, data):
+    k = data.draw(st.integers(1, model.order + 2), label="k")
+    expected = _gather_word_distribution(model, k)
+    assert np.array_equal(word_distribution(model, k).probs, expected)
 
 
 class TestWordDistribution:
