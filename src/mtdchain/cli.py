@@ -1,8 +1,24 @@
 """Command-line interface.
 
-Subcommands: count, fit, eval, sample, expand, convert, tv-experiment,
-bic-compare.  All outputs are TSV or JSON, deterministic given --seed;
-exit codes: 0 success, 2 usage error, 1 numerical or I/O failure.
+Each subcommand takes only the flags it reads; * marks a required one.
+
+  count          --alphabet* --order* --in* --format --out
+  fit            --alphabet* --order* --in* --format --out* --lag-order --variant
+                 --epsilon --restarts --max-iters --seed --algorithm --floor --trace-out
+  eval           --model* --in* --format --dim-convention --bic-n --out
+  sample         --model* --length* --prefix --seed --out
+  expand         --model* --out* --seed
+  convert        --model* --to* --out* --ref-letter --seed
+  tv-experiment  --gen-order --alphabet-size --length --fit-orders --replicates
+                 --word-len --seed --out
+  bic-compare    --alphabet* --orders* --in* --format --lag-orders --variant
+                 --epsilon --restarts --max-iters --dim-convention --seed --out
+
+expand and convert write --seed only into the model file's provenance.
+All outputs are TSV or JSON, deterministic given --seed.  Exit codes: 0
+success; 2 usage error (a missing, unknown, empty or malformed flag, or a
+value out of range), found before any work starts; 1 numerical or I/O failure.
+Every error is one ``mtdchain: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +39,14 @@ from .seqio import read_sequences
 
 
 class _UsageError(Exception):
-    """A flag value the library rejects; reported like argparse's usage errors."""
+    """A missing, unknown or rejected flag: one line on stderr and exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (and its subparsers) whose errors reach :func:`main` as usage errors."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _from_flags(build, *args, **kwargs):
@@ -34,10 +57,18 @@ def _from_flags(build, *args, **kwargs):
         raise _UsageError(f"invalid flag value: {err}") from None
 
 
-def parse_alphabet(spec: str) -> Alphabet:
+def _text(flag: str):
+    """The type of a text flag; argparse passes the _UsageError of an empty value on to main."""
+    def check(text: str) -> str:
+        if not text:  # e.g. ``--out ""`` from an unset shell variable
+            raise _UsageError(f"invalid flag value: {flag} must not be empty")
+        return text
+    return check
+
+
+def _tokens(text: str) -> list[str]:
     """'acgt' -> single-character symbols; '1,2,3' -> comma-separated tokens."""
-    tokens = spec.split(",") if "," in spec else list(spec)
-    return _from_flags(Alphabet, tuple(tokens))
+    return text.split(",") if "," in text else list(text)
 
 
 def _digest(path) -> str:
@@ -68,84 +99,73 @@ def _emit(text: str, out_path) -> None:
 
 
 def _load_corpus(args):
-    if not args.alphabet:
-        raise MtdError("--alphabet is required to read sequences")
-    alphabet = parse_alphabet(args.alphabet)
+    alphabet = _from_flags(Alphabet, tuple(_tokens(args.alphabet)))
     return read_sequences(args.infile, fmt=args.format, alphabet=alphabet)
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--alphabet", help="symbols, e.g. 'acgt' or '1,2,3'")
-    parser.add_argument("--order", type=int, help="Markov order m")
-    parser.add_argument("--lag-order", type=int, default=1, help="component block length l")
-    parser.add_argument("--variant", choices=("general", "single_matrix"), default="general")
-    parser.add_argument("--epsilon", type=float, default=1e-3)
-    parser.add_argument("--restarts", type=int, default=5)
-    parser.add_argument("--out", help="output path (default: stdout)")
+# each flag's parser settings; _SUBCOMMANDS says which commands take it
+_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--alphabet": dict(help="symbols, e.g. 'acgt' or '1,2,3'"),
+    "--order": dict(type=int, help="Markov order m"),
+    "--in": dict(dest="infile"),
+    "--format": dict(choices=("plain", "fasta"), default="plain"),
+    "--out": dict(help="output path (where optional, default: stdout)"),
+    "--lag-order": dict(type=int, default=1, help="component block length l"),
+    "--variant": dict(choices=("general", "single_matrix"), default="general"),
+    "--epsilon": dict(type=float, default=1e-3),
+    "--restarts": dict(type=int, default=5),
+    "--max-iters": dict(type=int, default=1000),
+    "--algorithm": dict(choices=("em", "berchtold"), default="em"),
+    "--floor": dict(type=float),
+    "--trace-out": dict(help="write the log-likelihood trace here"),
+    "--model": dict(),
+    "--dim-convention": dict(choices=("theta_u", "raw"), default="theta_u"),
+    "--bic-n": dict(choices=("terms", "length"), default="terms"),
+    "--length": dict(type=int, default=5000),
+    "--prefix": dict(help="initial m letters (default: uniform)"),
+    "--to": dict(dest="target", choices=("theta_u", "full_markov")),
+    "--ref-letter": dict(help="reference letter for theta_u (default: first symbol)"),
+    "--gen-order": dict(type=int, default=5),
+    "--alphabet-size": dict(type=int, default=4),
+    "--fit-orders": dict(default="2,3,4,5,6"),
+    "--replicates": dict(type=int, default=20),
+    "--word-len": dict(type=int, default=6),
+    "--orders": dict(help="comma-separated orders"),
+    "--lag-orders": dict(default="1"),
+}
+
+# each command's help line and the flags its cmd_* function reads; * marks a required flag
+_SUBCOMMANDS = {
+    "count": ("count (m+1)-letter words of a corpus",
+              "--alphabet* --order* --in* --format --out"),
+    "fit": ("fit an MTD model to a corpus",
+            "--alphabet* --order* --in* --format --out* --lag-order --variant --epsilon"
+            " --restarts --max-iters --seed --algorithm --floor --trace-out"),
+    "eval": ("log-likelihood, dimension, and BIC of a model",
+             "--model* --in* --format --dim-convention --bic-n --out"),
+    "sample": ("sample a sequence from a model", "--model* --length* --prefix --seed --out"),
+    "expand": ("expand an MTD model to its dense table", "--model* --out* --seed"),
+    "convert": ("convert between model parametrizations",
+                "--model* --to* --out* --ref-letter --seed"),
+    "tv-experiment": ("distance of fitted orders to a known generator",
+                      "--gen-order --alphabet-size --length --fit-orders --replicates"
+                      " --word-len --seed --out"),
+    "bic-compare": ("BIC of dense vs mixture models per order",
+                    "--alphabet* --orders* --in* --format --lag-orders --variant --epsilon"
+                    " --restarts --max-iters --dim-convention --seed --out"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mtdchain")
+    parser = _Parser(prog="mtdchain")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="count (m+1)-letter words of a corpus")
-    _common_flags(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("plain", "fasta"), default="plain")
-
-    p = sub.add_parser("fit", help="fit an MTD model to a corpus")
-    _common_flags(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("plain", "fasta"), default="plain")
-    p.add_argument("--algorithm", choices=("em", "berchtold"), default="em")
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--floor", type=float, default=None)
-    p.add_argument("--trace-out", help="write the log-likelihood trace here")
-
-    p = sub.add_parser("eval", help="log-likelihood, dimension, and BIC of a model")
-    _common_flags(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("plain", "fasta"), default="plain")
-    p.add_argument("--dim-convention", choices=("theta_u", "raw"), default="theta_u")
-    p.add_argument("--bic-n", choices=("terms", "length"), default="terms")
-
-    p = sub.add_parser("sample", help="sample a sequence from a model")
-    _common_flags(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--prefix", help="initial m letters (default: uniform)")
-
-    p = sub.add_parser("expand", help="expand an MTD model to its dense table")
-    _common_flags(p)
-    p.add_argument("--model", required=True)
-    p.set_defaults(target="full_markov")
-
-    p = sub.add_parser("convert", help="convert between model parametrizations")
-    _common_flags(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--to", dest="target", choices=("theta_u", "full_markov"), required=True)
-    p.add_argument("--ref-letter", help="reference letter for theta_u (default: first symbol)")
-
-    p = sub.add_parser("tv-experiment", help="distance of fitted orders to a known generator")
-    _common_flags(p)
-    p.add_argument("--gen-order", type=int, default=5)
-    p.add_argument("--alphabet-size", type=int, default=4)
-    p.add_argument("--length", type=int, default=5000)
-    p.add_argument("--fit-orders", default="2,3,4,5,6")
-    p.add_argument("--replicates", type=int, default=20)
-    p.add_argument("--word-len", type=int, default=6)
-
-    p = sub.add_parser("bic-compare", help="BIC of dense vs mixture models per order")
-    _common_flags(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("plain", "fasta"), default="plain")
-    p.add_argument("--orders", required=True, help="comma-separated orders")
-    p.add_argument("--lag-orders", default="1")
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--dim-convention", choices=("theta_u", "raw"), default="theta_u")
-
+    for command, (help_line, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_line, allow_abbrev=False)
+        for flag in flags.split():
+            name = flag.rstrip("*")
+            p.add_argument(name, required=flag != name, **{"type": _text(name), **_FLAGS[name]})
+    sub.choices["expand"].set_defaults(target="full_markov")
     return parser
 
 
@@ -171,14 +191,8 @@ def _check_variant(variant: str, lag_orders) -> None:
         raise _UsageError(f"invalid flag value: single_matrix needs lag order 1, not {lag_orders}")
 
 
-def _require_order(args) -> int:
-    if args.order is None:
-        raise MtdError("--order is required")
-    return _at_least("--order", args.order)
-
-
 def cmd_count(args, argv) -> int:
-    order = _require_order(args)
+    order = _at_least("--order", args.order)
     sequences = _load_corpus(args)
     counts = count_ngrams(sequences, order)
     write_counts(counts, args.out or sys.stdout)
@@ -198,9 +212,7 @@ def _em_config(args, **fields) -> EmConfig:
 
 
 def cmd_fit(args, argv) -> int:
-    if not args.out:
-        raise MtdError("fit requires --out for the model file")
-    order = _require_order(args)
+    order = _at_least("--order", args.order)
     if not 1 <= args.lag_order <= order:
         raise _UsageError(
             f"invalid flag value: --lag-order must be in 1..{order}, got {args.lag_order}"
@@ -255,16 +267,11 @@ def cmd_eval(args, argv) -> int:
 
 def cmd_sample(args, argv) -> int:
     _at_least("--length", args.length)
-    # every model has order >= 1; a prefix of another length is a data error
-    if args.prefix == "":
-        raise _UsageError("invalid flag value: --prefix must not be empty")
     model, _ = read_model(args.model)
     model = _as_transition_model(model)
     init = "uniform"
     if args.prefix is not None:
-        init = model.alphabet.encode(
-            args.prefix.split(",") if "," in args.prefix else list(args.prefix)
-        )
+        init = model.alphabet.encode(_tokens(args.prefix))
     seq = sample_sequence(model, args.length, seed=args.seed, init=init)
     _emit(seq.labels() + "\n", args.out)
     return 0
@@ -272,8 +279,6 @@ def cmd_sample(args, argv) -> int:
 
 def cmd_convert(args, argv) -> int:
     """``convert``, and ``expand``, which is ``convert --to full_markov``."""
-    if not args.out:
-        raise MtdError(f"{args.command} requires --out for the model file")
     model, _ = read_model(args.model)
     if args.target == "full_markov":
         converted = full_transition_matrix(_as_transition_model(model))
@@ -288,8 +293,6 @@ def cmd_convert(args, argv) -> int:
 
 def cmd_tv_experiment(args, argv) -> int:
     q = _at_least("--alphabet-size", args.alphabet_size, 2)
-    if args.alphabet:
-        q = parse_alphabet(args.alphabet).size
     gen_order = _at_least("--gen-order", args.gen_order)
     rows, _ = tv_experiment(
         gen_order=gen_order,
@@ -347,10 +350,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _at_least("--seed", args.seed, 0)
+        args = build_parser().parse_args(argv)
+        _at_least("--seed", getattr(args, "seed", 0), 0)
         return _COMMANDS[args.command](args, argv)
     except _UsageError as err:
         print(f"mtdchain: error: {err}", file=sys.stderr)

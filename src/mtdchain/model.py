@@ -66,9 +66,6 @@ class Alphabet:
     def encode(self, labels) -> np.ndarray:
         return np.array([self.index(s) for s in labels], dtype=np.int64)
 
-    def decode(self, indices) -> list[str]:
-        return [self.symbols[self.check_index(i)] for i in indices]
-
     def check_index(self, i: int) -> int:
         i = int(i)
         if not 0 <= i < self.size:

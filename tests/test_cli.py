@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import io
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -83,7 +85,7 @@ def test_fit_without_out_fails_before_work(corpus, monkeypatch, capsys):
     monkeypatch.setattr(cli, "fit_with_restarts", forbidden)
     rc = cli.main(["fit", "--in", corpus, "--alphabet", "acgt", "--order", "3"])
     captured = capsys.readouterr()
-    assert rc == 1
+    assert rc == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("mtdchain: error: ") and "--out" in captured.err
@@ -147,6 +149,14 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
     assert captured.err.startswith("mtdchain: error: ") and bad in captured.err
 
 
+def _forbid_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("read_sequences", "read_model", "bic_compare", "tv_experiment"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [
@@ -181,7 +191,6 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
         ("sample", ["--prefix", ""]),
         ("fit", ["--alphabet", "acgt", "--floor", "-5", "--algorithm", "berchtold"]),
         ("fit", ["--alphabet", "acgt", "--restarts", "0", "--algorithm", "berchtold"]),
-        ("count", ["--seed", "-1"]),
         ("fit", ["--alphabet", "acgt", "--seed", "-1"]),
         ("fit", ["--alphabet", "acgt", "--seed", "-1", "--algorithm", "berchtold"]),
         ("sample", ["--seed", "-1"]),
@@ -198,20 +207,15 @@ def test_undecodable_input_is_one_line_error(command, corpus, tmp_path, capsys):
         "word-len-0", "alphabet-size-1", "replicates-0", "tv-experiment-length-below-gen-order",
         "sample-length-0", "sample-prefix-empty",
         "floor-negative-berchtold", "restarts-0-berchtold",
-        "count-seed-negative", "fit-seed-negative", "fit-seed-negative-berchtold",
+        "fit-seed-negative", "fit-seed-negative-berchtold",
         "sample-seed-negative", "bic-compare-seed-negative", "tv-experiment-seed-negative",
     ],
 )
 def test_rejected_flag_value_is_usage_error(
     command, flags, corpus, tmp_path, monkeypatch, capsys
 ):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("work started before the flags were checked")
-
-    for name in ("read_sequences", "read_model", "bic_compare", "tv_experiment"):
-        monkeypatch.setattr(cli, name, forbidden)
+    _forbid_work(monkeypatch)
     argv = {
-        "count": ["count", "--in", corpus, "--alphabet", "acgt", "--order", "3"],
         "fit": ["fit", "--in", corpus, "--order", "3", "--out", str(tmp_path / "m.json")],
         "sample": ["sample", "--model", str(tmp_path / "m.json"), "--length", "10"],
         "bic-compare": ["bic-compare", "--in", corpus, "--alphabet", "acgt"],
@@ -224,14 +228,122 @@ def test_rejected_flag_value_is_usage_error(
     assert captured.err.startswith("mtdchain: error: invalid flag value: ")
 
 
-def _assert_one_line_failure(argv, capsys, *mentions):
-    assert cli.main(argv) == 1
+def _assert_one_line_failure(argv, capsys, *mentions, code=1):
+    assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("mtdchain: error: ")
     for text in mentions:
         assert text in captured.err
+
+
+# the flags each command reads; * marks a required flag
+FLAGS = {
+    "count": "--alphabet* --order* --in* --format --out",
+    "fit": "--alphabet* --order* --in* --format --out* --lag-order --variant --epsilon"
+           " --restarts --max-iters --seed --algorithm --floor --trace-out",
+    "eval": "--model* --in* --format --dim-convention --bic-n --out",
+    "sample": "--model* --length* --prefix --seed --out",
+    "expand": "--model* --out* --seed",
+    "convert": "--model* --to* --out* --ref-letter --seed",
+    "tv-experiment": "--gen-order --alphabet-size --length --fit-orders --replicates"
+                     " --word-len --seed --out",
+    "bic-compare": "--alphabet* --orders* --in* --format --lag-orders --variant --epsilon"
+                   " --restarts --max-iters --dim-convention --seed --out",
+}
+
+
+def _required_argv(command, corpus, tmp_path):
+    """``command`` with a value for each of its required flags."""
+    values = {"--alphabet": "acgt", "--order": "3", "--in": corpus,
+              "--out": str(tmp_path / "out"), "--model": str(tmp_path / "m.json"),
+              "--length": "10", "--to": "theta_u", "--orders": "2"}
+    argv = [command]
+    for flag in FLAGS[command].split():
+        if flag.endswith("*"):
+            argv += [flag[:-1], values[flag[:-1]]]
+    return argv
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    (commands,) = [a.choices for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: {(f"{a.option_strings[0]}*" if a.required else a.option_strings[0])
+               for a in parser._actions if a.dest != "help"}
+        for name, parser in commands.items()
+    }
+    assert declared == {name: set(flags.split()) for name, flags in FLAGS.items()}
+    assert sum(len(flags) for flags in declared.values()) == 58
+
+
+UNREAD_FLAGS = [
+    ("count", "--seed", "-1"),
+    ("count", "--restarts", "3"),
+    ("eval", "--alphabet", "xyzw"),
+    ("eval", "--order", "9"),
+    ("eval", "--variant", "single_matrix"),
+    ("eval", "--restarts", "-4"),
+    ("sample", "--epsilon", "0.1"),
+    ("sample", "--alphabet", "acgt"),
+    ("expand", "--to", "theta_u"),
+    ("convert", "--order", "3"),
+    ("tv-experiment", "--alphabet", "xyz"),
+    ("tv-experiment", "--in", "corpus.txt"),
+    ("bic-compare", "--order", "5"),
+    ("bic-compare", "--lag-order", "2"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", UNREAD_FLAGS, ids=[c + f[1:] for c, f, _ in UNREAD_FLAGS]
+)
+def test_unread_flag_is_usage_error(command, flag, value, corpus, tmp_path, monkeypatch, capsys):
+    _forbid_work(monkeypatch)
+    argv = _required_argv(command, corpus, tmp_path) + [flag, value]
+    _assert_one_line_failure(argv, capsys, "unrecognized arguments: " + flag, code=2)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f[:-1]) for c, flags in FLAGS.items() for f in flags.split() if f.endswith("*")],
+    ids=lambda x: x.lstrip("-"),
+)
+def test_missing_required_flag_is_usage_error(command, flag, corpus, tmp_path, monkeypatch,
+                                              capsys):
+    _forbid_work(monkeypatch)
+    argv = _required_argv(command, corpus, tmp_path)
+    i = argv.index(flag)
+    del argv[i : i + 2]
+    _assert_one_line_failure(argv, capsys, "the following arguments are required: " + flag,
+                             code=2)
+
+
+@pytest.mark.parametrize(
+    "argv, mention",
+    [
+        ([], "required: command"),
+        (["fitt"], "invalid choice: 'fitt'"),
+        (["count", "--alphabet", "acgt", "--in", "c.txt", "--order", "x"],
+         "--order: invalid int value"),
+        (["fit", "--alphabet", "acgt", "--in", "c.txt", "--order", "3", "--out", "m.json",
+          "--epsilon", "small"], "--epsilon: invalid float value"),
+        (["eval", "--model", "m.json", "--in", "c.txt", "--format", "fastq"],
+         "--format: invalid choice"),
+        (["fit", "--alphabet", "acgt", "--in", "c.txt", "--order", "3", "--out", ""],
+         "invalid flag value: --out must not be empty"),
+        (["count", "--alphabet", "acgt", "--in", "", "--order", "3"],
+         "invalid flag value: --in must not be empty"),
+        (["eval", "--model", "m.json", "--in", "c.txt", "--out="],
+         "invalid flag value: --out must not be empty"),
+    ],
+    ids=["no-command", "unknown-command", "order-not-int", "epsilon-not-float",
+         "format-not-a-choice", "fit-out-empty", "count-in-empty", "eval-out-empty"],
+)
+def test_malformed_command_line_is_usage_error(argv, mention, monkeypatch, capsys):
+    _forbid_work(monkeypatch)
+    _assert_one_line_failure(argv, capsys, mention, code=2)
 
 
 def test_rejected_model_file_is_one_line_error(corpus, tmp_path, capsys):
@@ -348,6 +460,46 @@ def test_history_index_overflow_is_one_line_error(tmp_path, capsys, command):
         "sample": ["sample", "--model", model_path, "--length", "100"],
     }[command]
     _assert_one_line_failure(argv, capsys, "overflow 64-bit word indices")
+
+
+def _exact_row(model, history):
+    """Next-letter row of a history index, its lag blocks taken with Python integers."""
+    q, l = model.alphabet.size, model.lag_order
+    return sum(model.phi[g - 1] * model.matrix_for_lag(g)[history // q ** (g - 1) % q**l]
+               for g in range(1, model.n_components + 1))
+
+
+# 3**39 histories fit 64-bit indices but their 3**40 successor words do not
+@pytest.mark.parametrize("command", ["convert", "sample"])
+def test_histories_whose_words_overflow_int64(tmp_path, capsys, command):
+    model = random_mtd(3, 39, 1, seed=2)
+    model_path, out_path = str(tmp_path / "model.json"), str(tmp_path / "out")
+    write_model(model_path, model)
+    if command == "convert":
+        # reference letter '2' makes u...u the largest history, 3**39 - 1
+        argv = ["convert", "--model", model_path, "--to", "theta_u", "--ref-letter", "2",
+                "--out", out_path]
+        assert cli.main(argv) == 0
+        theta, _ = read_model(out_path)
+        u_all = 3**39 - 1
+        for g, table in enumerate(theta.tables, 1):
+            expected = [_exact_row(model, u_all + (b - 2) * 3 ** (g - 1)) for b in range(3)]
+            np.testing.assert_allclose(table, expected, rtol=1e-14)
+    else:
+        # the documented draw: the first 39 letters from rng.integers, then each
+        # history's row bisected at the next value of one rng.random call
+        argv = ["sample", "--model", model_path, "--length", "200", "--seed", "5",
+                "--out", out_path]
+        assert cli.main(argv) == 0
+        rng = np.random.default_rng(5)
+        letters = [int(a) for a in rng.integers(0, 3, size=39)]
+        h = int(np.dot(letters, 3 ** np.arange(38, -1, -1, dtype=object)))
+        for draw in rng.random(161):
+            letter = bisect_right(np.cumsum(_exact_row(model, h))[:-1], draw)
+            letters.append(letter)
+            h = h % 3**38 * 3 + letter
+        with open(out_path) as fh:
+            assert fh.read() == "".join(map(str, letters)) + "\n"
 
 
 def test_sample_then_count_multi_character_symbols(tmp_path, capsys):

@@ -34,7 +34,6 @@ class TestAlphabet:
     def test_basic(self, dna):
         assert dna.size == 4
         assert dna.index("g") == 2
-        assert dna.decode([3, 0]) == ["t", "a"]
         assert list(dna.encode("cat")) == [1, 0, 3]
 
     def test_rejects_duplicates_and_tiny(self):
