@@ -19,6 +19,7 @@ from .counts import (
 from .em import (
     EmConfig,
     FitReport,
+    RestartRecord,
     e_step,
     em_fit,
     fit_with_restarts,

@@ -36,11 +36,20 @@ theta_2 itself.  The cycle ends with one EM map from the kept point, so
 every kept iterate is a feasible model and the likelihood never goes
 down.  The paper's plain EM, without extrapolation, is a loop over
 :func:`e_step` and :func:`m_step`, which run the same map.
+
+:func:`fit_with_restarts` runs EM from several starts, as the paper does
+against local optima, but screens them: each start gets 10 EM maps, and
+only the one with the highest log-likelihood then (the leader) runs on,
+down to a threshold 100 times below ``epsilon``.  Starts run to
+``epsilon`` end within a few hundredths of a nat of each other, a spread
+set by where each stops rather than by which optimum it climbs, so a
+polished leader typically ends as high as the best of them, and most
+maps of the losing starts are never run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -53,6 +62,10 @@ from .reparam import ThetaU, bic, model_dimension, to_theta_u
 
 # step halving stops short of alpha = -1, where the extrapolation is theta_2 itself
 _ALPHA_FLOOR = -1.0 - 1.0 / 16
+# EM maps every restart runs before fit_with_restarts picks its leader
+_SCREEN_MAPS = 10
+# the leader's polish runs until a map gains less than epsilon / _POLISH_FACTOR
+_POLISH_FACTOR = 100
 
 
 @dataclass
@@ -60,11 +73,16 @@ class EmConfig:
     """Knobs for :func:`em_fit` and :func:`fit_with_restarts`.
 
     ``epsilon`` is the stopping threshold on the absolute log-likelihood
-    increase of one EM map over its input, and ``max_iters`` caps the
-    number of EM maps; ``n_restarts`` counts one contingency-table
-    initialization plus uniform-random ones; ``floor``, when set, bounds
-    every mixture component weight below before posterior normalization
-    instead of aborting on a degenerate word.
+    increase of one EM map over its input: :func:`em_fit` stops there,
+    and :func:`fit_with_restarts` with several restarts polishes its
+    leader down to ``epsilon / 100``.  ``max_iters`` caps the number of
+    EM maps of one returned fit, a leader's screening and polish
+    together.  ``n_restarts`` counts one contingency-table
+    initialization plus uniform-random ones; with more than one, each
+    is screened for 10 EM maps (at most ``max_iters``) and only the
+    leader runs on.  ``floor``, when set, bounds every mixture component
+    weight below before posterior normalization instead of aborting on a
+    degenerate word.
     """
 
     epsilon: float = 1e-3
@@ -88,9 +106,27 @@ class EmConfig:
             raise ValueError(f"single_matrix variant requires lag_order 1, got {self.lag_order}")
 
 
+class RestartRecord(NamedTuple):
+    """One start of :func:`fit_with_restarts`, in restart order.
+
+    ``init`` is ``"contingency"`` or ``"random"``.  ``loglik`` is the
+    log-likelihood the start reached when screened (with one restart,
+    its whole run), or None if ``error`` says why it failed.
+    """
+
+    index: int
+    init: str
+    loglik: float | None
+    error: DegenerateLikelihood | None
+
+
 @dataclass
 class FitReport:
-    """Outcome of one fit: parameters, trace, and selection scores."""
+    """Outcome of one fit: parameters, trace, and selection scores.
+
+    ``restarts`` records every start of :func:`fit_with_restarts`; it is
+    empty for a single run.
+    """
 
     model: MtdModel
     loglik_trace: np.ndarray
@@ -99,6 +135,7 @@ class FitReport:
     converged: bool
     restart_index: int | None
     bic: float
+    restarts: tuple[RestartRecord, ...] = ()
 
     @cached_property
     def theta_u(self) -> ThetaU:
@@ -362,21 +399,35 @@ def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) 
 
 
 def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> FitReport:
-    """Best of one contingency-initialized run plus random restarts.
+    """Screen one contingency-initialized start plus random ones, then polish the leader.
 
     Restart 0 starts from :func:`init_contingency`; restarts 1..n-1 start
-    from seeded uniform-random models.  Returns the report with the
-    highest final log-likelihood (ties: lowest restart index).
+    from seeded uniform-random models.  Each runs :func:`em_fit` for at
+    most 10 EM maps (never more than ``max_iters``); a start that hits a
+    degenerate likelihood fails.  The leader is the screened run with the
+    highest log-likelihood (ties: lowest restart index), and it continues
+    by :func:`em_fit` from its screened model at ``epsilon / 100`` with
+    the maps left of ``max_iters``.  With one restart the fit is that
+    start's :func:`em_fit` at ``epsilon``, unscreened.
+
+    The report describes the leader: its trace is the screening trace
+    followed by the polish's, without the repeated entry where they
+    join, so it never goes down and holds at most ``max_iters`` maps;
+    ``iterations``, ``converged``, ``restart_index`` and ``bic`` are
+    those of that trace.  ``restarts`` records every start.
     """
     config = config or EmConfig()
     q = counts.alphabet.size
     seeds = np.random.SeedSequence(config.seed).spawn(max(config.n_restarts - 1, 0))
-    best = None
-    failures = []
+    screened = config.n_restarts > 1
+    screen = replace(config, max_iters=min(_SCREEN_MAPS, config.max_iters)) if screened else config
+    leader = None
+    records = []
     for r in range(config.n_restarts):
         if r == 0:
-            init = init_contingency(counts, config.lag_order, config.variant)
+            kind, init = "contingency", init_contingency(counts, config.lag_order, config.variant)
         else:
+            kind = "random"
             init = random_mtd(
                 q,
                 counts.order,
@@ -386,16 +437,27 @@ def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> Fi
                 alphabet=counts.alphabet,
             )
         try:
-            report = em_fit(counts, init, config)
+            report = em_fit(counts, init, screen)
         except DegenerateLikelihood as err:
-            failures.append((r, err))
+            records.append(RestartRecord(r, kind, None, err))
             continue
+        records.append(RestartRecord(r, kind, report.final_loglik, None))
         report.restart_index = r
-        if best is None or report.final_loglik > best.final_loglik:
-            best = report
-    if best is None:
+        if leader is None or report.final_loglik > leader.final_loglik:
+            leader = report
+    if leader is None:
         raise AllRestartsFailed(
             f"all {config.n_restarts} restarts hit a degenerate likelihood",
-            failures=failures,
+            failures=[(rec.index, rec.error) for rec in records],
         )
-    return best
+    left = config.max_iters - leader.iterations
+    if screened and left > 0:
+        polish = em_fit(
+            counts,
+            leader.model,
+            replace(config, epsilon=config.epsilon / _POLISH_FACTOR, max_iters=left),
+        )
+        trace = np.concatenate([leader.loglik_trace, polish.loglik_trace[1:]])
+        leader = _make_report(polish.model, trace, polish.converged, leader.restart_index, counts)
+    leader.restarts = tuple(records)
+    return leader

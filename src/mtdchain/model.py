@@ -337,8 +337,9 @@ def transition_prob(model: MtdModel, history, next_symbol: int) -> float:
     hist = _check_history(model, history)
     q = model.alphabet.size
     j = model.alphabet.check_index(next_symbol)
-    word = word_to_index(hist, q) * q + j
-    return float(word_probabilities(model, np.array([word]))[0])
+    # the history index fits int64 where the word index h*q + j may not
+    _check_word_space(q, model.order)
+    return float(history_rows(model, [word_to_index(hist, q)])[0, j])
 
 
 def history_rows(model, history_indices: np.ndarray) -> np.ndarray:

@@ -22,12 +22,12 @@ from mtdchain import (
 from mtdchain import cli
 
 # Outputs of these exact commands, recorded before the EM kernel rewrite
-# (the count table before the array-backed counts, the fit summary once EM
-# ran in SQUAREM cycles); scripts parse them, so they must stay
-# byte-identical.
+# (the count table before the array-backed counts, the fit summary once
+# restarts were screened and only the leader polished); scripts parse
+# them, so they must stay byte-identical.
 FIT_GOLDEN = (
     "final_loglik\titerations\tconverged\tbic\n"
-    "-5130.630734360894\t18\tTrue\t10522.186851087974\n"
+    "-5130.62782493133\t41\tTrue\t10522.181032228846\n"
 )
 # final_loglik of the same fit by plain EM, 56 EM maps
 PLAIN_EM_FIT_LOGLIK = -5130.635749929632
@@ -359,6 +359,7 @@ def test_bic_compare_order_too_large_is_one_line_error(corpus, capsys):
 
 
 # Outputs of these commands recorded before from_theta_u became a window-chain sum
+# (the bic-compare table once restarts were screened and only the leader polished)
 CONVERT_THETA_U_SHA256 = "fd98fb43b8d186c14e27c3890bfbab1092957f6d329a83968f789757fe3522fb"
 BIC_COMPARE_GOLDEN = (
     "order\tlag_order\tn_terms\tloglik_full\tdim_full\tbic_full"
@@ -366,13 +367,13 @@ BIC_COMPARE_GOLDEN = (
     "1\t1\t5996\t-6013.52352539126\t12\t12131.43322509319"
     "\t-6013.52352539126\t12\t12131.43322509319\t0.0\n"
     "2\t1\t5992\t-5750.411482623633\t48\t11918.335630456724"
-    "\t-5771.303046593978\t21\t11725.267884217095\t193.06774623962883\n"
+    "\t-5771.299695049087\t21\t11725.261181127313\t193.07444932941144\n"
     "2\t2\t5992\t-5750.411482623633\t48\t11918.335630456724"
     "\t-5750.411482623633\t48\t11918.335630456724\t0.0\n"
     "3\t1\t5988\t-5048.496614091014\t192\t11766.915675325616"
-    "\t-5130.630734360894\t30\t10522.186851087974\t1244.7288242376417\n"
+    "\t-5130.62777099945\t30\t10522.180924365086\t1244.7347509605297\n"
     "3\t2\t5988\t-5048.496614091014\t192\t11766.915675325616"
-    "\t-5100.702398211651\t84\t10931.995867048621\t834.9198082769944\n"
+    "\t-5100.677440419413\t84\t10931.945951464146\t834.9697238614699\n"
 )
 TV_EXPERIMENT_GOLDEN = (
     "replicate\tfit_order\ttv\n"

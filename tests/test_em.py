@@ -174,6 +174,29 @@ def plain_em(counts, init, config):
     return np.asarray(trace), model
 
 
+def oracle_fit_with_restarts(counts, config):
+    """The restart rule before screening: every start runs em_fit to epsilon, best final wins.
+
+    Starts, seeds and init order are fit_with_restarts's; a degenerate start is skipped.
+    """
+    q = counts.alphabet.size
+    seeds = np.random.SeedSequence(config.seed).spawn(config.n_restarts - 1)
+    best = None
+    for r in range(config.n_restarts):
+        if r == 0:
+            init = init_contingency(counts, config.lag_order, config.variant)
+        else:
+            init = random_mtd(q, counts.order, config.lag_order, variant=config.variant,
+                              seed=seeds[r - 1], alphabet=counts.alphabet)
+        try:
+            report = em_fit(counts, init, config)
+        except DegenerateLikelihood:
+            continue
+        if best is None or report.final_loglik > best.final_loglik:
+            best = report
+    return best
+
+
 def assert_first_maps_plain(counts, init, config, trace):
     """em_fit's two maps before its first extrapolation are the plain EM maps."""
     report = em_fit(counts, init, dataclasses.replace(config, max_iters=2))
@@ -430,6 +453,7 @@ class TestEmFit:
         report = em_fit(counts, init, EmConfig())
         assert report.iterations <= 2
         assert report.converged
+        assert report.restarts == ()
         assert abs(report.final_loglik - report.loglik_trace[0]) < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
@@ -566,7 +590,93 @@ class TestFitWithRestarts:
             finals.append(
                 em_fit(counts, random_mtd(4, 2, 1, seed=s, alphabet=dna), config).final_loglik
             )
-        assert best.final_loglik == max(finals)
+        assert best.final_loglik >= max(finals) - 1e-6
+
+    def test_leader_is_screened_then_polished(self, dna):
+        truth = random_mtd(4, 3, 1, seed=41, alphabet=dna)
+        counts = count_ngrams([sample_sequence(truth, 3000, seed=42)], 3)
+        config = EmConfig(n_restarts=4, seed=43, epsilon=1e-4)
+        report = fit_with_restarts(counts, config)
+        seeds = np.random.SeedSequence(43).spawn(3)
+        inits = [init_contingency(counts)]
+        inits += [random_mtd(4, 3, 1, seed=s, alphabet=dna) for s in seeds]
+        screen = dataclasses.replace(config, max_iters=10)
+        screens = [em_fit(counts, init, screen) for init in inits]
+        assert [(rec.index, rec.init, rec.loglik, rec.error) for rec in report.restarts] == [
+            (r, "contingency" if r == 0 else "random", s.final_loglik, None)
+            for r, s in enumerate(screens)
+        ]
+        lead = int(np.argmax([s.final_loglik for s in screens]))
+        leader = screens[lead]
+        polish = em_fit(
+            counts,
+            leader.model,
+            dataclasses.replace(config, epsilon=1e-6, max_iters=1000 - leader.iterations),
+        )
+        assert polish.loglik_trace[0] == leader.final_loglik
+        trace = np.concatenate([leader.loglik_trace, polish.loglik_trace[1:]])
+        assert np.array_equal(report.loglik_trace, trace)
+        assert report.model == polish.model
+        assert report.restart_index == lead
+        assert (report.iterations, report.converged) == (len(trace) - 1, polish.converged)
+        assert (report.final_loglik, report.bic) == (polish.final_loglik, polish.bic)
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 12])
+    def test_max_iters_caps_screen_and_polish(self, dna, max_iters):
+        truth = random_mtd(4, 3, 2, seed=51, alphabet=dna)
+        counts = count_ngrams([sample_sequence(truth, 3000, seed=52)], 3)
+        config = EmConfig(n_restarts=5, max_iters=max_iters, seed=53, lag_order=2, epsilon=1e-9)
+        report = fit_with_restarts(counts, config)
+        trace = report.loglik_trace
+        assert report.iterations == len(trace) - 1 <= max_iters
+        assert np.diff(trace).min() >= 0.0
+        assert trace[-1] == report.final_loglik == loglik_from_counts(report.model, counts)
+        assert len(report.restarts) == 5
+
+    def test_degenerate_restart_is_recorded(self, song):
+        counts = count_ngrams([random_sequence(song, 500, 8)], 2)
+        pi = np.array([[1.0, 0.0, 0.0]] * 3)
+        degenerate = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
+        random_mtd_original = em_module.random_mtd
+        starts = []
+
+        def second_random_start_degenerate(*args, **kwargs):
+            starts.append(random_mtd_original(*args, **kwargs))
+            return degenerate if len(starts) == 2 else starts[-1]
+
+        config = EmConfig(n_restarts=3, seed=9)
+        with mock.patch.object(em_module, "random_mtd", second_random_start_degenerate):
+            report = em_module.fit_with_restarts(counts, config)
+        inits = [init_contingency(counts), starts[0]]
+        screened = [em_fit(counts, init, dataclasses.replace(config, max_iters=10))
+                    for init in inits]
+        kinds = [(rec.index, rec.init) for rec in report.restarts]
+        assert kinds == [(0, "contingency"), (1, "random"), (2, "random")]
+        assert isinstance(report.restarts[2].error, DegenerateLikelihood)
+        assert report.restarts[2].loglik is None
+        assert [rec.loglik for rec in report.restarts[:2]] == [s.final_loglik for s in screened]
+        assert report.restart_index == int(np.argmax([s.final_loglik for s in screened]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        source=st.sampled_from(["pewee", "crystallin", "mtd-l1", "mtd-l2"]),
+        n=st.sampled_from([300, 1000, 3000]),
+        floor=st.sampled_from([None, 1e-9]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_screened_at_least_full_restarts(self, source, n, floor, seed):
+        if source == "pewee":
+            truth = build_model(Alphabet(refdata.SONG_SYMBOLS), refdata.PEWEE_EM_PARAMS)
+        elif source == "crystallin":
+            truth = build_model(Alphabet(refdata.DNA_SYMBOLS), refdata.CRYSTALLIN_EM_PARAMS)
+        else:
+            truth = random_mtd(4, 4, int(source[-1]), seed=seed)
+        counts = count_ngrams([sample_sequence(truth, n, seed=seed + 1)], truth.order)
+        config = EmConfig(seed=seed + 2, floor=floor, lag_order=truth.lag_order)
+        report = fit_with_restarts(counts, config)
+        assert report.final_loglik >= oracle_fit_with_restarts(counts, config).final_loglik - 1e-6
+        assert np.diff(report.loglik_trace).min() >= 0.0
+        assert report.iterations <= config.max_iters
 
     def test_deterministic(self, dna):
         counts = count_ngrams([random_sequence(dna, 500, 6)], 2)

@@ -132,6 +132,17 @@ class TestTransitionProb:
         with pytest.raises(InvalidSymbol):
             transition_prob(equiv_model_a, [0, 0], 9)
 
+    def test_history_whose_words_overflow_int64(self):
+        # 3**39 histories fit 64-bit indices but their 3**40 successor words do not
+        model = random_mtd(3, 39, 1, seed=2)
+        random_history = [int(a) for a in np.random.default_rng(7).integers(0, 3, size=39)]
+        for hist in ([2] * 39, random_history):
+            h = word_to_index(hist, 3)
+            for j in range(3):
+                exact = sum(model.phi[g - 1] * model.matrix_for_lag(g)[h // 3 ** (g - 1) % 3, j]
+                            for g in range(1, 40))
+                assert transition_prob(model, hist, j) == exact
+
     @pytest.mark.parametrize("seed", range(8))
     def test_rows_normalize(self, seed):
         rng = np.random.default_rng(seed)
