@@ -15,6 +15,8 @@ Each subcommand takes only the flags it reads; * marks a required one.
                  --epsilon --restarts --max-iters --dim-convention --seed --out
 
 expand and convert write --seed only into the model file's provenance.
+sample --prefix is spelled like one sequence file line over the model's
+alphabet: case variants read as their symbols, ',' joins multi-character ones.
 All outputs are TSV or JSON, deterministic given --seed.  Exit codes: 0
 success; 2 usage error (a missing, unknown, empty or malformed flag, or a
 value out of range), found before any work starts; 1 numerical or I/O failure.
@@ -269,9 +271,7 @@ def cmd_sample(args, argv) -> int:
     _at_least("--length", args.length)
     model, _ = read_model(args.model)
     model = _as_transition_model(model)
-    init = "uniform"
-    if args.prefix is not None:
-        init = model.alphabet.encode(_tokens(args.prefix))
+    init = "uniform" if args.prefix is None else model.alphabet.decode(args.prefix.strip())
     seq = sample_sequence(model, args.length, seed=args.seed, init=init)
     _emit(seq.labels() + "\n", args.out)
     return 0

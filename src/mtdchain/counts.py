@@ -9,8 +9,8 @@ indices and optional weights: a ``np.bincount`` over the word space
 when the words are at least as many, else ``np.unique``, with the
 weights of a repeated word summed exactly.  Fitting code reads the two
 arrays directly.  The counts file format (``word<TAB>count`` lines) is
-defined here and nowhere else; only its letter separator is shared with
-sequence files.
+defined here and nowhere else; :class:`Alphabet`, the single owner of
+the letter format, spells and decodes its words as sequence file lines.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .model import (
     Alphabet,
     _check_word_space,
     _lag_cells,
-    _separator,
     _window_word_indices,
-    word_to_index,
 )
 
 _SPELL_CHUNK = 1 << 16  # bounds the temporary string arrays of write_counts
@@ -167,25 +165,25 @@ def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> np.
 
 
 def _count_lines(counts: NGramCounts):
-    """'word<TAB>count' lines; numpy spells ``_SPELL_CHUNK`` words at a time."""
-    q, k, sep = counts.alphabet.size, counts.word_length, _separator(counts.alphabet)
-    first = np.array(counts.alphabet.symbols)
-    later = np.char.add(sep, first)
+    """'word<TAB>count' text, one flat join per ``_SPELL_CHUNK`` words."""
+    alphabet, k, q = counts.alphabet, counts.word_length, counts.alphabet.size
     powers = q ** np.arange(k - 1, -1, -1)
+    # a letter in every step-th column, a separator (if any) after each, then the count
+    step = 2 if alphabet.separator else 1
     for lo in range(0, len(counts), _SPELL_CHUNK):
         part = slice(lo, lo + _SPELL_CHUNK)
         letters = counts.word_indices()[part, None] // powers % q
-        spelled = first[letters[:, 0]]
-        for j in range(1, k):
-            spelled = np.char.add(spelled, later[letters[:, j]])
-        yield from map("{}\t{}\n".format, spelled.tolist(), counts.values()[part].tolist())
+        cells = np.full((len(letters), step * (k - 1) + 2), alphabet.separator, dtype=object)
+        cells[:, :-1:step] = alphabet.spell(letters)
+        cells[:, -1] = list(map("\t{}\n".format, counts.values()[part].tolist()))
+        yield "".join(cells.ravel().tolist())
 
 
 def write_counts(counts: NGramCounts, path) -> None:
     """Write counts as 'word<TAB>count' lines to a file path or an open text stream.
 
-    Words are spelled oldest letter first, their letters joined by ','
-    when any symbol of the alphabet has several characters.
+    Words are spelled oldest letter first, their letters joined by the
+    alphabet's separator, as in a sequence file line.
     """
     if hasattr(path, "write"):
         path.writelines(_count_lines(counts))
@@ -195,15 +193,16 @@ def write_counts(counts: NGramCounts, path) -> None:
 
 
 def read_counts(path, alphabet: Alphabet) -> NGramCounts:
-    """Read a counts file written by :func:`write_counts`."""
+    """Read a counts file written by :func:`write_counts`, decoding words like sequence lines.
+
+    A foreign letter, or a word unlike the first in length, raises IoError naming its line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as err:
         raise IoError(f"cannot read counts file {path}: {err}") from err
-    sep = _separator(alphabet)
-    words, ns = [], []
-    word_length = None
+    rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
@@ -211,20 +210,29 @@ def read_counts(path, alphabet: Alphabet) -> NGramCounts:
             word, n = line.split("\t")
             n = int(n)
         except ValueError:
-            raise IoError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}") from None
+            word = ""
+        if not word:
+            raise IoError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}")
         if not 0 <= n <= _INT64_MAX:
             raise IoError(f"{path}:{lineno}: count {n} outside [0, 2**63 - 1]")
-        letters = alphabet.encode(word.split(sep) if sep else word)
-        if word_length is None:
-            word_length = len(letters)
-            _check_word_space(alphabet.size, word_length)
-        elif len(letters) != word_length:
-            raise IoError(f"{path}:{lineno}: inconsistent word length: {word!r}")
-        words.append(word_to_index(letters, alphabet.size))
-        ns.append(n)
-    if word_length is None:
+        rows.append((lineno, word, n))
+    if not rows:
         raise EmptyCorpus(f"no counts in {path}")
+    linenos, words, ns = zip(*rows)
+    sep, q = alphabet.separator, alphabet.size
+    lengths = np.array([w.count(sep) + 1 for w in words] if sep else list(map(len, words)))
+    k = int(lengths[0])
+    _check_word_space(q, k)
+    # the separator between words keeps their letters apart
+    letters = alphabet.decode(sep.join(words))
+    foreign = np.logical_or.reduceat(letters < 0, np.cumsum(lengths) - lengths)
+    wrong = foreign | (lengths != k)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        problem = "letter outside the alphabet" if foreign[i] else "inconsistent word length"
+        raise IoError(f"{path}:{linenos[i]}: {problem}: {words[i]!r}")
+    indices = letters.reshape(-1, k) @ q ** np.arange(k - 1, -1, -1)
     try:
-        return _tally(alphabet, word_length, np.array(words, np.int64), np.array(ns, np.int64))
+        return _tally(alphabet, k, indices, np.array(ns, np.int64))
     except ValueError as err:
         raise IoError(f"{path}: {err}") from None

@@ -23,6 +23,7 @@ import warnings
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -41,7 +42,13 @@ _SAMPLE_BURN_IN = 32
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered set of distinct symbol labels; a symbol's index is its position."""
+    """Ordered set of distinct symbol labels; a symbol's index is its position.
+
+    The alphabet alone owns the text form of letters in files, flags and
+    messages: symbols joined by ``separator`` (',' if any symbol has several
+    characters, else nothing).  Read back, a symbol maps to its own index,
+    and a case variant that is no symbol to the first symbol it comes from.
+    """
 
     symbols: tuple[str, ...]
 
@@ -51,7 +58,12 @@ class Alphabet:
             raise ValueError("alphabet needs at least 2 symbols")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet labels must be distinct")
-        object.__setattr__(self, "_lookup", {s: i for i, s in enumerate(self.symbols)})
+        lookup = {s: i for i, s in enumerate(self.symbols)}
+        for i, s in enumerate(self.symbols):
+            lookup.setdefault(s.lower(), i)
+            lookup.setdefault(s.upper(), i)
+        object.__setattr__(self, "_lookup", lookup)
+        object.__setattr__(self, "separator", "," if max(map(len, self.symbols)) > 1 else "")
 
     @property
     def size(self) -> int:
@@ -63,8 +75,27 @@ class Alphabet:
         except KeyError:
             raise InvalidSymbol(f"symbol {label!r} not in alphabet {self.symbols}") from None
 
-    def encode(self, labels) -> np.ndarray:
-        return np.array([self.index(s) for s in labels], dtype=np.int64)
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        """Code point -> index, -1 off the lookup and in the entry past its largest key."""
+        table = {ord(k): i for k, i in self._lookup.items() if len(k) == 1}
+        return np.array([table.get(c, -1) for c in range(max(table) + 2)], np.int64)
+
+    def decode(self, text: str) -> np.ndarray:
+        """Indices of the letters in ``text`` (split at the separator, if any), -1 if foreign."""
+        if self.separator:
+            tokens = text.split(self.separator)
+            index = {t: self._lookup.get(t, -1) for t in dict.fromkeys(tokens)}
+            return np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+        # a code point above the table clips to its last entry; a lone surrogate (an
+        # undecodable byte of a command line) is a code point like any other
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        return self._codes.take(codes, mode="clip")
+
+    def spell(self, letters) -> np.ndarray:
+        """The symbols at the letter indices ``letters`` (any shape), as an object array."""
+        # object dtype keeps every symbol exactly as written (no fixed-width strings)
+        return np.array(self.symbols, dtype=object).take(letters)
 
     def check_index(self, i: int) -> int:
         i = int(i)
@@ -81,11 +112,6 @@ def default_alphabet(q: int) -> Alphabet:
 
 
 DNA = Alphabet(("a", "c", "g", "t"))
-
-
-def _separator(alphabet: Alphabet) -> str:
-    """Letters in sequence and counts files are joined by ',' if any symbol is longer than one."""
-    return "," if any(len(s) > 1 for s in alphabet.symbols) else ""
 
 
 def word_to_index(letters, q: int) -> int:
@@ -112,7 +138,8 @@ def index_to_word(index: int, length: int, q: int) -> tuple[int, ...]:
 
 
 def spell_word(index: int, length: int, alphabet: Alphabet) -> str:
-    return "".join(alphabet.symbols[i] for i in index_to_word(index, length, alphabet.size))
+    """The word of index ``index`` spelled as in a counts file, oldest letter first."""
+    return Sequence(alphabet, index_to_word(index, length, alphabet.size)).labels()
 
 
 @dataclass(frozen=True)
@@ -137,10 +164,8 @@ class Sequence:
         return int(self.data.size)
 
     def labels(self) -> str:
-        """The symbols spelled in order, joined by ',' if any symbol has several characters."""
-        # object dtype keeps every symbol exactly as written (no fixed-width strings)
-        spelled = np.array(self.alphabet.symbols, dtype=object)[self.data]
-        return _separator(self.alphabet).join(spelled.tolist())
+        """The letters spelled in order, as a sequence file line."""
+        return self.alphabet.separator.join(self.alphabet.spell(self.data).tolist())
 
 
 def _freeze(a) -> np.ndarray:
@@ -273,13 +298,13 @@ class FullMarkovModel:
         return f"FullMarkovModel(q={self.alphabet.size}, m={self.order})"
 
 
-def _check_history(model, history) -> np.ndarray:
+def _check_history(model, history, what: str = "history") -> np.ndarray:
     hist = np.asarray(history, dtype=np.int64)
     if hist.ndim != 1 or hist.size != model.order:
-        raise ShapeMismatch(f"history length {hist.size}, expected {model.order}")
+        raise ShapeMismatch(f"{what} length {hist.size}, expected {model.order}")
     q = model.alphabet.size
     if hist.size and (hist.min() < 0 or hist.max() >= q):
-        raise InvalidSymbol("history contains indices outside the alphabet")
+        raise InvalidSymbol(f"{what} contains indices outside the alphabet")
     return hist
 
 
@@ -538,11 +563,7 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
             raise ValueError(f"unknown init policy {init!r}")
         prefix = rng.integers(0, q, size=m)
     else:
-        prefix = np.asarray(init, dtype=np.int64)
-        if prefix.shape != (m,):
-            raise ShapeMismatch(f"init prefix length {prefix.size}, expected {m}")
-        if m and (prefix.min() < 0 or prefix.max() >= q):
-            raise InvalidSymbol("init prefix contains indices outside the alphabet")
+        prefix = _check_history(model, init, "init prefix")
     n = length - m
     try:
         letters = np.empty(length, dtype=np.int64)

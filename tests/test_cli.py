@@ -8,6 +8,7 @@ import pytest
 
 from mtdchain import (
     DNA,
+    Alphabet,
     FullMarkovModel,
     MtdModel,
     ThetaU,
@@ -515,3 +516,27 @@ def test_sample_then_count_multi_character_symbols(tmp_path, capsys):
     expected = io.StringIO()
     write_counts(count_ngrams([sample_sequence(model, 300, seed=4)], 2), expected)
     assert capsys.readouterr().out == expected.getvalue()
+
+
+@pytest.mark.parametrize(
+    "symbols,order,prefix,start",
+    [(("10", "11", "12"), 1, "10", "10,"), (tuple("acgt"), 3, " GaT ", "gat")],
+    ids=["multi-character", "upper-case"],
+)
+def test_sample_prefix_is_spelled_like_a_sequence_line(
+    symbols, order, prefix, start, tmp_path, capsys
+):
+    model_path = str(tmp_path / "model.json")
+    write_model(model_path, random_mtd(len(symbols), order, 1, seed=3, alphabet=Alphabet(symbols)))
+    argv = ["sample", "--model", model_path, "--length", "20", "--prefix", prefix]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith(start)
+
+
+# '\udcff' is how Python passes on an undecodable byte of the command line
+@pytest.mark.parametrize("prefix", ["aN", "a\udcff"], ids=["foreign", "undecodable"])
+def test_sample_prefix_with_a_foreign_letter_is_one_line_error(prefix, tmp_path, capsys):
+    model_path = str(tmp_path / "model.json")
+    write_model(model_path, random_mtd(4, 2, 1, seed=3, alphabet=DNA))
+    argv = ["sample", "--model", model_path, "--length", "20", "--prefix", prefix]
+    _assert_one_line_failure(argv, capsys, "prefix")

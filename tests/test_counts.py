@@ -36,6 +36,10 @@ def brute_force_counts(seqs, order):
     return out
 
 
+CASE_PAIR = Alphabet(("a", "A", "b"))  # 'A' is a symbol, not a variant of 'a'
+ASTRAL = Alphabet(("\U0001F642", "x"))  # a code point outside the basic plane
+
+
 @pytest.fixture
 def ab():
     return Alphabet(("a", "b"))
@@ -43,14 +47,14 @@ def ab():
 
 class TestCountNgrams:
     def test_tiny_example(self, ab):
-        counts = count_ngrams([Sequence(ab, ab.encode("aab"))], 1)
+        counts = count_ngrams([Sequence(ab, ab.decode("aab"))], 1)
         assert counts.total == 2
         assert counts[word_to_index([0, 0], 2)] == 1
         assert counts[word_to_index([0, 1], 2)] == 1
         assert len(counts) == 2
 
     def test_short_sequences_are_empty(self, ab):
-        counts = count_ngrams([Sequence(ab, ab.encode("ab"))], 2)
+        counts = count_ngrams([Sequence(ab, ab.decode("ab"))], 2)
         assert counts.total == 0
         assert len(counts) == 0
 
@@ -79,7 +83,7 @@ class TestCountNgrams:
             assert total == expected
 
     def test_windows_do_not_span_sequences(self, ab):
-        parts = [Sequence(ab, ab.encode("aa")), Sequence(ab, ab.encode("bb"))]
+        parts = [Sequence(ab, ab.decode("aa")), Sequence(ab, ab.decode("bb"))]
         counts = count_ngrams(parts, 1)
         assert counts[word_to_index([0, 1], 2)] == 0
         assert counts.total == 2
@@ -159,7 +163,7 @@ class TestContainer:
 
 class TestMergeCounts:
     def test_identity(self, ab):
-        x = count_ngrams([Sequence(ab, ab.encode("abab"))], 1)
+        x = count_ngrams([Sequence(ab, ab.decode("abab"))], 1)
         empty = NGramCounts(ab, 2)
         merged = merge_counts(x, empty)
         assert dict(merged.items()) == dict(x.items())
@@ -182,14 +186,19 @@ class TestMergeCounts:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        q=st.integers(2, 12),
+        alphabet=st.one_of(
+            st.integers(2, 12).map(default_alphabet), st.sampled_from([CASE_PAIR, ASTRAL])
+        ),
         order=st.integers(1, 4),
         lengths=st.lists(st.integers(0, 40), min_size=1, max_size=6),
         cut=st.integers(0, 6),
         seed=st.integers(0, 2**16),
     )
-    def test_split_merge_and_file_round_trip(self, tmp_path_factory, q, order, lengths, cut, seed):
-        alphabet = default_alphabet(q)
+    @example(alphabet=CASE_PAIR, order=2, lengths=[40, 9], cut=1, seed=1)
+    @example(alphabet=ASTRAL, order=3, lengths=[30], cut=0, seed=2)
+    def test_split_merge_and_file_round_trip(
+        self, tmp_path_factory, alphabet, order, lengths, cut, seed
+    ):
         seqs = [random_sequence(alphabet, n, seed + i) for i, n in enumerate(lengths)]
         whole = count_ngrams(seqs, order)
         merged = merge_counts(
@@ -221,7 +230,7 @@ class TestMergeCounts:
 
 class TestLagContingency:
     def test_order_one_is_bigram_matrix(self, ab):
-        seq = Sequence(ab, ab.encode("abbab"))
+        seq = Sequence(ab, ab.decode("abbab"))
         counts = count_ngrams([seq], 1)
         table = lag_contingency(counts, 1, 1)
         data = list(seq.data)
@@ -239,7 +248,7 @@ class TestLagContingency:
 
     def test_hand_tally(self, ab):
         # "aabab", order 2: lag-2 pairs (y_{t-2}, y_t) for t = 3..5
-        seq = Sequence(ab, ab.encode("aabab"))
+        seq = Sequence(ab, ab.decode("aabab"))
         counts = count_ngrams([seq], 2)
         table = lag_contingency(counts, 2, 1)
         expected = np.zeros((2, 2), dtype=int)
@@ -329,6 +338,35 @@ class TestSerialization:
     def test_missing_file(self, dna, tmp_path):
         with pytest.raises(IoError):
             read_counts(tmp_path / "absent.tsv", dna)
+
+    @pytest.mark.parametrize(
+        "text,alphabet",
+        [("ac\t3\naN\t4\n", Alphabet(tuple("acgt"))), ("s0,s1\t3\ns1,x\t4\n", default_alphabet(12))],
+        ids=["one-character", "multi-character"],
+    )
+    def test_foreign_letter_names_its_line(self, text, alphabet, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text(text)
+        with pytest.raises(IoError, match=f"{re.escape(str(path))}:2: letter outside the alphabet"):
+            read_counts(path, alphabet)
+
+    def test_upper_case_words_read_like_sequence_lines(self, dna, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("AC\t3\ngT\t4\n")
+        ac, gt = word_to_index([0, 1], 4), word_to_index([2, 3], 4)
+        assert list(read_counts(path, dna).items()) == [(ac, 3), (gt, 4)]
+
+    def test_inconsistent_word_length_names_its_line(self, dna, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("ac\t3\ngt\t1\n\nacg\t4\n")
+        with pytest.raises(IoError, match=":4: inconsistent word length: 'acg'"):
+            read_counts(path, dna)
+
+    def test_empty_word_is_malformed(self, dna, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("ac\t3\n\t4\n")
+        with pytest.raises(IoError, match=":2: expected 'word<TAB>count'"):
+            read_counts(path, dna)
 
     def test_word_index_overflow(self, tmp_path):
         ab = Alphabet(tuple("abcdefghijklmnopqrst"))

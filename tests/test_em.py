@@ -290,13 +290,13 @@ class TestEStep:
     def test_equal_matrices_do_not_collapse_in_general(self, dna):
         # sharing one matrix across lags is *not* enough: components stay
         # distinguishable through their different conditioning letters
-        counts = count_ngrams([Sequence(dna, dna.encode("act"))], 2)
+        counts = count_ngrams([Sequence(dna, dna.decode("act"))], 2)
         rng = np.random.default_rng(2)
         p = rng.random((4, 4))
         p /= p.sum(axis=1, keepdims=True)
         model = MtdModel(dna, 2, 1, [0.3, 0.7], [p, p])
         post = e_step(model, counts)
-        word = word_to_index(dna.encode("act"), 4)
+        word = word_to_index(dna.decode("act"), 4)
         c1, c2 = 0.3 * p[1, 3], 0.7 * p[0, 3]
         assert column(post, counts, word)[0] == pytest.approx(c1 / (c1 + c2), abs=1e-12)
 
@@ -335,6 +335,16 @@ class TestEStep:
             e_step(model, counts)
         assert err.value.word_index == word_to_index([0, 0, 1], 3)
         assert err.value.word == "112"
+
+    def test_degenerate_word_spelled_with_separator(self):
+        # '10,10,11', not the ambiguous '101011'
+        song = Alphabet(("10", "11", "12"))
+        pi = np.array([[1.0, 0.0, 0.0]] * 3)
+        model = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
+        counts = count_ngrams([Sequence(song, [0, 0, 1])], 2)
+        with pytest.raises(DegenerateLikelihood, match="'10,10,11'") as err:
+            e_step(model, counts)
+        assert err.value.word == "10,10,11"
 
     def test_floor_avoids_degeneracy(self, song):
         pi = np.array([[1.0, 0.0, 0.0]] * 3)
@@ -417,7 +427,7 @@ class TestMStep:
 class TestInitContingency:
     def test_hand_example(self):
         ab = Alphabet(("a", "b"))
-        counts = count_ngrams([Sequence(ab, ab.encode("aaaabbbb"))], 2)
+        counts = count_ngrams([Sequence(ab, ab.decode("aaaabbbb"))], 2)
         model = init_contingency(counts)
         # lag-1 pairs: (a,a) x2, (a,b) x1, (b,b) x3; +1 pseudocount each cell
         assert np.abs(model.matrices[0] - np.array([[0.6, 0.4], [0.2, 0.8]])).max() < 1e-12

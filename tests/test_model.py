@@ -24,6 +24,7 @@ from mtdchain import (
     random_mtd,
     sample_sequence,
     sequence_loglik,
+    spell_word,
     transition_prob,
     word_to_index,
 )
@@ -34,7 +35,19 @@ class TestAlphabet:
     def test_basic(self, dna):
         assert dna.size == 4
         assert dna.index("g") == 2
-        assert list(dna.encode("cat")) == [1, 0, 3]
+        assert list(dna.decode("cat")) == [1, 0, 3]
+
+    def test_decode_and_index_share_one_table(self, dna):
+        # a case variant reads as its symbol; a foreign letter decodes to -1
+        assert dna.decode("CaTN").tolist() == [1, 0, 3, -1]
+        assert dna.index("G") == 2
+        song = Alphabet(("10", "11", "12"))
+        assert song.decode("12,10,1,x").tolist() == [2, 0, -1, -1]
+        assert song.index("11") == 1
+
+    def test_spelled_words_are_unambiguous(self, dna):
+        assert spell_word(5, 2, Alphabet(("10", "11", "12"))) == "11,12"
+        assert spell_word(7, 2, dna) == "ct"
 
     def test_rejects_duplicates_and_tiny(self):
         with pytest.raises(ValueError):
@@ -239,6 +252,13 @@ class TestSequenceLoglik:
         seq = Sequence(song, [0, 0, 1])
         with pytest.warns(RuntimeWarning, match="zero transition probability"):
             assert sequence_loglik(model, seq) == float("-inf")
+
+    def test_zero_probability_word_spelled_with_separator(self):
+        song = Alphabet(("10", "11", "12"))
+        pi = np.array([[1.0, 0.0, 0.0]] * 3)
+        model = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
+        with pytest.warns(RuntimeWarning, match="word '10,10,11'"):
+            assert sequence_loglik(model, Sequence(song, [0, 0, 1])) == float("-inf")
 
     def test_full_markov_equivalence_at_l_equals_m(self, dna):
         rng = np.random.default_rng(21)

@@ -14,7 +14,6 @@ from mtdchain import (
     word_to_index,
     write_sequences,
 )
-from mtdchain.model import _separator
 
 
 class TestPlain:
@@ -113,6 +112,15 @@ def test_multi_character_symbols_round_trip(tmp_path):
     assert [list(s.data) for s in seqs] == [[0, 11, 3, 10, 1]]
 
 
+def test_case_distinct_symbols_round_trip(tmp_path):
+    # a symbol's case variant reads as that symbol, never as the symbol it varies
+    alphabet = Alphabet(tuple("acgtACGT"))
+    path = tmp_path / "out.txt"
+    write_sequences([Sequence(alphabet, [0, 4, 1, 5, 2, 6, 3, 7])], path)
+    assert path.read_text() == "aAcCgGtT\n"
+    assert read_sequences(path, alphabet=alphabet)[0].data.tolist() == [0, 4, 1, 5, 2, 6, 3, 7]
+
+
 def read_sequences_roundtrip_helper(dna, tmp_path):
     src = tmp_path / "src.txt"
     src.write_text("acgt\nggcc\n")
@@ -158,7 +166,7 @@ def oracle_read(path, fmt, alphabet, split_record):
     Every record is assembled as then and passed on its own to
     ``split_record(text, name)``.
     """
-    sep = _separator(alphabet)
+    sep = alphabet.separator
     lines = path.read_text(encoding="utf-8").splitlines()
     records = []
     if fmt == "plain":
@@ -183,9 +191,18 @@ def oracle_read(path, fmt, alphabet, split_record):
     return sequences
 
 
+def oracle_lookup(alphabet):
+    """Letter -> index: a symbol is its own; a case variant that is no symbol is its first source's."""
+    lookup = {}
+    for i, s in reversed(list(enumerate(alphabet.symbols))):
+        lookup.update({s.lower(): i, s.upper(): i})
+    lookup.update({s: i for i, s in enumerate(alphabet.symbols)})
+    return lookup
+
+
 def per_letter_read(path, fmt, alphabet):
     """The oracle with the per-letter decoder above."""
-    lookup, sep = seqio._letter_lookup(alphabet), _separator(alphabet)
+    lookup, sep = oracle_lookup(alphabet), alphabet.separator
     return oracle_read(
         path, fmt, alphabet,
         lambda text, name: reference_split_record(
@@ -195,10 +212,10 @@ def per_letter_read(path, fmt, alphabet):
 
 
 def per_record_read(path, fmt, alphabet):
-    """The oracle with today's array decoder called once per record."""
-    decode = seqio._decoder(alphabet)
+    """The oracle with the alphabet's array decoder called once per record."""
     return oracle_read(
-        path, fmt, alphabet, lambda text, name: array_split_record(decode(text), alphabet, name)
+        path, fmt, alphabet,
+        lambda text, name: array_split_record(alphabet.decode(text), alphabet, name),
     )
 
 
@@ -217,7 +234,7 @@ def corpus_files(draw):
     alphabet = ORACLE_ALPHABETS[draw(st.sampled_from(sorted(ORACLE_ALPHABETS)))]
     variants = [v for s in alphabet.symbols for v in (s, s.lower(), s.upper())]
     letters = st.lists(st.sampled_from(variants + FOREIGN), max_size=10)
-    line = letters.map(_separator(alphabet).join)
+    line = letters.map(alphabet.separator.join)
     other = st.sampled_from(["", "  ", ">r", "> two words ", ">"])
     lines = draw(st.lists(st.one_of(line, other), max_size=8))
     return alphabet, draw(st.sampled_from(["plain", "fasta"])), "\n".join(lines) + "\n"
@@ -235,6 +252,7 @@ def _outcome(read, path, fmt, alphabet):
 @example(corpus=(ORACLE_ALPHABETS["dna"], "plain", "NacgNNtN\n\n  AcGt\nN\n"))
 @example(corpus=(ORACLE_ALPHABETS["dna"], "fasta", "acN\n>r1\nNac\ngtN\n\n>r2\n>r3\nAC\n"))
 @example(corpus=(ORACLE_ALPHABETS["sharp-s"], "plain", "ßaSSbß\n\u1e9eAB\nss\n"))
+@example(corpus=(ORACLE_ALPHABETS["case-pair"], "plain", "aAbB\n"))
 @example(corpus=(ORACLE_ALPHABETS["q12"], "plain", "s0,S11,x,s3,,s10\ns1\n,s2,\n"))
 @example(corpus=(ORACLE_ALPHABETS["q12"], "fasta", ">a\ns0,s1\ns99,s2\n>b\nS4\n"))
 def test_decoder_matches_per_letter_oracle(tmp_path_factory, corpus):
@@ -243,6 +261,10 @@ def test_decoder_matches_per_letter_oracle(tmp_path_factory, corpus):
     path.write_text(text, encoding="utf-8")
     expected = _outcome(per_letter_read, path, fmt, alphabet)
     assert _outcome(read_sequences, path, fmt, alphabet) == expected
+
+
+def test_oracle_reads_each_case_pair_symbol_as_itself():
+    assert oracle_lookup(ORACLE_ALPHABETS["case-pair"]) == {"a": 0, "A": 1, "b": 2, "B": 2}
 
 
 @pytest.mark.parametrize(
