@@ -34,7 +34,7 @@ from .counts import count_ngrams, write_counts
 from .em import EmConfig, fit_with_restarts, init_contingency, loglik_from_counts
 from .errors import MtdError
 from .experiments import bic_compare, tv_experiment, tv_experiment_summary
-from .model import Alphabet, MtdModel, full_transition_matrix, sample_sequence
+from .model import Alphabet, FullMarkovModel, MtdModel, full_transition_matrix, sample_sequence
 from .modelfile import read_model, write_model, write_trace
 from .reparam import ThetaU, bic, from_theta_u, model_dimension, to_theta_u
 from .seqio import read_sequences
@@ -282,7 +282,7 @@ def cmd_convert(args, argv) -> int:
     model, _ = read_model(args.model)
     if args.target == "full_markov":
         converted = full_transition_matrix(_as_transition_model(model))
-    elif isinstance(model, MtdModel):
+    elif isinstance(model, MtdModel) and not isinstance(model, FullMarkovModel):
         u = model.alphabet.index(args.ref_letter) if args.ref_letter else 0
         converted = to_theta_u(model, u)
     else:

@@ -57,7 +57,15 @@ import numpy as np
 
 from .counts import NGramCounts, lag_contingency
 from .errors import AllRestartsFailed, DegenerateLikelihood, EmptyCorpus, ShapeMismatch
-from .model import ROW_SUM_TOL, MtdModel, _cell_index, random_mtd, spell_word, word_probabilities
+from .model import (
+    ROW_SUM_TOL,
+    MtdModel,
+    _cell_index,
+    _normalize_rows,
+    random_mtd,
+    spell_word,
+    word_probabilities,
+)
 from .reparam import ThetaU, bic, model_dimension, to_theta_u
 
 # step halving stops short of alpha = -1, where the extrapolation is theta_2 itself
@@ -259,9 +267,7 @@ class _Kernel:
         phi = weighted.sum(axis=1) / self.counts.total
         rows = self.rows(theta)
         num = np.bincount(self.cells.ravel(), weights=weighted.ravel(), minlength=rows.size)
-        num = num.reshape(rows.shape)
-        sums = num.sum(axis=1, keepdims=True)
-        rows = np.where(sums > 0.0, num / np.where(sums == 0.0, 1.0, sums), rows)
+        rows = _normalize_rows(num.reshape(rows.shape), rows)
         return np.concatenate([phi, rows.ravel()])
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
@@ -308,21 +314,12 @@ def init_contingency(counts: NGramCounts, lag_order: int = 1, variant: str = "ge
         raise EmptyCorpus("cannot initialize from empty counts")
     m = counts.order
     G = m - lag_order + 1
+    tables = [lag_contingency(counts, g, lag_order) for g in range(1, G + 1)]
     if variant == "single_matrix":
-        pooled = sum(lag_contingency(counts, g, lag_order) for g in range(1, G + 1))
-        mats = [_pseudocount_rows(pooled)]
-    else:
-        mats = [
-            _pseudocount_rows(lag_contingency(counts, g, lag_order))
-            for g in range(1, G + 1)
-        ]
+        tables = [sum(tables)]
+    mats = [_normalize_rows(t + 1.0, 0.0) for t in tables]
     phi = np.full(G, 1.0 / G)
     return MtdModel(counts.alphabet, m, lag_order, phi, mats, variant=variant)
-
-
-def _pseudocount_rows(table: np.ndarray) -> np.ndarray:
-    smoothed = table.astype(np.float64) + 1.0
-    return smoothed / smoothed.sum(axis=1, keepdims=True)
 
 
 def _make_report(model, trace, converged, restart_index, counts) -> FitReport:

@@ -8,22 +8,25 @@ import numpy as np
 
 from .counts import NGramCounts, count_ngrams
 from .em import EmConfig, fit_with_restarts, loglik_from_counts
-from .model import FullMarkovModel, _check_dense_size, random_full_markov, sample_sequence
+from .model import (
+    FullMarkovModel,
+    _check_dense_size,
+    _normalize_rows,
+    random_full_markov,
+    sample_sequence,
+)
 from .reparam import bic, model_dimension
 from .stationary import tv_distance, word_distribution
 
 
 def fit_full_markov(counts: NGramCounts) -> FullMarkovModel:
-    """Maximum-likelihood dense table from counts; unseen histories get uniform rows."""
+    """ML full Markov model (the MTD model with l = m); unseen histories get uniform rows."""
     q = counts.alphabet.size
     m = counts.order
     _check_dense_size(q, m)
     # a word index is its history's row times q plus its final letter
     table = np.bincount(counts.word_indices(), weights=counts.values(), minlength=q ** (m + 1))
-    table = table.reshape(q**m, q)
-    row_sums = table.sum(axis=1, keepdims=True)
-    uniform = np.full(q, 1.0 / q)
-    table = np.where(row_sums > 0.0, table / np.where(row_sums == 0.0, 1.0, row_sums), uniform)
+    table = _normalize_rows(table.reshape(q**m, q), 1.0 / q)
     return FullMarkovModel(counts.alphabet, m, table)
 
 

@@ -4,7 +4,9 @@ An order-m MTD model predicts the next letter as a convex mixture over
 lags: each lag g carries a weight phi_g and a stochastic matrix pi_g
 mapping the l-letter block ending at lag g to a distribution over the
 next letter.  With l = 1 every lag looks at a single letter; the
-``single_matrix`` variant shares one matrix across all lags.
+``single_matrix`` variant shares one matrix across all lags.  With
+l = m there is one component, phi = (1), whose matrix is the dense
+q**m x q table: that is the full Markov model.
 
 Word-index convention (used everywhere, including file formats): a word
 spelled oldest letter first is read as a base-q numeral, so the most
@@ -58,12 +60,17 @@ class Alphabet:
             raise ValueError("alphabet needs at least 2 symbols")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet labels must be distinct")
+        separator = "," if max(map(len, self.symbols)) > 1 else ""
+        for s in self.symbols:
+            # files strip their lines and split them at line breaks, tabs and the separator
+            if not s or s != s.strip() or len(s.splitlines()) > 1 or {"\t", separator} & set(s):
+                raise ValueError(f"alphabet symbol {s!r} cannot be written to a file")
         lookup = {s: i for i, s in enumerate(self.symbols)}
         for i, s in enumerate(self.symbols):
             lookup.setdefault(s.lower(), i)
             lookup.setdefault(s.upper(), i)
         object.__setattr__(self, "_lookup", lookup)
-        object.__setattr__(self, "separator", "," if max(map(len, self.symbols)) > 1 else "")
+        object.__setattr__(self, "separator", separator)
 
     @property
     def size(self) -> int:
@@ -271,28 +278,15 @@ class MtdModel:
         )
 
 
-class FullMarkovModel:
-    """Unconstrained order-m Markov model as a dense q**m x q table."""
+class FullMarkovModel(MtdModel):
+    """Unconstrained order-m Markov model: the one-component MTD model with l = m."""
 
     def __init__(self, alphabet, order, table):
-        order = int(order)
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        q = alphabet.size
-        table = _freeze(table)
-        validate_stochastic(table, q**order, q, what="transition table")
-        self.alphabet = alphabet
-        self.order = order
-        self.table = table
+        super().__init__(alphabet, order, order, [1.0], [table])
 
-    def __eq__(self, other):
-        if not isinstance(other, FullMarkovModel):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.order == other.order
-            and np.array_equal(self.table, other.table)
-        )
+    @property
+    def table(self) -> np.ndarray:
+        return self.matrices[0]
 
     def __repr__(self):
         return f"FullMarkovModel(q={self.alphabet.size}, m={self.order})"
@@ -341,8 +335,6 @@ def word_probabilities(model, word_indices: np.ndarray) -> np.ndarray:
     """Probability of each (m+1)-word's final letter given its history."""
     word_indices = np.asarray(word_indices, dtype=np.int64)
     q = model.alphabet.size
-    if isinstance(model, FullMarkovModel):
-        return model.table[word_indices // q, word_indices % q]
     # one lag at a time: (G, n_words) arrays would set the peak memory of
     # scoring large count tables
     probs = np.zeros(word_indices.size)
@@ -370,8 +362,6 @@ def transition_prob(model: MtdModel, history, next_symbol: int) -> float:
 def history_rows(model, history_indices: np.ndarray) -> np.ndarray:
     """Rows of listed histories, one gather per lag (to_theta_u, lazy sampling); shape (H, q)."""
     history_indices = np.asarray(history_indices, dtype=np.int64)
-    if isinstance(model, FullMarkovModel):
-        return model.table[history_indices]
     q = model.alphabet.size
     rows = np.zeros((history_indices.size, q))
     for g in range(1, model.n_components + 1):
@@ -597,6 +587,12 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
             h = guess[hi - 1]
         hist %= q
     return Sequence(model.alphabet, letters)
+
+
+def _normalize_rows(num: np.ndarray, empty) -> np.ndarray:
+    """Each row of ``num`` over its sum; ``empty`` (broadcast to ``num``) where the sum is 0."""
+    sums = num.sum(axis=1, keepdims=True)
+    return np.where(sums > 0.0, num / np.where(sums == 0.0, 1.0, sums), empty)
 
 
 def _positive_rows(rng, shape) -> np.ndarray:

@@ -23,19 +23,13 @@ FORMAT_VERSION = 1
 def _document(model, provenance: dict | None) -> dict:
     doc: dict = {"format_version": FORMAT_VERSION, "alphabet": list(model.alphabet.symbols)}
     if isinstance(model, MtdModel):
-        doc["model_kind"] = "mtd"
+        dense = isinstance(model, FullMarkovModel)
+        doc["model_kind"] = "full_markov" if dense else "mtd"
         doc["m"] = model.order
-        doc["l"] = model.lag_order
-        doc["variant"] = model.variant
-        doc["phi"] = [float(x) for x in model.phi]
-        doc["matrices"] = [[[float(x) for x in row] for row in mat] for mat in model.matrices]
-    elif isinstance(model, FullMarkovModel):
-        doc["model_kind"] = "full_markov"
-        doc["m"] = model.order
-        doc["l"] = None
-        doc["variant"] = None
-        doc["phi"] = None
-        doc["matrices"] = [[[float(x) for x in row] for row in model.table]]
+        doc["l"] = None if dense else model.lag_order
+        doc["variant"] = None if dense else model.variant
+        doc["phi"] = None if dense else model.phi.tolist()
+        doc["matrices"] = [mat.tolist() for mat in model.matrices]
     elif isinstance(model, ThetaU):
         doc["model_kind"] = "theta_u"
         doc["parametrization"] = "theta_u"
@@ -44,7 +38,7 @@ def _document(model, provenance: dict | None) -> dict:
         doc["variant"] = None
         doc["u"] = model.alphabet.symbols[model.u]
         doc["phi"] = None
-        doc["matrices"] = [[[float(x) for x in row] for row in t] for t in model.tables]
+        doc["matrices"] = [t.tolist() for t in model.tables]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     doc["provenance"] = dict(provenance or {})
@@ -52,7 +46,7 @@ def _document(model, provenance: dict | None) -> dict:
 
 
 def write_model(path, model, provenance: dict | None = None) -> None:
-    """Write a model (MTD, full Markov, or one-block tables) as JSON."""
+    """Write an MTD model (full Markov is its one-component case l = m) or ThetaU tables as JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_document(model, provenance), fh, indent=2)
         fh.write("\n")
@@ -88,7 +82,7 @@ def read_model(path):
             raise IoError(f"unknown model_kind {kind!r} in {path}")
     except KeyError as err:
         raise IoError(f"model file {path} is missing key {err}") from None
-    except ValueError as err:
+    except (IndexError, TypeError, ValueError) as err:
         raise IoError(f"model file {path} holds an invalid model: {err}") from None
     return model, provenance
 

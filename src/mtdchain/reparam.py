@@ -187,12 +187,10 @@ def model_dimension(model, convention: str = "theta_u") -> int:
     ``convention`` selects ``"theta_u"`` (identifiable bound, default) or
     ``"raw"`` for general MTD models and their :class:`ThetaU` tables.
     The single-matrix variant is bijectively parametrized, so both
-    conventions agree on (m-1) + q(q-1); a full Markov model always
-    counts q**m (q-1).
+    conventions agree on (m-1) + q(q-1).  A full Markov model is the MTD
+    model with l = m, where both formulas give q**m (q-1).
     """
     q = model.alphabet.size
-    if isinstance(model, FullMarkovModel):
-        return dim_full_markov(model.order, q)
     if isinstance(model, MtdModel) and model.variant == "single_matrix":
         return (model.order - 1) + q * (q - 1)
     if convention == "theta_u":

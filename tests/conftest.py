@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 import refdata
 from mtdchain import Alphabet, MtdModel, Sequence, random_mtd
+
+# every property test runs the same examples each time, however long one takes;
+# each test sets its own max_examples
+settings.register_profile("mtdchain", deadline=None, derandomize=True)
+settings.load_profile("mtdchain")
 
 
 @pytest.fixture

@@ -126,7 +126,7 @@ class TestMatchesOracle:
             report = assert_matches_oracle(counts, init, BerchtoldConfig(max_iters=120))
             assert report.iterations > 10
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(
         q=st.integers(2, 4),
         m=st.integers(1, 4),

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import io
+import json
 from bisect import bisect_right
 
 import numpy as np
@@ -13,6 +14,7 @@ from mtdchain import (
     MtdModel,
     ThetaU,
     count_ngrams,
+    full_transition_matrix,
     random_mtd,
     read_model,
     sample_sequence,
@@ -362,6 +364,7 @@ def test_bic_compare_order_too_large_is_one_line_error(corpus, capsys):
 # Outputs of these commands recorded before from_theta_u became a window-chain sum
 # (the bic-compare table once restarts were screened and only the leader polished)
 CONVERT_THETA_U_SHA256 = "fd98fb43b8d186c14e27c3890bfbab1092957f6d329a83968f789757fe3522fb"
+EXPAND_SHA256 = "ddc67beb677009a4cdcaea641387aabd8cece9f9404975091c59b549705e691c"
 BIC_COMPARE_GOLDEN = (
     "order\tlag_order\tn_terms\tloglik_full\tdim_full\tbic_full"
     "\tloglik_mtd\tdim_mtd\tbic_mtd\tdelta_bic\n"
@@ -394,6 +397,15 @@ def test_convert_to_theta_u_golden(tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     digest = hashlib.sha256((tmp_path / "theta.json").read_bytes()).hexdigest()
     assert digest == CONVERT_THETA_U_SHA256
+
+
+def test_expand_golden(tmp_path, monkeypatch):
+    # recorded while a full Markov model was still a class of its own
+    monkeypatch.chdir(tmp_path)
+    write_model("model.json", random_mtd(4, 4, 2, seed=11, alphabet=DNA))
+    assert cli.main(["expand", "--model", "model.json", "--out", "dense.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "dense.json").read_bytes()).hexdigest()
+    assert digest == EXPAND_SHA256
 
 
 def test_bic_compare_golden(corpus, capsys):
@@ -540,3 +552,37 @@ def test_sample_prefix_with_a_foreign_letter_is_one_line_error(prefix, tmp_path,
     write_model(model_path, random_mtd(4, 2, 1, seed=3, alphabet=DNA))
     argv = ["sample", "--model", model_path, "--length", "20", "--prefix", prefix]
     _assert_one_line_failure(argv, capsys, "prefix")
+
+
+def test_convert_full_markov_to_theta_u_is_refused(tmp_path, capsys):
+    # a full Markov model is an MTD model (l = m), but its file does not convert
+    model_path, out_path = str(tmp_path / "dense.json"), tmp_path / "theta.json"
+    write_model(model_path, full_transition_matrix(_model()))
+    argv = ["convert", "--model", model_path, "--to", "theta_u", "--out", str(out_path)]
+    _assert_one_line_failure(argv, capsys, "only MTD models convert to theta_u")
+    assert not out_path.exists()
+
+
+def _model_document():
+    return {"format_version": 1, "alphabet": ["a", "b"], "model_kind": "mtd", "m": 1, "l": 1,
+            "variant": "general", "phi": [1.0], "matrices": [[[0.5, 0.5], [0.5, 0.5]]]}
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [lambda doc: [doc], lambda doc: {**doc, "matrices": 5}, lambda doc: {**doc, "alphabet": 5},
+     lambda doc: {**doc, "m": None}, lambda doc: {**doc, "alphabet": ["", "a"]},
+     lambda doc: {**doc, "model_kind": "full_markov", "matrices": []}],
+    ids=["top-level-list", "matrices-number", "alphabet-number", "m-null", "empty-symbol",
+         "dense-no-table"],
+)
+def test_malformed_model_file_is_one_line_error(broken, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(broken(_model_document())))
+    argv = ["sample", "--model", str(model_path), "--length", "10"]
+    _assert_one_line_failure(argv, capsys, "holds an invalid model")
+
+
+def test_unwritable_alphabet_flag_is_usage_error(corpus, capsys):
+    argv = ["count", "--in", corpus, "--alphabet", "a,,b", "--order", "1"]
+    _assert_one_line_failure(argv, capsys, "invalid flag value", "''", code=2)

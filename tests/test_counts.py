@@ -98,7 +98,7 @@ class TestCountNgrams:
         assert counts[1] == 0
 
     # q**k below, equal to and above the number of windows: both tallies are used
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(
         q=st.integers(2, 5),
         order=st.integers(1, 4),
@@ -184,7 +184,7 @@ class TestMergeCounts:
         right = count_ngrams(seqs[cut:], 2, alphabet=dna)
         assert dict(merge_counts(left, right).items()) == dict(whole.items())
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         alphabet=st.one_of(
             st.integers(2, 12).map(default_alphabet), st.sampled_from([CASE_PAIR, ASTRAL])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mtdchain import (
@@ -8,6 +9,7 @@ from mtdchain import (
     count_ngrams,
     fit_full_markov,
     fit_with_restarts,
+    random_full_markov,
     random_mtd,
     sample_sequence,
 )
@@ -46,3 +48,12 @@ def test_fit_full_markov_size_guard():
     counts = count_ngrams([sample_sequence(random_mtd(4, 2, 1, seed=5), 40, seed=6)], 30)
     with pytest.raises(ModelTooLarge):
         fit_full_markov(counts)
+
+
+@pytest.mark.parametrize("q, m, n", [(4, 3, 20000), (2, 5, 300), (3, 4, 50)])
+def test_em_at_l_equals_m_is_the_dense_fit(q, m, n):
+    # one component: every posterior is 1, so one M-step is the dense fit's row normalization;
+    # histories never seen keep the contingency start's uniform rows
+    counts = count_ngrams([sample_sequence(random_full_markov(q, m, seed=n), n, seed=q)], m)
+    report = fit_with_restarts(counts, EmConfig(lag_order=m))
+    assert np.array_equal(report.model.matrices[0], fit_full_markov(counts).table)

@@ -28,7 +28,8 @@ from mtdchain import (
     transition_prob,
     word_to_index,
 )
-from mtdchain.model import _SAMPLE_PRECOMPUTE_LIMIT, history_rows
+from mtdchain.model import _SAMPLE_PRECOMPUTE_LIMIT, history_rows, word_probabilities
+from mtdchain.reparam import dim_full_markov, model_dimension
 
 
 class TestAlphabet:
@@ -54,6 +55,26 @@ class TestAlphabet:
             Alphabet(("a", "a"))
         with pytest.raises(ValueError):
             Alphabet(("a",))
+
+    def test_rejects_empty_symbol(self):
+        with pytest.raises(ValueError, match="cannot be written"):
+            Alphabet(("", "a"))
+
+    @pytest.mark.parametrize("symbols", [(" ", "a"), ("a ", "b"), (" a", "b"), ("a\x0b", "bb")])
+    def test_rejects_symbol_that_strip_changes(self, symbols):
+        with pytest.raises(ValueError, match="cannot be written"):
+            Alphabet(symbols)
+
+    @pytest.mark.parametrize("inner", ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_rejects_tab_or_line_break_inside_symbol(self, inner):
+        with pytest.raises(ValueError, match="cannot be written"):
+            Alphabet(("a" + inner + "b", "c"))
+
+    def test_rejects_separator_inside_symbol(self):
+        with pytest.raises(ValueError, match="cannot be written"):
+            Alphabet(("a,b", "c"))
+        # one-character symbols are written without a separator, so ',' is a letter
+        assert Alphabet((",", "a")).decode(",a,").tolist() == [0, 1, 0]
 
     def test_unknown_symbol(self, dna):
         with pytest.raises(InvalidSymbol):
@@ -213,7 +234,7 @@ class TestFullTransitionMatrix:
 
 
 class TestDenseBuilder:
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(model=random_mtds())
     def test_matches_all_histories_gather(self, model):
         # the gather over every history index is how the table was built before broadcasting
@@ -223,6 +244,48 @@ class TestDenseBuilder:
     def test_dense_model_returned_as_is(self):
         dense = random_full_markov(3, 2, seed=1)
         assert full_transition_matrix(dense) is dense
+
+
+@st.composite
+def random_dense(draw):
+    """Random full Markov models with q in 2..5 and m in 1..5, some rows point masses."""
+    q = draw(st.integers(2, 5), label="q")
+    m = draw(st.integers(1, 5), label="m")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    table = rng.random((q**m, q))
+    table /= table.sum(axis=1, keepdims=True)
+    if draw(st.booleans(), label="zeros"):
+        table = _with_point_masses(table, rng)
+    return FullMarkovModel(mtdchain.model.default_alphabet(q), m, table)
+
+
+class TestDenseIsMtdWithLEqualsM:
+    """A full Markov model takes the MTD path; the removed dense branches are the oracles."""
+
+    @settings(max_examples=60)
+    @given(model=random_dense(), data=st.data())
+    def test_matches_dense_branches(self, model, data):
+        q, m, table = model.alphabet.size, model.order, model.table
+        words = np.arange(q ** (m + 1))
+        assert np.array_equal(word_probabilities(model, words), table[words // q, words % q])
+        histories = np.arange(q**m)
+        assert np.array_equal(history_rows(model, histories), table[histories])
+        h = data.draw(st.integers(0, q**m - 1), label="history")
+        j = data.draw(st.integers(0, q - 1), label="letter")
+        assert transition_prob(model, index_to_word(h, m, q), j) == table[h, j]
+        for convention in ("theta_u", "raw"):
+            assert model_dimension(model, convention) == dim_full_markov(m, q)
+        assert model == MtdModel(model.alphabet, m, m, [1.0], [table])
+        assert MtdModel(model.alphabet, m, m, [1.0], [table]) == model
+
+    def test_table_is_the_one_matrix(self, dna):
+        dense = random_full_markov(4, 2, seed=3, alphabet=dna)
+        assert dense.table is dense.matrices[0]
+        with pytest.raises(AttributeError):
+            dense.table = dense.table
+        assert (dense.lag_order, dense.n_components, dense.phi.tolist()) == (2, 1, [1.0])
+        assert repr(dense) == "FullMarkovModel(q=4, m=2)"
+        assert dense != random_full_markov(4, 2, seed=4, alphabet=dna)
 
 
 class TestSequenceLoglik:
@@ -433,7 +496,7 @@ def sampler_cases(draw):
 
 
 class TestSamplerMatchesListOracle:
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120)
     @given(
         case=sampler_cases(),
         seed=st.integers(0, 2**32 - 1),

@@ -67,7 +67,7 @@ def test_theta_u_round_trip_passes_overlap_check(tmp_path, q, m, l, u):
     assert loaded == theta
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(model=random_mtds(), kind=st.sampled_from(["mtd", "theta_u", "dense"]), data=st.data())
 def test_round_trip_property(tmp_path_factory, model, kind, data):
     if kind == "theta_u":
@@ -75,6 +75,8 @@ def test_round_trip_property(tmp_path_factory, model, kind, data):
     elif kind == "dense":
         model = full_transition_matrix(model)
     loaded, _ = round_trip(tmp_path_factory.mktemp("model"), model)
+    # a full Markov model equals the MTD model it is, so the type is checked apart
+    assert type(loaded) is type(model)
     assert loaded == model
 
 

@@ -149,7 +149,7 @@ class TestFromThetaU:
         theta = to_theta_u(random_mtd(q, m, l, seed=q * 100 + m * 10 + l), u)
         assert np.abs(from_theta_u(theta).table - _moebius_from_theta_u(theta)).max() < 1e-13
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         q=st.integers(2, 4),
         m=st.integers(1, 5),
@@ -163,7 +163,7 @@ class TestFromThetaU:
         back = from_theta_u(to_theta_u(model, u))
         assert np.abs(back.table - full_transition_matrix(model).table).max() < 1e-12
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(model=random_mtds(variants=("general",)), data=st.data())
     def test_matches_gather_oracle(self, model, data):
         u = data.draw(st.integers(0, model.alphabet.size - 1), label="u")

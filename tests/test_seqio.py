@@ -247,7 +247,7 @@ def _outcome(read, path, fmt, alphabet):
         return "AlphabetMismatch"
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(corpus=corpus_files())
 @example(corpus=(ORACLE_ALPHABETS["dna"], "plain", "NacgNNtN\n\n  AcGt\nN\n"))
 @example(corpus=(ORACLE_ALPHABETS["dna"], "fasta", "acN\n>r1\nNac\ngtN\n\n>r2\n>r3\nAC\n"))
@@ -287,7 +287,7 @@ def test_batched_decode_matches_one_record_at_a_time_examples(name, fmt, text, t
     assert len(expected) > 1
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(corpus=corpus_files(), batch=st.sampled_from([1, 4, seqio._DECODE_BATCH]))
 def test_batched_decode_matches_one_record_at_a_time(tmp_path_factory, corpus, batch):
     alphabet, fmt, text = corpus

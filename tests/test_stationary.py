@@ -96,7 +96,7 @@ def _gather_word_distribution(model, k) -> np.ndarray:
     return probs
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(model=random_mtds(), data=st.data())
 def test_word_distribution_matches_gather_oracle(model, data):
     k = data.draw(st.integers(1, model.order + 2), label="k")
