@@ -4,13 +4,15 @@ Counting windows never cross sequence boundaries, so a corpus may be
 ingested per sequence (or per chunk of sequences) and combined with
 :func:`merge_counts`.  A count table is two aligned read-only int64
 arrays: the observed word indices, strictly ascending, and their
-counts, all positive.  Every table is built by one function from word
-indices and optional weights: a ``np.bincount`` over the word space
-when the words are at least as many, else ``np.unique``, with the
-weights of a repeated word summed exactly.  Fitting code reads the two
-arrays directly.  The counts file format (``word<TAB>count`` lines) is
-defined here and nowhere else; :class:`Alphabet`, the single owner of
-the letter format, spells and decodes its words as sequence file lines.
+counts, all positive.  Every table is built by one function from chunks
+of word indices and optional weights: an in-place tally over the word
+space when the words are at least as many, else ``np.unique``, with the
+weights of a repeated word summed exactly.  :func:`count_ngrams` feeds
+it the uint32 windows of the letters' one-byte buffer, a fixed-size
+chunk at a time.  Fitting code reads the two arrays directly.  The
+counts file format (``word<TAB>count`` lines) is defined here and
+nowhere else; :class:`Alphabet`, the single owner of the letter format,
+spells and decodes its words as sequence file lines.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ class NGramCounts:
         counts.flags.writeable = False
         self.alphabet = alphabet
         self.word_length = word_length
-        self.total = sum(counts.tolist())  # Python ints: an int64 sum would wrap
+        # an int64 sum is exact while max * n stays below 2**63; Python ints otherwise
+        exact = not counts.size or int(counts.max()) * counts.size <= _INT64_MAX
+        self.total = int(counts.sum()) if exact else sum(counts.tolist())
         if self.total > _INT64_MAX:
             raise ValueError(f"total count {self.total} exceeds 2**63 - 1")
         self._words = words
@@ -92,24 +96,32 @@ class NGramCounts:
         )
 
 
-def _tally(alphabet: Alphabet, word_length: int, words: np.ndarray, weights=None) -> NGramCounts:
-    """Count table of ``words``, each occurrence weighted 1 or by ``weights``.
+def _tally(alphabet: Alphabet, word_length: int, chunks, n_words: int, weights=None):
+    """Count table of the word indices in ``chunks``, each occurrence weighted 1 or by ``weights``.
 
-    This is the one construction path of every producer below.  Unweighted
-    words are tallied by ``np.bincount`` over the whole word space when
-    it has no more entries than there are words, and by ``np.unique``
-    (a sort) otherwise; both give the same table.  Weighted words come
-    from ``np.unique`` and the weights of a repeated word are summed
-    exactly, as Python ints; a sum above 2**63 - 1 raises ValueError.
+    This is the one construction path of every producer below.  ``chunks``
+    is an iterable of index arrays holding ``n_words`` words in all.
+    Unweighted words are tallied by adding each chunk into one table over
+    the whole word space (``np.add.at``) when it has no more entries than
+    ``n_words``, and by one ``np.unique`` (a sort) of all chunks
+    otherwise; both give the same table.  Weighted words come in one chunk
+    aligned with ``weights``, from ``np.unique``, and the weights of a
+    repeated word are summed exactly, as Python ints; a sum above
+    2**63 - 1 raises ValueError.
     """
     space = alphabet.size**word_length
-    if weights is None and space <= words.size:
-        table = np.bincount(words, minlength=space)
+    if weights is None and space <= n_words:
+        table = np.zeros(space, dtype=np.int64)
+        for words in chunks:
+            np.add.at(table, words, 1)
         distinct = np.flatnonzero(table)
         sums = table[distinct]
+        del table  # before NGramCounts copies distinct and sums
     elif weights is None:
+        words = np.concatenate([np.empty(0, np.uint32), *chunks])
         distinct, sums = np.unique(words, return_counts=True)
     else:
+        (words,) = chunks
         order = np.argsort(words)
         distinct, starts = np.unique(words[order], return_index=True)
         sums = np.add.reduceat(weights[order].astype(object), starts)
@@ -120,7 +132,12 @@ def _tally(alphabet: Alphabet, word_length: int, words: np.ndarray, weights=None
 
 
 def count_ngrams(sequences, order: int, alphabet: Alphabet | None = None) -> NGramCounts:
-    """Count every (order+1)-letter window fully inside one sequence."""
+    """Count every (order+1)-letter window fully inside one sequence.
+
+    The windows come in fixed-size chunks, so besides the one-byte letter
+    buffer and the table the temporaries stay a few hundred kilobytes,
+    whatever the corpus size.
+    """
     order = int(order)
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -129,13 +146,13 @@ def count_ngrams(sequences, order: int, alphabet: Alphabet | None = None) -> NGr
         if not sequences:
             raise EmptyCorpus("no sequences and no alphabet given")
         alphabet = sequences[0].alphabet
-    q = alphabet.size
-    chunks = [np.empty(0, dtype=np.int64)]
     for seq in sequences:
         if seq.alphabet != alphabet:
             raise AlphabetMismatch(f"sequence {seq.name!r} uses a different alphabet")
-        chunks.append(_window_word_indices(seq.data, order + 1, q))
-    return _tally(alphabet, order + 1, np.concatenate(chunks))
+    q, k = alphabet.size, order + 1
+    _check_word_space(q, k)
+    n_words = sum(max(len(seq) - order, 0) for seq in sequences)
+    return _tally(alphabet, k, _window_word_indices(sequences, k, q), n_words)
 
 
 def merge_counts(a: NGramCounts, b: NGramCounts) -> NGramCounts:
@@ -143,7 +160,8 @@ def merge_counts(a: NGramCounts, b: NGramCounts) -> NGramCounts:
     if a.alphabet != b.alphabet or a.word_length != b.word_length:
         raise AlphabetMismatch("count tables have different alphabets or word lengths")
     words = np.concatenate([a.word_indices(), b.word_indices()])
-    return _tally(a.alphabet, a.word_length, words, np.concatenate([a.values(), b.values()]))
+    weights = np.concatenate([a.values(), b.values()])
+    return _tally(a.alphabet, a.word_length, [words], words.size, weights)
 
 
 def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> np.ndarray:
@@ -233,6 +251,6 @@ def read_counts(path, alphabet: Alphabet) -> NGramCounts:
         raise IoError(f"{path}:{linenos[i]}: {problem}: {words[i]!r}")
     indices = letters.reshape(-1, k) @ q ** np.arange(k - 1, -1, -1)
     try:
-        return _tally(alphabet, k, indices, np.array(ns, np.int64))
+        return _tally(alphabet, k, [indices], indices.size, np.array(ns, np.int64))
     except ValueError as err:
         raise IoError(f"{path}: {err}") from None

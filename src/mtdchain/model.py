@@ -14,6 +14,10 @@ recent letter is the least significant digit.  A history (i_m, ..., i_1)
 has index sum_g idx(i_g) * q**(g-1); appending the next letter i_0 gives
 the (m+1)-word index sum_g idx(i_g) * q**g.
 
+Letters in memory: a :class:`Sequence` holds one byte per letter (uint8
+up to q = 256), and (m+1)-word windows are built a chunk at a time as
+uint32 indices while q**(m+1) <= 2**32, int64 beyond.
+
 Window layout: lag g's l-letter block sits at history digits
 g-1 .. g+l-2, which is axis 1 of :func:`_window`'s
 (q**(m-g-l+1), q**l, q**(g-1), q) view of a dense (q**m, q) table.
@@ -36,6 +40,8 @@ ROW_SUM_TOL = 1e-12
 MAX_TABLE_ENTRIES = 10**8
 _INT64_MAX = 2**63 - 1
 
+# windows per chunk of _window_word_indices: its temporaries stay small and in cache
+_WINDOW_CHUNK = 1 << 14
 # dense transition tables above this size are not precomputed for sampling
 _SAMPLE_PRECOMPUTE_LIMIT = 4 * 10**6
 # draws that run a guessed chunk start from history 0 before the chunk begins
@@ -83,19 +89,45 @@ class Alphabet:
             raise InvalidSymbol(f"symbol {label!r} not in alphabet {self.symbols}") from None
 
     @cached_property
+    def letter_dtype(self) -> np.dtype:
+        """A letter's dtype in memory: the narrowest unsigned one that holds q - 1."""
+        return np.min_scalar_type(self.size - 1)
+
+    @cached_property
     def _codes(self) -> np.ndarray:
         """Code point -> index, -1 off the lookup and in the entry past its largest key."""
         table = {ord(k): i for k, i in self._lookup.items() if len(k) == 1}
-        return np.array([table.get(c, -1) for c in range(max(table) + 2)], np.int64)
+        dtype = np.min_scalar_type(-self.size)  # the narrowest that holds -1 and q - 1
+        return np.array([table.get(c, -1) for c in range(max(table) + 2)], dtype)
+
+    @cached_property
+    def _ascii_codes(self) -> bytes:
+        """``_codes`` at the bytes 0..255: a ``bytes.translate`` table when q <= 128."""
+        return self._codes.take(np.arange(256), mode="clip").tobytes()
+
+    @cached_property
+    def _symbol_bytes(self) -> bytes | None:
+        """Index -> symbol byte (a ``bytes.translate`` table) if each symbol is one ASCII char."""
+        text = "".join(self.symbols)
+        one_byte = len(text) == self.size and text.isascii()
+        return text.encode("ascii").ljust(256, b"\0") if one_byte else None
 
     def decode(self, text: str) -> np.ndarray:
-        """Indices of the letters in ``text`` (split at the separator, if any), -1 if foreign."""
+        """Indices of the letters in ``text`` (split at the separator, if any), -1 if foreign.
+
+        Their dtype is the narrowest signed one that holds -1 and q - 1: int8 up to q = 128.
+        """
         if self.separator:
             tokens = text.split(self.separator)
             index = {t: self._lookup.get(t, -1) for t in dict.fromkeys(tokens)}
-            return np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
-        # a code point above the table clips to its last entry; a lone surrogate (an
-        # undecodable byte of a command line) is a code point like any other
+            dtype = np.min_scalar_type(-self.size)
+            return np.fromiter(map(index.__getitem__, tokens), dtype, len(tokens))
+        # ASCII text maps byte to byte, as a gather would first cast its codes to
+        # 8-byte indices.  Other text is read as UTF-32: a lone surrogate (an
+        # undecodable byte of a command line) is a code point like any other, and
+        # a code point above the table clips to its last entry.
+        if text.isascii() and self.size <= 128:
+            return np.frombuffer(text.encode("ascii").translate(self._ascii_codes), np.int8)
         codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
         return self._codes.take(codes, mode="clip")
 
@@ -151,19 +183,21 @@ def spell_word(index: int, length: int, alphabet: Alphabet) -> str:
 
 @dataclass(frozen=True)
 class Sequence:
-    """A sequence of symbol indices over an alphabet."""
+    """A sequence of symbol indices over an alphabet, read-only, of ``Alphabet.letter_dtype``."""
 
     alphabet: Alphabet
     data: np.ndarray
     name: str | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.int64)
+        arr = np.asarray(self.data)
+        arr = arr if arr.dtype.kind in "iu" else arr.astype(np.int64)
         if arr.ndim != 1:
             raise ShapeMismatch("sequence data must be one-dimensional")
-        # one reduction: a negative int64 viewed as uint64 exceeds every size
-        if arr.size and arr.view(np.uint64).max() >= self.alphabet.size:
+        q = self.alphabet.size
+        if arr.size and ((arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= q):
             raise InvalidSymbol("sequence contains indices outside the alphabet")
+        arr = arr.astype(self.alphabet.letter_dtype, copy=False)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -172,6 +206,9 @@ class Sequence:
 
     def labels(self) -> str:
         """The letters spelled in order, as a sequence file line."""
+        spelled = self.alphabet._symbol_bytes
+        if spelled is not None:
+            return self.data.tobytes().translate(spelled).decode("ascii")
         return self.alphabet.separator.join(self.alphabet.spell(self.data).tolist())
 
 
@@ -229,6 +266,7 @@ class MtdModel:
         if variant == "single_matrix" and lag_order != 1:
             raise ValueError("single_matrix variant requires lag_order 1")
         q = alphabet.size
+        _check_word_space(q, lag_order)
         G = order - lag_order + 1
         phi = _freeze(phi)
         if phi.shape != (G,):
@@ -402,21 +440,37 @@ def full_transition_matrix(model) -> FullMarkovModel:
 
 def _check_word_space(q: int, k: int) -> None:
     """Raise :class:`ModelTooLarge` unless every k-letter word index fits in int64."""
-    if q**k > _INT64_MAX:
+    # q >= 2, so k >= 63 overflows; testing it first keeps q**k small
+    if k >= 63 or q**k > _INT64_MAX:
         raise ModelTooLarge(f"{k}-letter words over {q} symbols overflow 64-bit word indices")
 
 
-def _window_word_indices(data: np.ndarray, k: int, q: int) -> np.ndarray:
-    """Indices of all length-k windows of ``data`` (empty if too short)."""
+def _window_word_indices(sequences, k: int, q: int):
+    """Indices of the length-k windows inside each sequence, in chunks of ``_WINDOW_CHUNK``.
+
+    The windows are built over the letters of all sequences laid end to
+    end, as uint32 indices (int64 when q**k exceeds 2**32), and those that
+    cross from one sequence into the next are dropped.
+    """
     _check_word_space(q, k)
-    n = data.size
-    if n < k:
-        return np.empty(0, dtype=np.int64)
-    idx = np.array(data[: n - k + 1], dtype=np.int64)
-    for off in range(1, k):
-        idx *= q
-        idx += data[off : n - k + 1 + off]
-    return idx
+    dtype = np.uint32 if q**k <= 2**32 else np.int64
+    letters = np.concatenate([np.empty(0, np.uint8), *(seq.data for seq in sequences)])
+    starts = np.cumsum([len(seq) for seq in sequences], dtype=np.int64)[:-1]
+    n = max(letters.size - k + 1, 0)
+    for lo in range(0, n, _WINDOW_CHUNK):
+        hi = min(lo + _WINDOW_CHUNK, n)
+        span = letters[lo : hi + k - 1].astype(dtype)
+        words = span[: hi - lo].copy()
+        for off in range(1, k):
+            words *= q
+            words += span[off : off + hi - lo]
+        del span  # a generator's locals outlive the yield
+        # a sequence starting at s is crossed by the windows at s - k + 1 .. s - 1
+        a, b = np.searchsorted(starts, [lo, hi + k - 2], "right")
+        if b > a:
+            crossing = (starts[a:b, None] - np.arange(lo + 1, lo + k)).ravel()
+            words = np.delete(words, crossing[(crossing >= 0) & (crossing < hi - lo)])
+        yield words
 
 
 def sequence_loglik(model, seq: Sequence) -> float:
@@ -439,7 +493,7 @@ def sequence_loglik(model, seq: Sequence) -> float:
             stacklevel=2,
         )
         return 0.0
-    words = _window_word_indices(seq.data, m + 1, q)
+    words = np.concatenate([*_window_word_indices([seq], m + 1, q)])
     probs = word_probabilities(model, words)
     zero = probs <= 0.0
     if zero.any():

@@ -52,6 +52,13 @@ def write_model(path, model, provenance: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _integer(doc: dict, key: str) -> int:
+    """``doc[key]``, which must be a JSON integer: a float or a bool raises ValueError."""
+    if type(doc[key]) is not int:
+        raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+    return doc[key]
+
+
 def read_model(path):
     """Read a model file; returns ``(model, provenance)``."""
     try:
@@ -71,13 +78,16 @@ def read_model(path):
         provenance = doc.get("provenance") or {}
         if kind == "mtd":
             model = MtdModel(
-                alphabet, doc["m"], doc["l"], np.array(doc["phi"]), mats,
+                alphabet, _integer(doc, "m"), _integer(doc, "l"), np.array(doc["phi"]), mats,
                 variant=doc["variant"],
             )
         elif kind == "full_markov":
-            model = FullMarkovModel(alphabet, doc["m"], mats[0])
+            if len(mats) != 1 or any(doc.get(key) is not None for key in ("l", "variant", "phi")):
+                raise ValueError("a full_markov model is one table, with l, variant and phi null")
+            model = FullMarkovModel(alphabet, _integer(doc, "m"), mats[0])
         elif kind == "theta_u":
-            model = ThetaU(alphabet, doc["m"], doc["l"], alphabet.index(doc["u"]), mats)
+            m, l = _integer(doc, "m"), _integer(doc, "l")
+            model = ThetaU(alphabet, m, l, alphabet.index(doc["u"]), mats)
         else:
             raise IoError(f"unknown model_kind {kind!r} in {path}")
     except KeyError as err:

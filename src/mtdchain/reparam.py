@@ -48,6 +48,7 @@ class ThetaU:
         if not 1 <= lag_order <= order:
             raise ValueError("lag_order must satisfy 1 <= l <= m")
         q = alphabet.size
+        _check_word_space(q, lag_order)
         u = alphabet.check_index(u)
         G = order - lag_order + 1
         tables = [_freeze(t) for t in tables]

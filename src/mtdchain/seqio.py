@@ -3,7 +3,9 @@
 :class:`Alphabet`, the single owner of the letter format, decodes and spells every line.
 Symbols not in the declared alphabet break the current counting window:
 the raw record is split at foreign symbols and each run becomes its own
-sequence, so downstream windows never span a foreign symbol.
+sequence, so downstream windows never span a foreign symbol.  Records are
+decoded in batches of about ``_DECODE_BATCH`` characters (ASCII text byte
+to byte), and every run is a view of its batch's letters.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ def _decode_records(records, alphabet: Alphabet) -> list[Sequence]:
     sep = alphabet.separator
     indices = alphabet.decode(sep.join(text for _, text in records))
     foreign = (indices < 0).nonzero()[0].tolist()
+    # one cast for the batch, so every run is a view of the sequences' dtype
+    indices = indices.astype(alphabet.letter_dtype)
     sequences: list[Sequence] = []
     start = 0
     for name, text in records:

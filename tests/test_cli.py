@@ -2,7 +2,12 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,6 +519,29 @@ def test_histories_whose_words_overflow_int64(tmp_path, capsys, command):
             h = h % 3**38 * 3 + letter
         with open(out_path) as fh:
             assert fh.read() == "".join(map(str, letters)) + "\n"
+
+
+def _capped_memory():
+    # a child that regresses into a huge power then fails instead of filling the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+def test_eval_of_a_dense_file_with_a_huge_order_fails_fast(corpus, tmp_path):
+    model_path = tmp_path / "huge.json"
+    write_model(model_path, full_transition_matrix(random_mtd(4, 1, 1, seed=3, alphabet=DNA)))
+    doc = json.loads(model_path.read_text())
+    doc["m"] = 10**30
+    model_path.write_text(json.dumps(doc))
+    # a subprocess with a timeout: the q**m of an unchecked order never finishes
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "mtdchain.cli", "eval", "--model", str(model_path), "--in", corpus],
+        capture_output=True, text=True, timeout=60, preexec_fn=_capped_memory,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("mtdchain: error: ") and result.stderr.count("\n") == 1
+    assert "overflow 64-bit word indices" in result.stderr
 
 
 def test_sample_then_count_multi_character_symbols(tmp_path, capsys):

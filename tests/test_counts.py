@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,10 +21,14 @@ from mtdchain import (
     default_alphabet,
     lag_contingency,
     merge_counts,
+    random_mtd,
     read_counts,
+    read_sequences,
+    sample_sequence,
     word_to_index,
     write_counts,
 )
+from mtdchain.model import _window_word_indices
 
 
 def brute_force_counts(seqs, order):
@@ -123,6 +129,72 @@ class TestCountNgrams:
         assert np.array_equal(counts.values(), ns)
         for array in (counts.word_indices(), counts.values()):
             assert array.dtype == np.int64 and not array.flags.writeable
+
+
+@pytest.mark.parametrize("q,k", [(2, 32), (2, 33), (4, 16), (4, 17), (300, 3), (300, 4)])
+def test_window_indices_at_the_uint32_limit(q, k):
+    alphabet = default_alphabet(q)
+    # the all-(q - 1) word has the largest index, q**k - 1
+    seqs = [
+        Sequence(alphabet, [q - 1] * (k + 3)),
+        random_sequence(alphabet, 300, k),
+        Sequence(alphabet, [q - 1] * k + [0] * k),
+    ]
+    (chunk,) = _window_word_indices(seqs, k, q)
+    assert chunk.dtype == (np.uint32 if q**k <= 2**32 else np.int64)
+    expected = [word_to_index(s.data[t : t + k], q) for s in seqs for t in range(len(s) - k + 1)]
+    assert max(expected) == q**k - 1
+    assert chunk.tolist() == expected
+    counts = count_ngrams(seqs, k - 1)
+    assert list(counts.items()) == sorted(Counter(expected).items())
+    assert type(counts.total) is int and counts.total == len(expected)
+
+
+@pytest.fixture(scope="module")
+def short_records():
+    """1e5 records of 0 to 15 letters over q = 4, with their letters laid end to end."""
+    rng = np.random.default_rng(2008)
+    lengths = rng.integers(0, 16, size=100_000)
+    letters = rng.integers(0, 4, size=int(lengths.sum()))
+    alphabet = default_alphabet(4)
+    seqs = [Sequence(alphabet, part) for part in np.split(letters, np.cumsum(lengths)[:-1])]
+    return seqs, lengths, letters
+
+
+# order 9 has more words (4**10) than windows: the np.unique path
+@pytest.mark.parametrize("order", [1, 2, 6, 9])
+def test_many_short_records_match_unique_of_windows(short_records, order):
+    seqs, lengths, letters = short_records
+    k = order + 1
+    # a window is inside one record iff its first and last letters belong to the same one
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    inside = owner[: owner.size - k + 1] == owner[k - 1 :]
+    windows = sliding_window_view(letters, k) @ 4 ** np.arange(k - 1, -1, -1)
+    words, ns = np.unique(windows[inside], return_counts=True)
+    counts = count_ngrams(seqs, order)
+    assert np.array_equal(counts.word_indices(), words)
+    assert np.array_equal(counts.values(), ns)
+
+
+def test_read_and_count_stay_under_four_bytes_per_letter(tmp_path):
+    n = 200_000
+    text = sample_sequence(random_mtd(4, 6, 1, seed=16), n, seed=16).labels()
+    path = tmp_path / "corpus.txt"
+    path.write_text(text[: n // 2] + "\n" + text[n // 2 :] + "\n")
+
+    def peak(call):
+        """``call()`` and the peak of the memory it allocated, in bytes."""
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    seqs, read_peak = peak(lambda: read_sequences(path, alphabet=default_alphabet(4)))
+    counts, count_peak = peak(lambda: count_ngrams(seqs, 6))
+    assert counts.total == n - 2 * 6
+    assert read_peak < 4 * n
+    assert count_peak < 4 * n
 
 
 class TestContainer:

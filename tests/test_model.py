@@ -11,6 +11,7 @@ import mtdchain.model
 import refdata
 from conftest import build_model, random_mtds, random_sequence
 from mtdchain import (
+    DNA,
     Alphabet,
     FullMarkovModel,
     InvalidSymbol,
@@ -18,6 +19,7 @@ from mtdchain import (
     MtdModel,
     Sequence,
     ShapeMismatch,
+    ThetaU,
     full_transition_matrix,
     index_to_word,
     random_full_markov,
@@ -83,6 +85,52 @@ class TestAlphabet:
             dna.check_index(4)
 
 
+class TestLetterBytes:
+    @pytest.mark.parametrize("q,dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_sequence_data_is_the_narrowest_unsigned_dtype(self, q, dtype):
+        alphabet = Alphabet(tuple(f"s{i}" for i in range(q)))
+        for data in ([0, q - 1], np.array([0, q - 1], np.int64), np.array([0, q - 1], np.uint16)):
+            seq = Sequence(alphabet, data)
+            assert seq.data.dtype == dtype and seq.data.tolist() == [0, q - 1]
+            assert not seq.data.flags.writeable
+
+    @pytest.mark.parametrize(
+        "data", [[-1], [4], np.array([-1], np.int8), np.array([255], np.uint8), [0, 2**40]]
+    )
+    def test_sequence_range_check_for_every_dtype(self, dna, data):
+        with pytest.raises(InvalidSymbol):
+            Sequence(dna, data)
+
+    def test_signed_input_above_its_half_range(self):
+        # q = 200: an int8 -56 read as uint8 would be 200 - 56 = 144, a valid letter
+        alphabet = Alphabet(tuple(f"s{i}" for i in range(200)))
+        with pytest.raises(InvalidSymbol):
+            Sequence(alphabet, np.array([3, -56], np.int8))
+
+    @pytest.mark.parametrize(
+        "symbols",
+        [tuple("acgt"), ("a", "A", "b"), ("ß", "a", "b"), ("\U0001F642", "x"),
+         tuple(f"s{i}" for i in range(12)), tuple(chr(33 + i) for i in range(90))],
+        ids=["dna", "case-pair", "sharp-s", "astral", "q12", "q90"],
+    )
+    def test_labels_match_the_symbol_join(self, symbols):
+        alphabet = Alphabet(symbols)
+        seq = random_sequence(alphabet, 500, 4)
+        expected = alphabet.separator.join(symbols[i] for i in seq.data.tolist())
+        assert seq.labels() == expected
+        assert Sequence(alphabet, []).labels() == ""
+
+    def test_decode_dtype_holds_minus_one_and_q_minus_1(self):
+        assert DNA.decode("acgtN").dtype == np.int8
+        assert Alphabet(tuple(f"s{i}" for i in range(12))).decode("s11,x").dtype == np.int8
+        # above q = 128 the ASCII text takes the UTF-32 path and indices widen to int16
+        wide = Alphabet(tuple(map(chr, [*range(33, 123), *range(256, 346)])))
+        text = "".join(wide.symbols) + " \u0100"
+        expected = list(range(180)) + [-1, 90]
+        assert wide.decode(text).tolist() == expected
+        assert wide.decode(text[:90]).dtype == np.int16
+
+
 class TestWordIndex:
     def test_oldest_first_base_q(self):
         # "ac" over q=4 reads as the numeral 0*4 + 1
@@ -129,6 +177,17 @@ class TestMtdModelValidation:
         u = np.full((4, 4), 0.25)
         with pytest.raises(ShapeMismatch):
             MtdModel(dna, 2, 1, [0.5, 0.5], [u])
+
+
+    @pytest.mark.parametrize("lag_order", [63, 10**30])
+    def test_block_space_is_checked_before_any_power(self, dna, lag_order):
+        # 4**(10**30) would never finish; the check needs no power at all
+        with pytest.raises(ModelTooLarge):
+            MtdModel(dna, lag_order, lag_order, [1.0], [np.eye(4)])
+        with pytest.raises(ModelTooLarge):
+            FullMarkovModel(dna, lag_order, np.eye(4))
+        with pytest.raises(ModelTooLarge):
+            ThetaU(dna, lag_order, lag_order, 0, [np.eye(4)])
 
 
 class TestTransitionProb:

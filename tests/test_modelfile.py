@@ -10,6 +10,7 @@ from mtdchain import (
     FullMarkovModel,
     IoError,
     full_transition_matrix,
+    random_full_markov,
     random_mtd,
     read_model,
     to_theta_u,
@@ -151,6 +152,33 @@ def test_inconsistent_theta_u_overlap_is_io_error(tmp_path):
     theta = to_theta_u(random_mtd(2, 3, 2, seed=10), 0)
     with pytest.raises(IoError, match="edited.json"):
         read_model(_edited(tmp_path, theta, edit))
+
+
+def _dense_edit(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+@pytest.mark.parametrize(
+    "model,edit",
+    [
+        (random_mtd(2, 4, 1, seed=11), _dense_edit("m", 3.9)),
+        (random_mtd(2, 4, 1, seed=11), _dense_edit("m", 4.0)),
+        (random_mtd(2, 4, 1, seed=11), _dense_edit("l", True)),
+        (random_full_markov(2, 2), _dense_edit("m", 2.5)),
+        (random_full_markov(2, 2), _dense_edit("m", 1e308)),
+        (random_full_markov(2, 1), _dense_edit("m", True)),
+        (random_full_markov(2, 1), lambda doc: doc["matrices"].append(doc["matrices"][0])),
+        (random_full_markov(2, 1), _dense_edit("phi", [0.3, 0.7])),
+        (random_full_markov(2, 1), _dense_edit("l", 5)),
+        (random_full_markov(2, 1), _dense_edit("variant", "general")),
+        (to_theta_u(random_mtd(2, 3, 2, seed=10), 0), _dense_edit("l", 2.0)),
+    ],
+    ids=["mtd-m-3.9", "mtd-m-4.0", "mtd-l-true", "dense-m-2.5", "dense-m-1e308", "dense-m-true",
+         "dense-two-tables", "dense-phi", "dense-l", "dense-variant", "theta-l-2.0"],
+)
+def test_fields_a_model_kind_does_not_hold_are_io_errors(tmp_path, model, edit):
+    with pytest.raises(IoError, match="holds an invalid model"):
+        read_model(_edited(tmp_path, model, edit))
 
 
 def test_trace_file(tmp_path):

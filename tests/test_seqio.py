@@ -297,3 +297,37 @@ def test_batched_decode_matches_one_record_at_a_time(tmp_path_factory, corpus, b
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seqio, "_DECODE_BATCH", batch)  # 1: every record decoded on its own
         assert _outcome(read_sequences, path, fmt, alphabet) == expected
+
+
+# ASCII text is decoded byte to byte and other text as UTF-32; with one record
+# per decode call, a file's lines take both paths
+MIXED_TEXT = "abgABG\nαβγ\nαaβbγg\nΑΒΓ\nNαN\nßSSßss\nacgt\nACGT\n\U0001F642ax\n>r\nαβ\nab\n"
+
+
+@pytest.mark.parametrize(
+    "symbols",
+    [("α", "β", "γ"), ("ß", "a", "b"), ("\U0001F642", "x"), tuple("acgt"), ("a", "A", "b")],
+    ids=["greek", "sharp-s", "astral", "dna", "case-pair"],
+)
+@pytest.mark.parametrize("fmt", ["plain", "fasta"])
+@pytest.mark.parametrize("batch", [1, seqio._DECODE_BATCH])
+def test_ascii_and_other_lines_match_per_letter_oracle(symbols, fmt, batch, tmp_path):
+    alphabet = Alphabet(symbols)
+    path = tmp_path / "corpus.txt"
+    path.write_text(MIXED_TEXT, encoding="utf-8")
+    expected = _outcome(per_letter_read, path, fmt, alphabet)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqio, "_DECODE_BATCH", batch)
+        assert _outcome(read_sequences, path, fmt, alphabet) == expected
+
+
+@settings(max_examples=100)
+@given(corpus=corpus_files())
+def test_one_record_per_decode_matches_per_letter_oracle(tmp_path_factory, corpus):
+    alphabet, fmt, text = corpus
+    path = tmp_path_factory.mktemp("mixed") / "corpus.txt"
+    path.write_text(text, encoding="utf-8")
+    expected = _outcome(per_letter_read, path, fmt, alphabet)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqio, "_DECODE_BATCH", 1)
+        assert _outcome(read_sequences, path, fmt, alphabet) == expected
