@@ -45,7 +45,6 @@ from .experiments import bic_compare, fit_full_markov, tv_experiment
 from .model import (
     DNA,
     Alphabet,
-    FullMarkovModel,
     MtdModel,
     Sequence,
     default_alphabet,

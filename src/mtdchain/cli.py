@@ -32,9 +32,9 @@ import sys
 from .berchtold import BerchtoldConfig, berchtold_fit
 from .counts import count_ngrams, write_counts
 from .em import EmConfig, fit_with_restarts, init_contingency, loglik_from_counts
-from .errors import MtdError
+from .errors import EmptyCorpus, MtdError
 from .experiments import bic_compare, tv_experiment, tv_experiment_summary
-from .model import Alphabet, FullMarkovModel, MtdModel, full_transition_matrix, sample_sequence
+from .model import Alphabet, MtdModel, full_transition_matrix, sample_sequence
 from .modelfile import read_model, write_model, write_trace
 from .reparam import ThetaU, bic, from_theta_u, model_dimension, to_theta_u
 from .seqio import read_sequences
@@ -147,7 +147,7 @@ _SUBCOMMANDS = {
     "eval": ("log-likelihood, dimension, and BIC of a model",
              "--model* --in* --format --dim-convention --bic-n --out"),
     "sample": ("sample a sequence from a model", "--model* --length* --prefix --seed --out"),
-    "expand": ("expand an MTD model to its dense table", "--model* --out* --seed"),
+    "expand": ("expand a model to its dense table", "--model* --out* --seed"),
     "convert": ("convert between model parametrizations",
                 "--model* --to* --out* --ref-letter --seed"),
     "tv-experiment": ("distance of fitted orders to a known generator",
@@ -257,6 +257,8 @@ def cmd_eval(args, argv) -> int:
     d_theta = model_dimension(model, "theta_u")
     d_raw = model_dimension(model, "raw")
     n_terms = counts.total if args.bic_n == "terms" else sum(len(s) for s in sequences)
+    if not n_terms:
+        raise EmptyCorpus(f"no sequence is longer than order {scoring.order}: no word to score")
     dim = d_theta if args.dim_convention == "theta_u" else d_raw
     value = bic(loglik, dim, n_terms)
     text = (
@@ -282,7 +284,7 @@ def cmd_convert(args, argv) -> int:
     model, _ = read_model(args.model)
     if args.target == "full_markov":
         converted = full_transition_matrix(_as_transition_model(model))
-    elif isinstance(model, MtdModel) and not isinstance(model, FullMarkovModel):
+    elif isinstance(model, MtdModel):
         u = model.alphabet.index(args.ref_letter) if args.ref_letter else 0
         converted = to_theta_u(model, u)
     else:
@@ -359,6 +361,9 @@ def main(argv=None) -> int:
         return 2
     except MtdError as err:
         print(f"mtdchain: error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:  # every reader raises IoError, so this is an output that failed
+        print(f"mtdchain: error: cannot write: {err}", file=sys.stderr)
         return 1
 
 

@@ -7,27 +7,22 @@ from dataclasses import replace
 import numpy as np
 
 from .counts import NGramCounts, count_ngrams
+from .errors import EmptyCorpus
 from .em import EmConfig, fit_with_restarts, loglik_from_counts
-from .model import (
-    FullMarkovModel,
-    _check_dense_size,
-    _normalize_rows,
-    random_full_markov,
-    sample_sequence,
-)
+from .model import MtdModel, _check_dense_size, _normalize_rows, random_full_markov, sample_sequence
 from .reparam import bic, model_dimension
 from .stationary import tv_distance, word_distribution
 
 
-def fit_full_markov(counts: NGramCounts) -> FullMarkovModel:
-    """ML full Markov model (the MTD model with l = m); unseen histories get uniform rows."""
+def fit_full_markov(counts: NGramCounts) -> MtdModel:
+    """ML full Markov model, as the MtdModel with l = m; unseen histories get uniform rows."""
     q = counts.alphabet.size
     m = counts.order
     _check_dense_size(q, m)
     # a word index is its history's row times q plus its final letter
     table = np.bincount(counts.word_indices(), weights=counts.values(), minlength=q ** (m + 1))
     table = _normalize_rows(table.reshape(q**m, q), 1.0 / q)
-    return FullMarkovModel(counts.alphabet, m, table)
+    return MtdModel(counts.alphabet, m, m, [1.0], [table])
 
 
 def tv_experiment(
@@ -101,6 +96,8 @@ def bic_compare(
     for m in orders:
         counts = count_ngrams(sequences, m)
         n_terms = counts.total
+        if not n_terms:
+            raise EmptyCorpus(f"no sequence is longer than order {m}: no word to score")
         full = fit_full_markov(counts)
         ll_full = loglik_from_counts(full, counts)
         dim_full = model_dimension(full)

@@ -1,4 +1,4 @@
-"""Core value types: alphabets, sequences, MTD and full Markov models.
+"""Core value types: alphabets, sequences and MTD models.
 
 An order-m MTD model predicts the next letter as a convex mixture over
 lags: each lag g carries a weight phi_g and a stochastic matrix pi_g
@@ -6,7 +6,7 @@ mapping the l-letter block ending at lag g to a distribution over the
 next letter.  With l = 1 every lag looks at a single letter; the
 ``single_matrix`` variant shares one matrix across all lags.  With
 l = m there is one component, phi = (1), whose matrix is the dense
-q**m x q table: that is the full Markov model.
+q**m x q table: that is the full Markov model (:attr:`MtdModel.is_dense`).
 
 Word-index convention (used everywhere, including file formats): a word
 spelled oldest letter first is read as a base-q numeral, so the most
@@ -309,25 +309,16 @@ class MtdModel:
             and all(np.array_equal(a, b) for a, b in zip(self.matrices, other.matrices))
         )
 
+    @property
+    def is_dense(self) -> bool:
+        """Whether this is the full Markov model: l = m, the general variant and phi exactly (1)."""
+        return self.lag_order == self.order and self.variant == "general" and self.phi[0] == 1.0
+
     def __repr__(self):
         return (
             f"MtdModel(q={self.alphabet.size}, m={self.order}, l={self.lag_order}, "
             f"variant={self.variant!r})"
         )
-
-
-class FullMarkovModel(MtdModel):
-    """Unconstrained order-m Markov model: the one-component MTD model with l = m."""
-
-    def __init__(self, alphabet, order, table):
-        super().__init__(alphabet, order, order, [1.0], [table])
-
-    @property
-    def table(self) -> np.ndarray:
-        return self.matrices[0]
-
-    def __repr__(self):
-        return f"FullMarkovModel(q={self.alphabet.size}, m={self.order})"
 
 
 def _check_history(model, history, what: str = "history") -> np.ndarray:
@@ -429,13 +420,13 @@ def _build_dense(q: int, order: int, terms) -> np.ndarray:
     return table
 
 
-def full_transition_matrix(model) -> FullMarkovModel:
-    """The dense order-m transition table of an MTD model; a dense model is returned as is."""
-    if isinstance(model, FullMarkovModel):
+def full_transition_matrix(model) -> MtdModel:
+    """The model as its dense q**m x q table sum_g phi_g pi_g; a dense model is returned as is."""
+    if model.is_dense:
         return model
     terms = [(g, model.lag_order, p * model.matrix_for_lag(g)) for g, p in enumerate(model.phi, 1)]
     table = _build_dense(model.alphabet.size, model.order, terms)
-    return FullMarkovModel(model.alphabet, model.order, table)
+    return MtdModel(model.alphabet, model.order, model.order, [1.0], [table])
 
 
 def _check_word_space(q: int, k: int) -> None:
@@ -528,7 +519,7 @@ def _cumulative_rows(model):
     width = q - 1
     n_hist = q**model.order
     if n_hist * q <= _SAMPLE_PRECOMPUTE_LIMIT:
-        cum = np.cumsum(full_transition_matrix(model).table, axis=1)
+        cum = np.cumsum(full_transition_matrix(model).matrices[0], axis=1)
         return array("d", cum[:, :-1].tobytes()), range(0, n_hist * width, width)
     table = array("d")
 
@@ -677,8 +668,8 @@ def random_mtd(q, order, lag_order, variant="general", seed=0, alphabet=None) ->
     return MtdModel(alphabet, order, lag_order, phi, mats, variant=variant)
 
 
-def random_full_markov(q, order, seed=0, alphabet=None) -> FullMarkovModel:
-    """Random dense order-m model: every row a normalized uniform draw."""
+def random_full_markov(q, order, seed=0, alphabet=None) -> MtdModel:
+    """Random full Markov model (the MTD model with l = m): every row a normalized uniform draw."""
     alphabet = _resolve_alphabet(alphabet, q)
     rng = np.random.default_rng(seed)
-    return FullMarkovModel(alphabet, order, _positive_rows(rng, (q**order, q)))
+    return MtdModel(alphabet, order, order, [1.0], [_positive_rows(rng, (q**order, q))])

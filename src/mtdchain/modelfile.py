@@ -1,7 +1,8 @@
 """Versioned JSON model files and plain-text trace files.
 
 One document format covers the three model kinds (``mtd``,
-``full_markov``, ``theta_u``).  Matrices are written row-major in
+``full_markov``, ``theta_u``); an :class:`MtdModel` is written as
+``full_markov`` exactly when it is dense.  Matrices are written row-major in
 word-index row order.  Probabilities are serialized with Python's
 shortest round-tripping float representation, so write -> read -> write
 is byte-identical and read values are bit-exact.
@@ -14,7 +15,7 @@ import json
 import numpy as np
 
 from .errors import IoError
-from .model import Alphabet, FullMarkovModel, MtdModel
+from .model import Alphabet, MtdModel
 from .reparam import ThetaU
 
 FORMAT_VERSION = 1
@@ -23,7 +24,7 @@ FORMAT_VERSION = 1
 def _document(model, provenance: dict | None) -> dict:
     doc: dict = {"format_version": FORMAT_VERSION, "alphabet": list(model.alphabet.symbols)}
     if isinstance(model, MtdModel):
-        dense = isinstance(model, FullMarkovModel)
+        dense = model.is_dense
         doc["model_kind"] = "full_markov" if dense else "mtd"
         doc["m"] = model.order
         doc["l"] = None if dense else model.lag_order
@@ -46,7 +47,7 @@ def _document(model, provenance: dict | None) -> dict:
 
 
 def write_model(path, model, provenance: dict | None = None) -> None:
-    """Write an MTD model (full Markov is its one-component case l = m) or ThetaU tables as JSON."""
+    """Write an MTD model or ThetaU tables as JSON; a dense MTD model as kind ``full_markov``."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_document(model, provenance), fh, indent=2)
         fh.write("\n")
@@ -84,7 +85,8 @@ def read_model(path):
         elif kind == "full_markov":
             if len(mats) != 1 or any(doc.get(key) is not None for key in ("l", "variant", "phi")):
                 raise ValueError("a full_markov model is one table, with l, variant and phi null")
-            model = FullMarkovModel(alphabet, _integer(doc, "m"), mats[0])
+            m = _integer(doc, "m")
+            model = MtdModel(alphabet, m, m, [1.0], mats)
         elif kind == "theta_u":
             m, l = _integer(doc, "m"), _integer(doc, "l")
             model = ThetaU(alphabet, m, l, alphabet.index(doc["u"]), mats)

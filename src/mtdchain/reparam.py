@@ -18,7 +18,6 @@ from .errors import NotAnMtdPoint, ShapeMismatch
 from .model import (
     ROW_SUM_TOL,
     Alphabet,
-    FullMarkovModel,
     MtdModel,
     _build_dense,
     _check_word_space,
@@ -119,8 +118,8 @@ def to_theta_u(model: MtdModel, u) -> ThetaU:
     return ThetaU(model.alphabet, m, l, u, tables)
 
 
-def from_theta_u(theta: ThetaU) -> FullMarkovModel:
-    """Rebuild the dense transition table from one-block rows.
+def from_theta_u(theta: ThetaU) -> MtdModel:
+    """Rebuild the dense transition table from one-block rows, as the MTD model with l = m.
 
     An MTD row is the sum of anchored interaction terms over position
     sets that fit in one window g..g+l-1.  Window g's table holds the sum
@@ -159,7 +158,7 @@ def from_theta_u(theta: ThetaU) -> FullMarkovModel:
         )
     table = np.clip(table, 0.0, 1.0)
     table /= table.sum(axis=1, keepdims=True)
-    return FullMarkovModel(theta.alphabet, m, table)
+    return MtdModel(theta.alphabet, m, m, [1.0], [table])
 
 
 def dim_full_markov(order: int, q: int) -> int:

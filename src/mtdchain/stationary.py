@@ -39,7 +39,7 @@ def stationary_histories(model) -> np.ndarray:
     Iterates mu <- mu T on the expanded chain until the L1 change drops
     to 1e-12 (at most 1e5 sweeps, else :class:`NonConvergentStationary`).
     """
-    table = full_transition_matrix(model).table
+    table = full_transition_matrix(model).matrices[0]
     n_hist, q = table.shape
     mu = np.full(n_hist, 1.0 / n_hist)
     for _ in range(_MAX_SWEEPS):
@@ -69,7 +69,7 @@ def word_distribution(model, word_length: int) -> WordDistribution:
     probs = stationary_histories(dense).reshape(-1, q ** min(k, m)).sum(axis=0)
     for j in range(m, k):
         # the last m letters of a j-word, its low digits, are the history of its next letter
-        probs = (probs.reshape(q ** (j - m), q**m, 1) * dense.table).ravel()
+        probs = (probs.reshape(q ** (j - m), q**m, 1) * dense.matrices[0]).ravel()
     return WordDistribution(model.alphabet, k, probs)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -11,15 +12,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtdchain import (
     DNA,
     Alphabet,
-    FullMarkovModel,
     MtdModel,
     ThetaU,
     count_ngrams,
     full_transition_matrix,
+    random_full_markov,
     random_mtd,
     read_model,
     sample_sequence,
@@ -133,7 +136,7 @@ def test_expand_equals_convert_to_full_markov(kind, tmp_path):
     assert cli.main(["expand", "--model", src, "--out", expanded]) == 0
     assert cli.main(["convert", "--model", src, "--to", "full_markov", "--out", converted]) == 0
     dense, _ = read_model(expanded)
-    assert isinstance(dense, FullMarkovModel)
+    assert dense.is_dense
     assert dense == read_model(converted)[0]
 
 
@@ -582,13 +585,23 @@ def test_sample_prefix_with_a_foreign_letter_is_one_line_error(prefix, tmp_path,
     _assert_one_line_failure(argv, capsys, "prefix")
 
 
-def test_convert_full_markov_to_theta_u_is_refused(tmp_path, capsys):
-    # a full Markov model is an MTD model (l = m), but its file does not convert
-    model_path, out_path = str(tmp_path / "dense.json"), tmp_path / "theta.json"
+def test_convert_full_markov_to_theta_u_keeps_eval(corpus, tmp_path, capsys):
+    # a full Markov model is the MTD model with l = m, so its file converts like any other
+    model_path, out_path = str(tmp_path / "dense.json"), str(tmp_path / "theta.json")
     write_model(model_path, full_transition_matrix(_model()))
-    argv = ["convert", "--model", model_path, "--to", "theta_u", "--out", str(out_path)]
+    argv = ["convert", "--model", model_path, "--to", "theta_u", "--out", out_path]
+    assert cli.main(argv) == 0
+    assert isinstance(read_model(out_path)[0], ThetaU)
+    rows = []
+    for path in (model_path, out_path):
+        assert cli.main(["eval", "--model", path, "--in", corpus]) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[0] == rows[1]
+    # theta_u tables are already the target parametrization
+    again = tmp_path / "again.json"
+    argv = ["convert", "--model", out_path, "--to", "theta_u", "--out", str(again)]
     _assert_one_line_failure(argv, capsys, "only MTD models convert to theta_u")
-    assert not out_path.exists()
+    assert not again.exists()
 
 
 def _model_document():
@@ -614,3 +627,123 @@ def test_malformed_model_file_is_one_line_error(broken, tmp_path, capsys):
 def test_unwritable_alphabet_flag_is_usage_error(corpus, capsys):
     argv = ["count", "--in", corpus, "--alphabet", "a,,b", "--order", "1"]
     _assert_one_line_failure(argv, capsys, "invalid flag value", "''", code=2)
+
+
+def _small_run(command, corpus, model_path):
+    """``command`` with its required flags on small inputs, leaving out ``--out``."""
+    return [command, *{
+        "count": ["--alphabet", "acgt", "--order", "1", "--in", corpus],
+        "fit": ["--alphabet", "acgt", "--order", "1", "--in", corpus, "--restarts", "1"],
+        "eval": ["--model", model_path, "--in", corpus],
+        "sample": ["--model", model_path, "--length", "20"],
+        "expand": ["--model", model_path],
+        "convert": ["--model", model_path, "--to", "theta_u"],
+        "tv-experiment": ["--gen-order", "1", "--alphabet-size", "2", "--length", "50",
+                          "--fit-orders", "1", "--replicates", "1", "--word-len", "2"],
+        "bic-compare": ["--alphabet", "acgt", "--orders", "1", "--in", corpus,
+                        "--restarts", "1"],
+    }[command]]
+
+
+OUTPUT_FLAGS = [
+    (command, "--out") for command, (_, flags) in cli._SUBCOMMANDS.items()
+    if "--out" in flags.replace("*", "").split()
+] + [("fit", "--trace-out")]
+
+
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS, ids=lambda x: x.lstrip("-"))
+def test_unwritable_output_is_one_line_error(command, flag, corpus, tmp_path, capsys):
+    model_path = str(tmp_path / "model.json")
+    write_model(model_path, _model())
+    bad = str(tmp_path / "missing" / "out")
+    argv = _small_run(command, corpus, model_path)
+    if flag == "--trace-out":
+        argv += ["--out", str(tmp_path / "fit.json")]
+    _assert_one_line_failure(argv + [flag, bad], capsys, "cannot write", bad)
+
+
+def _short_corpus(tmp_path):
+    """Three letters: no word at order 3, and a 3-letter BIC sample size."""
+    corpus = tmp_path / "short.txt"
+    corpus.write_text("acg\n")
+    model_path = tmp_path / "model.json"
+    write_model(model_path, _model())
+    return str(corpus), str(model_path)
+
+
+@pytest.mark.parametrize("command", ["eval", "bic-compare"])
+def test_corpus_with_no_scored_word_is_one_line_error(command, tmp_path, capsys):
+    corpus, model_path = _short_corpus(tmp_path)
+    argv = {
+        "eval": ["eval", "--model", model_path, "--in", corpus],
+        "bic-compare": ["bic-compare", "--alphabet", "acgt", "--orders", "3", "--in", corpus],
+    }[command]
+    _assert_one_line_failure(argv, capsys, "longer than order 3")
+
+
+def test_eval_of_a_corpus_with_no_scored_word_by_its_length(tmp_path, capsys):
+    corpus, model_path = _short_corpus(tmp_path)
+    assert cli.main(["eval", "--model", model_path, "--in", corpus, "--bic-n", "length"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t")[:4] == ["0.0", "30", "38", "3"]
+
+
+def _fuzz_documents(tmp_path):
+    """Valid model documents: mtd, mtd with l = m, full_markov and theta_u."""
+    ab = Alphabet(("a", "b"))
+    docs = {}
+    for kind, model in [
+        ("mtd", random_mtd(2, 3, 1, seed=1, alphabet=ab)),
+        ("full_markov", random_full_markov(2, 2, seed=1, alphabet=ab)),
+        ("theta_u", to_theta_u(random_mtd(2, 3, 2, seed=2, alphabet=ab), 1)),
+    ]:
+        write_model(tmp_path / "base.json", model)
+        docs[kind] = json.loads((tmp_path / "base.json").read_text())
+    docs["mtd l = m"] = {**docs["full_markov"], "model_kind": "mtd", "l": 2,
+                         "variant": "general", "phi": [1.0]}
+    return docs
+
+
+_DELETED = object()
+# wrong types, signs and sizes; 10**30 once hung, 1e308 ran out of memory, 2.5 and true
+# were truncated to an order
+_MUTANTS = [10**30, 1e308, 2.5, True, False, None, -1, 0, 1, 2, 3, "a", "", [], [[]], {},
+            [0.5, 0.5], [1 - 1e-13], ["a", "b", "c"], "theta_u", "full_markov", _DELETED]
+
+
+_KINDS = ["mtd", "mtd l = m", "full_markov", "theta_u"]
+# every key of a model file; a key the kind does not hold is added
+_KEYS = ["format_version", "alphabet", "model_kind", "m", "l", "variant", "phi", "matrices",
+         "u", "parametrization", "provenance"]
+
+
+def _with_examples(test):
+    for kind in _KINDS:
+        for value in (10**30, 1e308, 2.5, True):
+            test = example(kind=kind, key="m", value=value)(test)
+    return test
+
+
+@settings(max_examples=120)
+@given(kind=st.sampled_from(_KINDS), key=st.sampled_from(_KEYS), value=st.sampled_from(_MUTANTS))
+@_with_examples
+def test_mutated_model_file_works_or_fails_in_one_line(kind, key, value, tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    doc = _fuzz_documents(tmp_path)[kind]
+    if value is not _DELETED:
+        doc[key] = value
+    elif key in doc:
+        del doc[key]
+    model_path, out_path, corpus = (str(tmp_path / name) for name in ("m.json", "out", "c.txt"))
+    Path(model_path).write_text(json.dumps(doc))
+    Path(corpus).write_text("abbabaabbbab" * 5 + "\n")
+    for argv in (["eval", "--model", model_path, "--in", corpus],
+                 ["sample", "--model", model_path, "--length", "30"],
+                 ["convert", "--model", model_path, "--to", "theta_u", "--out", out_path],
+                 ["expand", "--model", model_path, "--out", out_path]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1), argv
+        if code:
+            assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1), argv
+            assert err.getvalue().startswith("mtdchain: error: "), argv

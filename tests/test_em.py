@@ -505,8 +505,8 @@ class TestEmFit:
         seq = sample_sequence(truth, 10**5, seed=32)
         counts = count_ngrams([seq], 2)
         report = fit_with_restarts(counts, EmConfig(seed=33, epsilon=1e-4))
-        fitted = full_transition_matrix(report.model).table
-        target = full_transition_matrix(truth).table
+        fitted = full_transition_matrix(report.model).matrices[0]
+        target = full_transition_matrix(truth).matrices[0]
         assert np.abs(fitted - target).sum(axis=1).max() <= 0.05
 
     def test_degenerate_init_attaches_trace(self, song):

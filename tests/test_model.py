@@ -13,7 +13,6 @@ from conftest import build_model, random_mtds, random_sequence
 from mtdchain import (
     DNA,
     Alphabet,
-    FullMarkovModel,
     InvalidSymbol,
     ModelTooLarge,
     MtdModel,
@@ -185,8 +184,6 @@ class TestMtdModelValidation:
         with pytest.raises(ModelTooLarge):
             MtdModel(dna, lag_order, lag_order, [1.0], [np.eye(4)])
         with pytest.raises(ModelTooLarge):
-            FullMarkovModel(dna, lag_order, np.eye(4))
-        with pytest.raises(ModelTooLarge):
             ThetaU(dna, lag_order, lag_order, 0, [np.eye(4)])
 
 
@@ -251,12 +248,12 @@ class TestTransitionProb:
 
 class TestFullTransitionMatrix:
     def test_pewee_anchor(self, pewee_em):
-        table = full_transition_matrix(pewee_em).table
+        table = full_transition_matrix(pewee_em).matrices[0]
         assert table[word_to_index([0, 0], 3), 0] == pytest.approx(0.75305, abs=1e-12)
 
     def test_equivalent_pair_same_table(self, equiv_model_a, equiv_model_b):
-        ta = full_transition_matrix(equiv_model_a).table
-        tb = full_transition_matrix(equiv_model_b).table
+        ta = full_transition_matrix(equiv_model_a).matrices[0]
+        tb = full_transition_matrix(equiv_model_b).matrices[0]
         assert np.abs(ta - tb).max() < 1e-12
         assert np.abs(ta - refdata.EQUIV_TABLE).max() < 0.005
 
@@ -265,7 +262,7 @@ class TestFullTransitionMatrix:
         mat = rng.random((4, 4))
         mat /= mat.sum(axis=1, keepdims=True)
         model = MtdModel(dna, 1, 1, [1.0], [mat])
-        assert np.abs(full_transition_matrix(model).table - mat).max() < 1e-15
+        assert np.abs(full_transition_matrix(model).matrices[0] - mat).max() < 1e-15
 
     def test_size_guard(self):
         model = random_mtd(10, 8, 1, seed=0)
@@ -279,7 +276,7 @@ class TestFullTransitionMatrix:
         q = int(rng.integers(2, 4))
         m = int(rng.integers(2, 4))
         model = random_mtd(q, m, 1, seed=seed + 100)
-        table = full_transition_matrix(model).table
+        table = full_transition_matrix(model).matrices[0]
         for g in range(1, m + 1):
             for _ in range(10):
                 h = int(rng.integers(0, q**m))
@@ -298,7 +295,7 @@ class TestDenseBuilder:
     def test_matches_all_histories_gather(self, model):
         # the gather over every history index is how the table was built before broadcasting
         expected = history_rows(model, np.arange(model.alphabet.size**model.order))
-        assert np.array_equal(full_transition_matrix(model).table, expected)
+        assert np.array_equal(full_transition_matrix(model).matrices[0], expected)
 
     def test_dense_model_returned_as_is(self):
         dense = random_full_markov(3, 2, seed=1)
@@ -315,7 +312,7 @@ def random_dense(draw):
     table /= table.sum(axis=1, keepdims=True)
     if draw(st.booleans(), label="zeros"):
         table = _with_point_masses(table, rng)
-    return FullMarkovModel(mtdchain.model.default_alphabet(q), m, table)
+    return MtdModel(mtdchain.model.default_alphabet(q), m, m, [1.0], [table])
 
 
 class TestDenseIsMtdWithLEqualsM:
@@ -324,7 +321,7 @@ class TestDenseIsMtdWithLEqualsM:
     @settings(max_examples=60)
     @given(model=random_dense(), data=st.data())
     def test_matches_dense_branches(self, model, data):
-        q, m, table = model.alphabet.size, model.order, model.table
+        q, m, table = model.alphabet.size, model.order, model.matrices[0]
         words = np.arange(q ** (m + 1))
         assert np.array_equal(word_probabilities(model, words), table[words // q, words % q])
         histories = np.arange(q**m)
@@ -336,15 +333,24 @@ class TestDenseIsMtdWithLEqualsM:
             assert model_dimension(model, convention) == dim_full_markov(m, q)
         assert model == MtdModel(model.alphabet, m, m, [1.0], [table])
         assert MtdModel(model.alphabet, m, m, [1.0], [table]) == model
+        assert model.is_dense and full_transition_matrix(model) is model
 
-    def test_table_is_the_one_matrix(self, dna):
+    def test_dense_predicate(self, dna):
         dense = random_full_markov(4, 2, seed=3, alphabet=dna)
-        assert dense.table is dense.matrices[0]
-        with pytest.raises(AttributeError):
-            dense.table = dense.table
+        assert type(dense) is MtdModel and dense.is_dense
         assert (dense.lag_order, dense.n_components, dense.phi.tolist()) == (2, 1, [1.0])
-        assert repr(dense) == "FullMarkovModel(q=4, m=2)"
+        assert repr(dense) == "MtdModel(q=4, m=2, l=2, variant='general')"
         assert dense != random_full_markov(4, 2, seed=4, alphabet=dna)
+        table = dense.matrices[0]
+        # phi a hair below 1 is not dense: it expands to phi * pi instead of being returned
+        near = MtdModel(dna, 2, 2, [1 - 1e-13], [table])
+        expanded = full_transition_matrix(near)
+        assert not near.is_dense and expanded is not near and expanded.is_dense
+        assert np.array_equal(expanded.matrices[0], (1 - 1e-13) * table)
+        # one shared matrix at m = 1 keeps its variant, so it is not dense either
+        single = MtdModel(dna, 1, 1, [1.0], [table[:4]], variant="single_matrix")
+        assert not single.is_dense and full_transition_matrix(single).is_dense
+        assert not random_mtd(4, 2, 1, seed=3, alphabet=dna).is_dense
 
 
 class TestSequenceLoglik:
@@ -386,13 +392,12 @@ class TestSequenceLoglik:
         rng = np.random.default_rng(21)
         mat = rng.random((16, 4))
         mat /= mat.sum(axis=1, keepdims=True)
-        mtd = MtdModel(dna, 2, 2, [1.0], [mat])
-        dense = FullMarkovModel(dna, 2, mat)
+        dense = MtdModel(dna, 2, 2, [1.0], [mat])
         for seed in range(5):
             seq = random_sequence(dna, 80, seed)
-            assert sequence_loglik(mtd, seq) == pytest.approx(
-                sequence_loglik(dense, seq), abs=1e-12
-            )
+            y = seq.data.astype(np.int64)
+            expected = np.log(mat[y[:-2] * 4 + y[1:-1], y[2:]]).sum()
+            assert sequence_loglik(dense, seq) == pytest.approx(expected, abs=1e-12)
 
 
 class TestSampleSequence:
@@ -453,7 +458,7 @@ class TestSampleSequence:
         # law of large numbers against the expanded table
         n = 10**6
         seq = sample_sequence(equiv_model_a, n, seed=13)
-        table = full_transition_matrix(equiv_model_a).table
+        table = full_transition_matrix(equiv_model_a).matrices[0]
         q = 4
         words = np.zeros(n - 2, dtype=np.int64)
         for off in range(3):
@@ -535,7 +540,8 @@ def sampler_cases(draw):
     if kind == "dense":
         table = rng.random((q**m, q))
         table /= table.sum(axis=1, keepdims=True)
-        model = FullMarkovModel(alphabet, m, _with_point_masses(table, rng) if zeros else table)
+        table = _with_point_masses(table, rng) if zeros else table
+        model = MtdModel(alphabet, m, m, [1.0], [table])
     else:
         l = 1 if kind == "single_matrix" else draw(st.integers(1, m))
         base = random_mtd(q, m, l, variant=kind, seed=int(rng.integers(2**32)))
@@ -589,7 +595,7 @@ class TestSamplerMatchesListOracle:
         n = 400
         u = np.random.default_rng(7).random(n)  # an explicit init draws no prefix
         for t in (0, 1, n // 2, n - 1):
-            model = FullMarkovModel(Alphabet(("a", "b")), 1, [[u[t], 1 - u[t]]] * 2)
+            model = MtdModel(Alphabet(("a", "b")), 1, 1, [1.0], [[[u[t], 1 - u[t]]] * 2])
             got = sample_sequence(model, 1 + n, seed=7, init=[0])
             assert got.data[1 + t] == 1
             assert np.array_equal(got.data, _list_rows_sample(model, 1 + n, 7, [0]))
@@ -626,8 +632,8 @@ class TestRandomMtd:
 
     def test_random_full_markov(self):
         model = random_full_markov(4, 3, seed=2)
-        assert model.table.shape == (64, 4)
-        assert model.table.min() > 0
+        assert model.matrices[0].shape == (64, 4)
+        assert model.matrices[0].min() > 0
 
 
 class TestSamplingLoglikConsistency:
@@ -635,7 +641,7 @@ class TestSamplingLoglikConsistency:
         # mean per-letter log-likelihood of samples ~ -(conditional entropy)
         from mtdchain import stationary_histories
 
-        table = full_transition_matrix(equiv_model_a).table
+        table = full_transition_matrix(equiv_model_a).matrices[0]
         mu = stationary_histories(equiv_model_a)
         entropy = -float((mu[:, None] * table * np.log(table)).sum())
         n = 10**4

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import random_mtds
 from mtdchain import (
-    FullMarkovModel,
     IoError,
+    MtdModel,
     full_transition_matrix,
     random_full_markov,
     random_mtd,
@@ -51,8 +51,30 @@ def test_single_matrix_round_trip(tmp_path):
 def test_full_markov_round_trip(tmp_path):
     dense = full_transition_matrix(random_mtd(3, 2, 1, seed=4))
     loaded, _ = round_trip(tmp_path, dense)
-    assert isinstance(loaded, FullMarkovModel)
+    assert loaded.is_dense
     assert loaded == dense
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_every_small_model_reads_back_equal(tmp_path, q, m):
+    dense = random_full_markov(q, m, seed=q * m)
+    models = [
+        *(random_mtd(q, m, l, seed=10 * m + l) for l in range(1, m + 1)),
+        random_mtd(q, m, 1, variant="single_matrix", seed=m),
+        dense,
+        full_transition_matrix(random_mtd(q, m, 1, seed=m)),
+        MtdModel(dense.alphabet, m, m, [1 - 1e-13], dense.matrices),
+    ]
+    path = tmp_path / "model.json"
+    for model in models:
+        write_model(path, model)
+        kind = json.loads(path.read_text())["model_kind"]
+        assert kind == ("full_markov" if model.is_dense else "mtd")
+        assert read_model(path)[0] == model
+    # the l = m draw of random_mtd has phi = (1) and one table, so it is dense
+    expected = [False] * (m - 1) + [True, False, True, True, False]
+    assert [model.is_dense for model in models] == expected
 
 
 def test_theta_u_round_trip(tmp_path):
@@ -76,7 +98,6 @@ def test_round_trip_property(tmp_path_factory, model, kind, data):
     elif kind == "dense":
         model = full_transition_matrix(model)
     loaded, _ = round_trip(tmp_path_factory.mktemp("model"), model)
-    # a full Markov model equals the MTD model it is, so the type is checked apart
     assert type(loaded) is type(model)
     assert loaded == model
 

@@ -147,7 +147,7 @@ class TestFromThetaU:
     )
     def test_matches_moebius_oracle(self, q, m, l, u):
         theta = to_theta_u(random_mtd(q, m, l, seed=q * 100 + m * 10 + l), u)
-        assert np.abs(from_theta_u(theta).table - _moebius_from_theta_u(theta)).max() < 1e-13
+        assert np.abs(from_theta_u(theta).matrices[0] - _moebius_from_theta_u(theta)).max() < 1e-13
 
     @settings(max_examples=60)
     @given(
@@ -161,14 +161,14 @@ class TestFromThetaU:
         u = data.draw(st.integers(0, q - 1), label="u")
         model = random_mtd(q, m, l, seed=seed)
         back = from_theta_u(to_theta_u(model, u))
-        assert np.abs(back.table - full_transition_matrix(model).table).max() < 1e-12
+        assert np.abs(back.matrices[0] - full_transition_matrix(model).matrices[0]).max() < 1e-12
 
     @settings(max_examples=80)
     @given(model=random_mtds(variants=("general",)), data=st.data())
     def test_matches_gather_oracle(self, model, data):
         u = data.draw(st.integers(0, model.alphabet.size - 1), label="u")
         theta = to_theta_u(model, u)
-        assert np.array_equal(from_theta_u(theta).table, _gather_from_theta_u(theta))
+        assert np.array_equal(from_theta_u(theta).matrices[0], _gather_from_theta_u(theta))
 
     def test_overlap_mismatch_rejected(self):
         ab = Alphabet(("a", "b"))
@@ -192,7 +192,7 @@ class TestFromThetaU:
         model = random_mtd(q, m, 1, seed=seed + 40)
         dense = full_transition_matrix(model)
         back = from_theta_u(to_theta_u(model, u))
-        assert np.abs(back.table - dense.table).max() < 1e-12
+        assert np.abs(back.matrices[0] - dense.matrices[0]).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
     def test_round_trip_higher_lag(self, seed):
@@ -204,7 +204,7 @@ class TestFromThetaU:
         model = random_mtd(q, m, l, seed=seed + 80)
         dense = full_transition_matrix(model)
         back = from_theta_u(to_theta_u(model, u))
-        assert np.abs(back.table - dense.table).max() < 1e-12
+        assert np.abs(back.matrices[0] - dense.matrices[0]).max() < 1e-12
 
     def test_equivalent_pair(self, equiv_model_a, equiv_model_b):
         ta = to_theta_u(equiv_model_a, 0)
@@ -212,7 +212,7 @@ class TestFromThetaU:
         for x, y in zip(ta.tables, tb.tables):
             assert np.abs(x - y).max() < 1e-12
         back = from_theta_u(ta)
-        assert np.abs(back.table - refdata.EQUIV_TABLE).max() < 0.005
+        assert np.abs(back.matrices[0] - refdata.EQUIV_TABLE).max() < 0.005
 
     def test_order_one_identity(self, dna):
         rng = np.random.default_rng(9)
@@ -221,7 +221,7 @@ class TestFromThetaU:
         model = MtdModel(dna, 1, 1, [1.0], [mat])
         theta = to_theta_u(model, 0)
         assert np.abs(theta.tables[0] - mat).max() < 1e-15
-        assert np.abs(from_theta_u(theta).table - mat).max() < 1e-12
+        assert np.abs(from_theta_u(theta).matrices[0] - mat).max() < 1e-12
 
     def test_infeasible_point_rejected(self):
         ab = Alphabet(("a", "b"))
@@ -245,7 +245,7 @@ class TestFromThetaU:
             tables.append(t)
         theta = ThetaU(ab, 2, 1, 0, tables)
         dense = from_theta_u(theta)
-        assert np.abs(dense.table.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(dense.matrices[0].sum(axis=1) - 1.0).max() < 1e-12
 
     def test_base_row_mismatch_rejected(self):
         ab = Alphabet(("a", "b"))
@@ -261,7 +261,7 @@ class TestIdentifiability:
         a = random_mtd(3, 2, 1, seed=seed)
         b = random_mtd(3, 2, 1, seed=seed + 10_000)
         gap = np.abs(
-            full_transition_matrix(a).table - full_transition_matrix(b).table
+            full_transition_matrix(a).matrices[0] - full_transition_matrix(b).matrices[0]
         ).max()
         if gap <= 1e-6:
             pytest.skip("expansion collision")

@@ -7,7 +7,6 @@ from conftest import random_mtds
 from mtdchain import (
     Alphabet,
     AlphabetMismatch,
-    FullMarkovModel,
     MtdModel,
     NonConvergentStationary,
     WordDistribution,
@@ -29,14 +28,14 @@ def ab():
 class TestStationaryHistories:
     def test_two_state_closed_form(self, ab):
         a, b = 0.3, 0.8
-        chain = FullMarkovModel(ab, 1, np.array([[1 - a, a], [b, 1 - b]]))
+        chain = MtdModel(ab, 1, 1, [1.0], [[[1 - a, a], [b, 1 - b]]])
         mu = stationary_histories(chain)
         expected = np.array([b, a]) / (a + b)
         assert np.abs(mu - expected).max() < 1e-10
 
     def test_matches_eigenvector(self, dna):
         model = random_mtd(4, 2, 1, seed=5)
-        table = full_transition_matrix(model).table
+        table = full_transition_matrix(model).matrices[0]
         mu = stationary_histories(model)
         # one-step invariance of the history chain
         nxt = np.zeros(16)
@@ -49,7 +48,7 @@ class TestStationaryHistories:
         abc = Alphabet(("a", "b", "c"))
         # bipartite classes {a} and {b, c}: uniform start oscillates forever
         table = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        chain = FullMarkovModel(abc, 1, table)
+        chain = MtdModel(abc, 1, 1, [1.0], [table])
         with pytest.raises(NonConvergentStationary):
             stationary_histories(chain)
 
@@ -58,9 +57,7 @@ def _bincount_stationary(model) -> np.ndarray:
     """The power iteration as one bincount over each entry's successor history (oracle)."""
     q = model.alphabet.size
     m = model.order
-    if isinstance(model, MtdModel):
-        model = full_transition_matrix(model)
-    table = model.table
+    table = full_transition_matrix(model).matrices[0]
     n_hist = q**m
     # successor state of history h after letter j: (h mod q**(m-1)) * q + j
     targets = ((np.arange(n_hist) % q ** (m - 1))[:, None] * q + np.arange(q)[None, :]).ravel()
@@ -113,7 +110,7 @@ class TestWordDistribution:
 
     def test_k1_two_state(self, ab):
         a, b = 0.25, 0.4
-        chain = FullMarkovModel(ab, 1, np.array([[1 - a, a], [b, 1 - b]]))
+        chain = MtdModel(ab, 1, 1, [1.0], [[[1 - a, a], [b, 1 - b]]])
         dist = word_distribution(chain, 1)
         assert np.abs(dist.probs - np.array([b, a]) / (a + b)).max() < 1e-10
 
