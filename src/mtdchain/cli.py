@@ -26,7 +26,9 @@ Every error is one ``mtdchain: error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import os
 import sys
 
 from .berchtold import BerchtoldConfig, berchtold_fit
@@ -224,16 +226,27 @@ def cmd_fit(args, argv) -> int:
     config = _em_config(args, floor=args.floor, lag_order=args.lag_order)
     if args.algorithm == "berchtold":
         config = _from_flags(BerchtoldConfig, epsilon=args.epsilon, max_iters=args.max_iters)
-    sequences = _load_corpus(args)
-    counts = count_ngrams(sequences, order)
-    if args.algorithm == "em":
-        report = fit_with_restarts(counts, config)
-    else:
-        init = init_contingency(counts, args.lag_order, args.variant)
-        report = berchtold_fit(counts, init, config)
-    write_model(args.out, report.model, provenance=_provenance(args, argv))
-    if args.trace_out:
-        write_trace(args.trace_out, report.loglik_trace)
+    outputs = [path for path in (args.out, args.trace_out) if path]
+    created = [path for path in outputs if not os.path.lexists(path)]
+    try:
+        for path in outputs:
+            open(path, "a").close()  # an output that cannot be written fails before the fit
+        sequences = _load_corpus(args)
+        counts = count_ngrams(sequences, order)
+        if args.algorithm == "em":
+            report = fit_with_restarts(counts, config)
+        else:
+            init = init_contingency(counts, args.lag_order, args.variant)
+            report = berchtold_fit(counts, init, config)
+        if args.trace_out:
+            write_trace(args.trace_out, report.loglik_trace)
+        created.append(args.out)  # the model goes last: a failure writing it leaves no part
+        write_model(args.out, report.model, provenance=_provenance(args, argv))
+    except BaseException:
+        for path in created:  # a failed fit removes the files it created
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     sys.stdout.write(
         "final_loglik\titerations\tconverged\tbic\n"
         f"{report.final_loglik!r}\t{report.iterations}\t{report.converged}\t{report.bic!r}\n"

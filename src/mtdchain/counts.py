@@ -12,7 +12,9 @@ it the uint32 windows of the letters' one-byte buffer, a fixed-size
 chunk at a time.  Fitting code reads the two arrays directly.  The
 counts file format (``word<TAB>count`` lines) is defined here and
 nowhere else; :class:`Alphabet`, the single owner of the letter format,
-spells and decodes its words as sequence file lines.
+spells and decodes its words as sequence file lines.  The writer spells
+them from the alphabet's byte table and writes each count's decimal
+digits, building one UTF-8 byte buffer per fixed-size chunk of lines.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .model import (
     _window_word_indices,
 )
 
-_SPELL_CHUNK = 1 << 16  # bounds the temporary string arrays of write_counts
+_SPELL_CHUNK = 1 << 16  # lines per byte buffer of write_counts, which bounds its temporaries
 
 
 class NGramCounts:
@@ -183,18 +185,41 @@ def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> np.
 
 
 def _count_lines(counts: NGramCounts):
-    """'word<TAB>count' text, one flat join per ``_SPELL_CHUNK`` words."""
-    alphabet, k, q = counts.alphabet, counts.word_length, counts.alphabet.size
-    powers = q ** np.arange(k - 1, -1, -1)
-    # a letter in every step-th column, a separator (if any) after each, then the count
-    step = 2 if alphabet.separator else 1
+    """'word<TAB>count' lines in UTF-8, one byte buffer per ``_SPELL_CHUNK`` words.
+
+    Each line is laid out in fixed columns: one field per letter as wide
+    as the widest byte-table row, a tab, the count right-aligned in as
+    many digits as the chunk's largest count has, and a newline.  A mask
+    keeps each letter row's own bytes, drops the first separator and the
+    count's leading zeros, and the kept bytes are the lines.
+    """
+    k, q = counts.word_length, counts.alphabet.size
+    rows, own = counts.alphabet._byte_table
+    w, ragged = rows.shape[1], not own.all()
     for lo in range(0, len(counts), _SPELL_CHUNK):
-        part = slice(lo, lo + _SPELL_CHUNK)
-        letters = counts.word_indices()[part, None] // powers % q
-        cells = np.full((len(letters), step * (k - 1) + 2), alphabet.separator, dtype=object)
-        cells[:, :-1:step] = alphabet.spell(letters)
-        cells[:, -1] = list(map("\t{}\n".format, counts.values()[part].tolist()))
-        yield "".join(cells.ravel().tolist())
+        rest = counts.word_indices()[lo : lo + _SPELL_CHUNK]
+        values = counts.values()[lo : lo + _SPELL_CHUNK]
+        digits = len(str(values.max()))
+        cells = np.empty((rest.size, k * w + digits + 2), np.uint8)
+        keep = np.ones(cells.shape, bool)
+        # letters and digits come least significant first; an int64 // is much
+        # faster than a % here, so the remainder is taken by subtraction
+        for j in range(k - 1, -1, -1):
+            quotient = rest // q
+            letter = rest - quotient * q
+            cells[:, j * w : (j + 1) * w] = rows.take(letter, axis=0)
+            if ragged:
+                keep[:, j * w : (j + 1) * w] = own.take(letter, axis=0)
+            rest = quotient
+        keep[:, : len(counts.alphabet.separator)] = False
+        cells[:, k * w] = ord("\t")
+        for c in range(k * w + digits, k * w, -1):
+            quotient = values // 10
+            cells[:, c] = values - quotient * 10 + ord("0")
+            keep[:, c] = values > 0  # a count is positive, so its units digit is kept
+            values = quotient
+        cells[:, -1] = ord("\n")
+        yield cells[keep].tobytes()
 
 
 def write_counts(counts: NGramCounts, path) -> None:
@@ -204,9 +229,9 @@ def write_counts(counts: NGramCounts, path) -> None:
     alphabet's separator, as in a sequence file line.
     """
     if hasattr(path, "write"):
-        path.writelines(_count_lines(counts))
+        path.writelines(chunk.decode("utf-8", "surrogatepass") for chunk in _count_lines(counts))
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(_count_lines(counts))
 
 

@@ -16,7 +16,12 @@ the (m+1)-word index sum_g idx(i_g) * q**g.
 
 Letters in memory: a :class:`Sequence` holds one byte per letter (uint8
 up to q = 256), and (m+1)-word windows are built a chunk at a time as
-uint32 indices while q**(m+1) <= 2**32, int64 beyond.
+uint32 indices while q**(m+1) <= 2**32, int64 beyond.  Letters become
+text through one byte table on :class:`Alphabet`: row i holds the
+separator's and then symbol i's UTF-8 bytes, zero-padded to the longest
+row, beside a mask of the row's own bytes (its byte length).  Sequence
+lines and counts files gather rows and masks, keep the masked bytes and
+drop the very first separator.
 
 Window layout: lag g's l-letter block sits at history digits
 g-1 .. g+l-2, which is axis 1 of :func:`_window`'s
@@ -106,11 +111,19 @@ class Alphabet:
         return self._codes.take(np.arange(256), mode="clip").tobytes()
 
     @cached_property
-    def _symbol_bytes(self) -> bytes | None:
-        """Index -> symbol byte (a ``bytes.translate`` table) if each symbol is one ASCII char."""
-        text = "".join(self.symbols)
-        one_byte = len(text) == self.size and text.isascii()
-        return text.encode("ascii").ljust(256, b"\0") if one_byte else None
+    def _byte_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each letter's separator and symbol in UTF-8, as the zero-padded rows of a
+        (q, width) uint8 array, and a (q, width) mask of each row's own bytes.
+
+        The mask is the row's byte length, kept in the form a gather wants.
+        A lone surrogate (an undecodable byte of a command line) is kept as
+        its three bytes, so in-memory text reads back as it was.
+        """
+        spelled = [(self.separator + s).encode("utf-8", "surrogatepass") for s in self.symbols]
+        width = max(map(len, spelled))
+        rows = np.frombuffer(b"".join(b.ljust(width, b"\0") for b in spelled), np.uint8)
+        own = np.arange(width) < np.array(list(map(len, spelled)))[:, None]
+        return rows.reshape(self.size, width), own
 
     def decode(self, text: str) -> np.ndarray:
         """Indices of the letters in ``text`` (split at the separator, if any), -1 if foreign.
@@ -130,11 +143,6 @@ class Alphabet:
             return np.frombuffer(text.encode("ascii").translate(self._ascii_codes), np.int8)
         codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
         return self._codes.take(codes, mode="clip")
-
-    def spell(self, letters) -> np.ndarray:
-        """The symbols at the letter indices ``letters`` (any shape), as an object array."""
-        # object dtype keeps every symbol exactly as written (no fixed-width strings)
-        return np.array(self.symbols, dtype=object).take(letters)
 
     def check_index(self, i: int) -> int:
         i = int(i)
@@ -206,10 +214,13 @@ class Sequence:
 
     def labels(self) -> str:
         """The letters spelled in order, as a sequence file line."""
-        spelled = self.alphabet._symbol_bytes
-        if spelled is not None:
-            return self.data.tobytes().translate(spelled).decode("ascii")
-        return self.alphabet.separator.join(self.alphabet.spell(self.data).tolist())
+        rows, own = self.alphabet._byte_table
+        if rows.shape[1] == 1:
+            # one byte a symbol: a gather would first cast the letters to 8-byte indices
+            return self.data.tobytes().translate(rows.tobytes().ljust(256, b"\0")).decode("ascii")
+        letters = self.data.astype(np.intp)
+        spelled = rows.take(letters, axis=0)[own.take(letters, axis=0)]
+        return spelled.tobytes()[len(self.alphabet.separator) :].decode("utf-8", "surrogatepass")
 
 
 def _freeze(a) -> np.ndarray:

@@ -53,6 +53,16 @@ def crystallin_em(dna):
     return build_model(dna, refdata.CRYSTALLIN_EM_PARAMS)
 
 
+# symbols of every text form: one ASCII byte, a case pair, two bytes, four bytes,
+# several characters joined by ',' and one byte at q = 90
+SYMBOL_SETS = pytest.mark.parametrize(
+    "symbols",
+    [tuple("acgt"), ("a", "A", "b"), ("ß", "a", "b"), ("\U0001F642", "x"),
+     tuple(f"s{i}" for i in range(12)), tuple(chr(33 + i) for i in range(90))],
+    ids=["dna", "case-pair", "sharp-s", "astral", "q12", "q90"],
+)
+
+
 def random_sequence(alphabet, length, seed):
     rng = np.random.default_rng(seed)
     return Sequence(alphabet, rng.integers(0, alphabet.size, size=length))

@@ -1,12 +1,16 @@
 import argparse
 import contextlib
+import faulthandler
 import hashlib
 import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import threading
+import time
 from bisect import bisect_right
 from pathlib import Path
 
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 from mtdchain import (
     DNA,
     Alphabet,
+    MtdError,
     MtdModel,
     ThetaU,
     count_ngrams,
@@ -662,6 +667,25 @@ def test_unwritable_output_is_one_line_error(command, flag, corpus, tmp_path, ca
     _assert_one_line_failure(argv + [flag, bad], capsys, "cannot write", bad)
 
 
+@pytest.mark.parametrize("failing", ["--out", "--trace-out", "fit"])
+def test_failed_fit_leaves_no_output_file(failing, corpus, tmp_path, capsys, monkeypatch):
+    """An output that cannot be written fails before the fit, and a failed fit writes nothing."""
+
+    def fit(counts, config):
+        if failing != "fit":
+            raise AssertionError("the fit started")
+        raise MtdError("the fit failed")
+
+    monkeypatch.setattr(cli, "fit_with_restarts", fit)
+    outputs = {"--out": tmp_path / "fit.json", "--trace-out": tmp_path / "trace.tsv"}
+    if failing in outputs:
+        outputs[failing] = tmp_path / "missing" / "f"
+    argv = _small_run("fit", corpus, None)
+    argv += [arg for flag, path in outputs.items() for arg in (flag, str(path))]
+    _assert_one_line_failure(argv, capsys, "cannot write" if failing in outputs else "fit failed")
+    assert not any(path.exists() for path in outputs.values())
+
+
 def _short_corpus(tmp_path):
     """Three letters: no word at order 3, and a 3-letter BIC sample size."""
     corpus = tmp_path / "short.txt"
@@ -723,27 +747,62 @@ def _with_examples(test):
     return test
 
 
+@contextlib.contextmanager
+def _wall_clock_guard(seconds):
+    """Fail the test if the block runs past ``seconds``, rather than let a hang stall the suite.
+
+    SIGALRM interrupts Python code (POSIX, main thread only; elsewhere the
+    block runs unguarded).  A hang inside one native call never returns to
+    the handler, so faulthandler then dumps the stacks and ends the process.
+    """
+    if not hasattr(signal, "setitimer") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def hang(signum, frame):
+        pytest.fail(f"ran past the {seconds} s wall-clock guard")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    faulthandler.dump_traceback_later(3 * seconds, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_wall_clock_guard_fails_a_hang():
+    start = time.monotonic()
+    with pytest.raises(pytest.fail.Exception, match="wall-clock guard"):
+        with _wall_clock_guard(0.05):
+            time.sleep(5)
+    assert time.monotonic() - start < 2
+
+
 @settings(max_examples=120)
 @given(kind=st.sampled_from(_KINDS), key=st.sampled_from(_KEYS), value=st.sampled_from(_MUTANTS))
 @_with_examples
 def test_mutated_model_file_works_or_fails_in_one_line(kind, key, value, tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("fuzz")
-    doc = _fuzz_documents(tmp_path)[kind]
-    if value is not _DELETED:
-        doc[key] = value
-    elif key in doc:
-        del doc[key]
-    model_path, out_path, corpus = (str(tmp_path / name) for name in ("m.json", "out", "c.txt"))
-    Path(model_path).write_text(json.dumps(doc))
-    Path(corpus).write_text("abbabaabbbab" * 5 + "\n")
-    for argv in (["eval", "--model", model_path, "--in", corpus],
-                 ["sample", "--model", model_path, "--length", "30"],
-                 ["convert", "--model", model_path, "--to", "theta_u", "--out", out_path],
-                 ["expand", "--model", model_path, "--out", out_path]):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        assert code in (0, 1), argv
-        if code:
-            assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1), argv
-            assert err.getvalue().startswith("mtdchain: error: "), argv
+    with _wall_clock_guard(10):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        doc = _fuzz_documents(tmp_path)[kind]
+        if value is not _DELETED:
+            doc[key] = value
+        elif key in doc:
+            del doc[key]
+        model_path, out_path, corpus = (str(tmp_path / f) for f in ("m.json", "out", "c.txt"))
+        Path(model_path).write_text(json.dumps(doc))
+        Path(corpus).write_text("abbabaabbbab" * 5 + "\n")
+        for argv in (["eval", "--model", model_path, "--in", corpus],
+                     ["sample", "--model", model_path, "--length", "30"],
+                     ["convert", "--model", model_path, "--to", "theta_u", "--out", out_path],
+                     ["expand", "--model", model_path, "--out", out_path]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1), argv
+            if code:
+                assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1), argv
+                assert err.getvalue().startswith("mtdchain: error: "), argv

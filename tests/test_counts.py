@@ -1,3 +1,4 @@
+import io
 import re
 import tracemalloc
 from collections import Counter
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import random_sequence
+import mtdchain.counts
+from conftest import SYMBOL_SETS, random_sequence
 from mtdchain import (
     Alphabet,
     AlphabetMismatch,
@@ -25,6 +27,7 @@ from mtdchain import (
     read_counts,
     read_sequences,
     sample_sequence,
+    spell_word,
     word_to_index,
     write_counts,
 )
@@ -176,22 +179,22 @@ def test_many_short_records_match_unique_of_windows(short_records, order):
     assert np.array_equal(counts.values(), ns)
 
 
+def _peak(call):
+    """``call()`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_read_and_count_stay_under_four_bytes_per_letter(tmp_path):
     n = 200_000
     text = sample_sequence(random_mtd(4, 6, 1, seed=16), n, seed=16).labels()
     path = tmp_path / "corpus.txt"
     path.write_text(text[: n // 2] + "\n" + text[n // 2 :] + "\n")
-
-    def peak(call):
-        """``call()`` and the peak of the memory it allocated, in bytes."""
-        tracemalloc.start()
-        try:
-            return call(), tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    seqs, read_peak = peak(lambda: read_sequences(path, alphabet=default_alphabet(4)))
-    counts, count_peak = peak(lambda: count_ngrams(seqs, 6))
+    seqs, read_peak = _peak(lambda: read_sequences(path, alphabet=default_alphabet(4)))
+    counts, count_peak = _peak(lambda: count_ngrams(seqs, 6))
     assert counts.total == n - 2 * 6
     assert read_peak < 4 * n
     assert count_peak < 4 * n
@@ -446,6 +449,70 @@ class TestSerialization:
         path.write_text("b" * 15 + "\t2\n")
         with pytest.raises(ModelTooLarge):
             read_counts(path, ab)
+
+
+def _oracle(counts):
+    """The counts file spelled line by line, as its format defines it."""
+    k, alphabet = counts.word_length, counts.alphabet
+    return "".join(f"{spell_word(w, k, alphabet)}\t{n}\n" for w, n in counts.items())
+
+
+def _written(counts, tmp_path):
+    """What write_counts writes, which must be the same bytes through a path and a text stream."""
+    path = tmp_path / "counts.tsv"
+    write_counts(counts, path)
+    stream = io.StringIO()
+    write_counts(counts, stream)
+    assert path.read_bytes() == stream.getvalue().encode()
+    return stream.getvalue()
+
+
+def _edge_count_tables():
+    """1, 9, 10, 99, 100, each 10**j and 10**j - 1 up to 10**18, and 2**63 - 1, largest
+    first, in as few tables as keep each total within int64."""
+    edges = {1, 9, 10, 99, 100, 2**63 - 1, *(10**j for j in range(19))}
+    tables = [[]]
+    for n in sorted(edges | {10**j - 1 for j in range(1, 19)}, reverse=True):
+        if sum(tables[-1]) + n > 2**63 - 1:
+            tables.append([])
+        tables[-1].append(n)
+    return tables
+
+
+class TestWriter:
+    @SYMBOL_SETS
+    def test_matches_the_per_line_oracle(self, symbols, tmp_path, monkeypatch):
+        # 16 lines a chunk: the 37-count edge table crosses two chunk edges
+        monkeypatch.setattr(mtdchain.counts, "_SPELL_CHUNK", 16)
+        alphabet = Alphabet(symbols)
+        q = alphabet.size
+        tables = [count_ngrams([random_sequence(alphabet, 300, 3)], 2), NGramCounts(alphabet, 3)]
+        for ns in _edge_count_tables():
+            # words from the first to the last of the word space, evenly apart
+            words = (q**6 - 1) * np.arange(len(ns)) // max(len(ns) - 1, 1)
+            tables.append(NGramCounts(alphabet, 6, words, ns))
+        assert max(map(len, tables)) > 2 * 16
+        for counts in tables:
+            assert _written(counts, tmp_path) == _oracle(counts)
+        assert _written(tables[1], tmp_path) == ""
+
+    def test_crosses_full_chunk_edges(self, dna, tmp_path):
+        n = 2 * mtdchain.counts._SPELL_CHUNK + 1000
+        rng = np.random.default_rng(7)
+        # counts of 1 to 13 digits, so the lines of a chunk differ in length
+        ns = rng.integers(1, 10 ** rng.integers(1, 14, n))
+        counts = NGramCounts(dna, 10, 3 * np.arange(n), ns)
+        assert _written(counts, tmp_path) == _oracle(counts)
+
+    def test_memory_is_bounded_per_chunk(self, dna, tmp_path):
+        chunk = mtdchain.counts._SPELL_CHUNK
+        rng = np.random.default_rng(8)
+
+        def peak(n):
+            counts = NGramCounts(dna, 10, 3 * np.arange(n), rng.integers(1, 10**6, n))
+            return _peak(lambda: write_counts(counts, tmp_path / "counts.tsv"))[1]
+
+        assert peak(4 * chunk) <= 1.5 * peak(chunk)
 
 
 class TestWordIndexRange:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mtdchain.model
 import refdata
-from conftest import build_model, random_mtds, random_sequence
+from conftest import SYMBOL_SETS, build_model, random_mtds, random_sequence
 from mtdchain import (
     DNA,
     Alphabet,
@@ -106,12 +106,7 @@ class TestLetterBytes:
         with pytest.raises(InvalidSymbol):
             Sequence(alphabet, np.array([3, -56], np.int8))
 
-    @pytest.mark.parametrize(
-        "symbols",
-        [tuple("acgt"), ("a", "A", "b"), ("ß", "a", "b"), ("\U0001F642", "x"),
-         tuple(f"s{i}" for i in range(12)), tuple(chr(33 + i) for i in range(90))],
-        ids=["dna", "case-pair", "sharp-s", "astral", "q12", "q90"],
-    )
+    @SYMBOL_SETS
     def test_labels_match_the_symbol_join(self, symbols):
         alphabet = Alphabet(symbols)
         seq = random_sequence(alphabet, 500, 4)
