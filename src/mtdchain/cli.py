@@ -21,6 +21,12 @@ All outputs are TSV or JSON, deterministic given --seed.  Exit codes: 0
 success; 2 usage error (a missing, unknown, empty or malformed flag, or a
 value out of range), found before any work starts; 1 numerical or I/O failure.
 Every error is one ``mtdchain: error:`` line on stderr.
+
+Each integer flag's least value is ``low`` in ``_FLAGS``, checked as argparse
+reads the flag; a command checks only what compares two flags.  ``main`` opens
+every --out and --trace-out for append before the work starts, and a failed run
+removes each that it created or changed if it is a regular file, never a symlink
+or a device.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import argparse
 import contextlib
 import hashlib
 import os
+import stat
 import sys
 
 from .berchtold import BerchtoldConfig, berchtold_fit
@@ -61,12 +68,26 @@ def _from_flags(build, *args, **kwargs):
         raise _UsageError(f"invalid flag value: {err}") from None
 
 
-def _text(flag: str):
-    """The type of a text flag; argparse passes the _UsageError of an empty value on to main."""
-    def check(text: str) -> str:
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers, e.g. '2,3,4'; an empty entry is a ValueError."""
+    return [int(x) for x in text.split(",")]
+
+
+def _flag_type(flag: str, parse, low):
+    """The argparse type of ``flag``: ``parse`` its text and check each value is >= ``low``.
+
+    argparse reports a ValueError of ``parse`` as an invalid value and passes
+    the _UsageError of an empty or too small value on to main.
+    """
+    def check(text: str):
         if not text:  # e.g. ``--out ""`` from an unset shell variable
             raise _UsageError(f"invalid flag value: {flag} must not be empty")
-        return text
+        value = parse(text)
+        if low is not None and min(value if isinstance(value, list) else [value]) < low:
+            raise _UsageError(f"invalid flag value: {flag} must be >= {low}, got {text}")
+        return value
+    # argparse names the type in its "invalid int value" message
+    check.__name__ = parse.__name__.strip("_").replace("_", " ")
     return check
 
 
@@ -107,15 +128,16 @@ def _load_corpus(args):
     return read_sequences(args.infile, fmt=args.format, alphabet=alphabet)
 
 
-# each flag's parser settings; _SUBCOMMANDS says which commands take it
+# each flag's parser settings and, for an integer flag, its least value ``low``;
+# _SUBCOMMANDS says which commands take it
 _FLAGS = {
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int, low=0, default=0),
     "--alphabet": dict(help="symbols, e.g. 'acgt' or '1,2,3'"),
-    "--order": dict(type=int, help="Markov order m"),
+    "--order": dict(type=int, low=1, help="Markov order m"),
     "--in": dict(dest="infile"),
     "--format": dict(choices=("plain", "fasta"), default="plain"),
     "--out": dict(help="output path (where optional, default: stdout)"),
-    "--lag-order": dict(type=int, default=1, help="component block length l"),
+    "--lag-order": dict(type=int, low=1, default=1, help="component block length l"),
     "--variant": dict(choices=("general", "single_matrix"), default="general"),
     "--epsilon": dict(type=float, default=1e-3),
     "--restarts": dict(type=int, default=5),
@@ -126,17 +148,17 @@ _FLAGS = {
     "--model": dict(),
     "--dim-convention": dict(choices=("theta_u", "raw"), default="theta_u"),
     "--bic-n": dict(choices=("terms", "length"), default="terms"),
-    "--length": dict(type=int, default=5000),
+    "--length": dict(type=int, low=1, default=5000),
     "--prefix": dict(help="initial m letters (default: uniform)"),
     "--to": dict(dest="target", choices=("theta_u", "full_markov")),
     "--ref-letter": dict(help="reference letter for theta_u (default: first symbol)"),
-    "--gen-order": dict(type=int, default=5),
-    "--alphabet-size": dict(type=int, default=4),
-    "--fit-orders": dict(default="2,3,4,5,6"),
-    "--replicates": dict(type=int, default=20),
-    "--word-len": dict(type=int, default=6),
-    "--orders": dict(help="comma-separated orders"),
-    "--lag-orders": dict(default="1"),
+    "--gen-order": dict(type=int, low=1, default=5),
+    "--alphabet-size": dict(type=int, low=2, default=4),
+    "--fit-orders": dict(type=_int_list, low=1, default="2,3,4,5,6"),
+    "--replicates": dict(type=int, low=1, default=20),
+    "--word-len": dict(type=int, low=1, default=6),
+    "--orders": dict(type=_int_list, low=1, help="comma-separated orders"),
+    "--lag-orders": dict(type=_int_list, low=1, default="1"),
 }
 
 # each command's help line and the flags its cmd_* function reads; * marks a required flag
@@ -168,85 +190,44 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_line, allow_abbrev=False)
         for flag in flags.split():
             name = flag.rstrip("*")
-            p.add_argument(name, required=flag != name, **{"type": _text(name), **_FLAGS[name]})
+            spec = dict(_FLAGS[name])
+            kind = _flag_type(name, spec.pop("type", str), spec.pop("low", None))
+            p.add_argument(name, required=flag != name, type=kind, **spec)
     sub.choices["expand"].set_defaults(target="full_markov")
     return parser
 
 
-def _at_least(flag: str, value: int, low: int = 1) -> int:
-    if value < low:
-        raise _UsageError(f"invalid flag value: {flag} must be >= {low}, got {value}")
-    return value
-
-
-def _int_list(flag: str, text: str) -> list[int]:
-    """A comma-separated list flag of integers, each >= 1."""
-    try:
-        values = [int(x) for x in text.split(",") if x]
-    except ValueError:
-        values = []
-    if not values or min(values) < 1:
-        raise _UsageError(f"invalid flag value: {flag} must list integers >= 1, got {text!r}")
-    return values
-
-
-def _check_variant(variant: str, lag_orders) -> None:
-    if variant == "single_matrix" and max(lag_orders) > 1:
-        raise _UsageError(f"invalid flag value: single_matrix needs lag order 1, not {lag_orders}")
-
-
 def cmd_count(args, argv) -> int:
-    order = _at_least("--order", args.order)
     sequences = _load_corpus(args)
-    counts = count_ngrams(sequences, order)
+    counts = count_ngrams(sequences, args.order)
     write_counts(counts, args.out or sys.stdout)
     return 0
 
 
 def _em_config(args, **fields) -> EmConfig:
-    return _from_flags(
-        EmConfig,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        n_restarts=args.restarts,
-        seed=args.seed,
-        variant=args.variant,
-        **fields,
-    )
+    return _from_flags(EmConfig, epsilon=args.epsilon, max_iters=args.max_iters,
+                       n_restarts=args.restarts, seed=args.seed, variant=args.variant, **fields)
 
 
 def cmd_fit(args, argv) -> int:
-    order = _at_least("--order", args.order)
-    if not 1 <= args.lag_order <= order:
+    if args.lag_order > args.order:
         raise _UsageError(
-            f"invalid flag value: --lag-order must be in 1..{order}, got {args.lag_order}"
+            f"invalid flag value: --lag-order must be in 1..{args.order}, got {args.lag_order}"
         )
-    _check_variant(args.variant, [args.lag_order])
     # EmConfig checks every fit flag, so Berchtold rejects the same invalid values
     config = _em_config(args, floor=args.floor, lag_order=args.lag_order)
     if args.algorithm == "berchtold":
         config = _from_flags(BerchtoldConfig, epsilon=args.epsilon, max_iters=args.max_iters)
-    outputs = [path for path in (args.out, args.trace_out) if path]
-    created = [path for path in outputs if not os.path.lexists(path)]
-    try:
-        for path in outputs:
-            open(path, "a").close()  # an output that cannot be written fails before the fit
-        sequences = _load_corpus(args)
-        counts = count_ngrams(sequences, order)
-        if args.algorithm == "em":
-            report = fit_with_restarts(counts, config)
-        else:
-            init = init_contingency(counts, args.lag_order, args.variant)
-            report = berchtold_fit(counts, init, config)
-        if args.trace_out:
-            write_trace(args.trace_out, report.loglik_trace)
-        created.append(args.out)  # the model goes last: a failure writing it leaves no part
-        write_model(args.out, report.model, provenance=_provenance(args, argv))
-    except BaseException:
-        for path in created:  # a failed fit removes the files it created
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
+    sequences = _load_corpus(args)
+    counts = count_ngrams(sequences, args.order)
+    if args.algorithm == "em":
+        report = fit_with_restarts(counts, config)
+    else:
+        init = init_contingency(counts, args.lag_order, args.variant)
+        report = berchtold_fit(counts, init, config)
+    if args.trace_out:
+        write_trace(args.trace_out, report.loglik_trace)
+    write_model(args.out, report.model, provenance=_provenance(args, argv))
     sys.stdout.write(
         "final_loglik\titerations\tconverged\tbic\n"
         f"{report.final_loglik!r}\t{report.iterations}\t{report.converged}\t{report.bic!r}\n"
@@ -283,7 +264,6 @@ def cmd_eval(args, argv) -> int:
 
 
 def cmd_sample(args, argv) -> int:
-    _at_least("--length", args.length)
     model, _ = read_model(args.model)
     model = _as_transition_model(model)
     init = "uniform" if args.prefix is None else model.alphabet.decode(args.prefix.strip())
@@ -307,17 +287,12 @@ def cmd_convert(args, argv) -> int:
 
 
 def cmd_tv_experiment(args, argv) -> int:
-    q = _at_least("--alphabet-size", args.alphabet_size, 2)
-    gen_order = _at_least("--gen-order", args.gen_order)
-    rows, _ = tv_experiment(
-        gen_order=gen_order,
-        q=q,
-        seq_len=_at_least("--length", args.length, gen_order),
-        fit_orders=_int_list("--fit-orders", args.fit_orders),
-        replicates=_at_least("--replicates", args.replicates),
-        word_len=_at_least("--word-len", args.word_len),
-        seed=args.seed,
-    )
+    if args.length < args.gen_order:
+        raise _UsageError(
+            f"invalid flag value: --length must be >= {args.gen_order}, got {args.length}"
+        )
+    rows, _ = tv_experiment(args.gen_order, args.alphabet_size, args.length, args.fit_orders,
+                            args.replicates, args.word_len, args.seed)
     lines = ["replicate\tfit_order\ttv"]
     for row in rows:
         lines.append(f"{row['replicate']}\t{row['fit_order']}\t{row['tv']!r}")
@@ -328,16 +303,13 @@ def cmd_tv_experiment(args, argv) -> int:
 
 
 def cmd_bic_compare(args, argv) -> int:
-    config = _em_config(args)
-    orders = _int_list("--orders", args.orders)
-    lag_orders = _int_list("--lag-orders", args.lag_orders)
-    _check_variant(args.variant, lag_orders)
-    if min(lag_orders) > max(orders):
+    # EmConfig rejects the single_matrix variant at a lag order above 1
+    config = _em_config(args, lag_order=max(args.lag_orders))
+    if min(args.lag_orders) > max(args.orders):
         raise _UsageError("invalid flag value: no --lag-orders entry is <= an --orders entry")
     sequences = _load_corpus(args)
-    rows = bic_compare(
-        sequences, orders, lag_orders, config=config, dim_convention=args.dim_convention
-    )
+    rows = bic_compare(sequences, args.orders, args.lag_orders, config=config,
+                       dim_convention=args.dim_convention)
     cols = [
         "order", "lag_order", "n_terms", "loglik_full", "dim_full", "bic_full",
         "loglik_mtd", "dim_mtd", "bic_mtd", "delta_bic",
@@ -363,21 +335,41 @@ _COMMANDS = {
 }
 
 
+def _state(path):
+    """Mode, inode, size and mtime of ``path`` itself (a symlink is not followed), or None."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return None
+    return st.st_mode, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _release(claimed: dict) -> None:
+    """Remove each claimed output that is a regular file and not in its state before the run."""
+    for path, before in claimed.items():
+        now = _state(path)
+        if now and stat.S_ISREG(now[0]) and now != before:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    claimed = {}  # each output path of the command and its _state before it was claimed
     try:
         args = build_parser().parse_args(argv)
-        _at_least("--seed", getattr(args, "seed", 0), 0)
+        for path in filter(None, (getattr(args, dest, None) for dest in ("out", "trace_out"))):
+            claimed.setdefault(path, _state(path))
+            open(path, "a").close()  # an output that cannot be written fails before the work
         return _COMMANDS[args.command](args, argv)
-    except _UsageError as err:
-        print(f"mtdchain: error: {err}", file=sys.stderr)
-        return 2
-    except MtdError as err:
-        print(f"mtdchain: error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:  # every reader raises IoError, so this is an output that failed
-        print(f"mtdchain: error: cannot write: {err}", file=sys.stderr)
-        return 1
+    except BaseException as err:
+        _release(claimed)  # a failed run leaves no output that it created or changed
+        if not isinstance(err, (_UsageError, MtdError, OSError)):
+            raise
+        # every reader raises IoError, an MtdError, so an OSError is an output that failed
+        message = f"cannot write: {err}" if isinstance(err, OSError) else err
+        print(f"mtdchain: error: {message}", file=sys.stderr)
+        return 2 if isinstance(err, _UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from .errors import AlphabetMismatch, EmptyCorpus, IoError, LagOutOfRange
 from .model import (
     _INT64_MAX,
     Alphabet,
+    _check_dense_size,
     _check_word_space,
     _lag_cells,
     _window_word_indices,
@@ -176,6 +177,7 @@ def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> np.
     if not 1 <= lag <= m - block_length + 1:
         raise LagOutOfRange(f"lag {lag} outside 1..{m - block_length + 1}")
     q = counts.alphabet.size
+    _check_dense_size(q, block_length)
     cells = _lag_cells(counts.word_indices(), lag, q, block_length)
     # float64 sums of int64 counts are exact: corpus totals stay below 2**53
     table = np.bincount(cells, weights=counts.values(), minlength=q ** (block_length + 1))

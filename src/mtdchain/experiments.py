@@ -6,22 +6,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from .counts import NGramCounts, count_ngrams
+from .counts import NGramCounts, count_ngrams, lag_contingency
 from .errors import EmptyCorpus
 from .em import EmConfig, fit_with_restarts, loglik_from_counts
-from .model import MtdModel, _check_dense_size, _normalize_rows, random_full_markov, sample_sequence
+from .model import MtdModel, _normalize_rows, random_full_markov, sample_sequence
 from .reparam import bic, model_dimension
 from .stationary import tv_distance, word_distribution
 
 
 def fit_full_markov(counts: NGramCounts) -> MtdModel:
     """ML full Markov model, as the MtdModel with l = m; unseen histories get uniform rows."""
-    q = counts.alphabet.size
     m = counts.order
-    _check_dense_size(q, m)
-    # a word index is its history's row times q plus its final letter
-    table = np.bincount(counts.word_indices(), weights=counts.values(), minlength=q ** (m + 1))
-    table = _normalize_rows(table.reshape(q**m, q), 1.0 / q)
+    # the lag-1 block of m letters is the whole history
+    table = _normalize_rows(lag_contingency(counts, 1, m), 1.0 / counts.alphabet.size)
     return MtdModel(counts.alphabet, m, m, [1.0], [table])
 
 

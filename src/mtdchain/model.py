@@ -411,9 +411,10 @@ def history_rows(model, history_indices: np.ndarray) -> np.ndarray:
 
 
 def _check_dense_size(q: int, order: int) -> None:
-    """Raise :class:`ModelTooLarge` if a dense order-m table has over MAX_TABLE_ENTRIES entries."""
-    if q ** (order + 1) > MAX_TABLE_ENTRIES:
-        raise ModelTooLarge(f"q**(m+1) = {q}**{order + 1} exceeds {MAX_TABLE_ENTRIES} entries")
+    """Raise :class:`ModelTooLarge` if a dense (order m) or block (order l) table is too large."""
+    # q >= 2 and MAX_TABLE_ENTRIES < 2**64, so order >= 63 exceeds it with no power taken
+    if order >= 63 or q ** (order + 1) > MAX_TABLE_ENTRIES:
+        raise ModelTooLarge(f"a table of {q}**{order + 1} entries exceeds {MAX_TABLE_ENTRIES}")
 
 
 def _window(table: np.ndarray, g: int, b: int) -> np.ndarray:
@@ -671,6 +672,7 @@ def _resolve_alphabet(alphabet, q) -> Alphabet:
 def random_mtd(q, order, lag_order, variant="general", seed=0, alphabet=None) -> MtdModel:
     """Random MTD model: phi and all matrix rows are normalized uniforms."""
     alphabet = _resolve_alphabet(alphabet, q)
+    _check_dense_size(q, lag_order)
     rng = np.random.default_rng(seed)
     G = order - lag_order + 1
     phi = _positive_rows(rng, (G,))
@@ -682,5 +684,6 @@ def random_mtd(q, order, lag_order, variant="general", seed=0, alphabet=None) ->
 def random_full_markov(q, order, seed=0, alphabet=None) -> MtdModel:
     """Random full Markov model (the MTD model with l = m): every row a normalized uniform draw."""
     alphabet = _resolve_alphabet(alphabet, q)
+    _check_dense_size(q, order)
     rng = np.random.default_rng(seed)
     return MtdModel(alphabet, order, order, [1.0], [_positive_rows(rng, (q**order, q))])

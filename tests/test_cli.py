@@ -193,7 +193,6 @@ def _forbid_work(monkeypatch):
         ("fit", ["--alphabet", "acgt", "--variant", "single_matrix", "--lag-order", "2",
                  "--algorithm", "berchtold"]),
         ("bic-compare", ["--orders", "0"]),
-        ("bic-compare", ["--orders", "2,x"]),
         ("bic-compare", ["--orders", "2", "--lag-orders", "0"]),
         ("bic-compare", ["--orders", "1", "--lag-orders", "2"]),
         ("bic-compare", ["--orders", "2", "--lag-orders", "1,2", "--variant", "single_matrix"]),
@@ -218,7 +217,7 @@ def _forbid_work(monkeypatch):
         "epsilon-nan-berchtold", "restarts", "max-iters-berchtold",
         "order-0", "lag-order-above-order", "lag-order-0", "floor-negative", "floor-nan",
         "single-matrix-lag-order-2", "single-matrix-lag-order-2-berchtold",
-        "orders-0", "orders-not-int", "lag-orders-0", "lag-orders-above-orders",
+        "orders-0", "lag-orders-0", "lag-orders-above-orders",
         "single-matrix-lag-orders-1-2", "fit-orders-0", "gen-order-0",
         "word-len-0", "alphabet-size-1", "replicates-0", "tv-experiment-length-below-gen-order",
         "sample-length-0", "sample-prefix-empty",
@@ -347,6 +346,8 @@ def test_missing_required_flag_is_usage_error(command, flag, corpus, tmp_path, m
           "--epsilon", "small"], "--epsilon: invalid float value"),
         (["eval", "--model", "m.json", "--in", "c.txt", "--format", "fastq"],
          "--format: invalid choice"),
+        (["bic-compare", "--alphabet", "acgt", "--in", "c.txt", "--orders", "2,x"],
+         "--orders: invalid int list value: '2,x'"),
         (["fit", "--alphabet", "acgt", "--in", "c.txt", "--order", "3", "--out", ""],
          "invalid flag value: --out must not be empty"),
         (["count", "--alphabet", "acgt", "--in", "", "--order", "3"],
@@ -355,7 +356,8 @@ def test_missing_required_flag_is_usage_error(command, flag, corpus, tmp_path, m
          "invalid flag value: --out must not be empty"),
     ],
     ids=["no-command", "unknown-command", "order-not-int", "epsilon-not-float",
-         "format-not-a-choice", "fit-out-empty", "count-in-empty", "eval-out-empty"],
+         "format-not-a-choice", "orders-not-int", "fit-out-empty", "count-in-empty",
+         "eval-out-empty"],
 )
 def test_malformed_command_line_is_usage_error(argv, mention, monkeypatch, capsys):
     _forbid_work(monkeypatch)
@@ -657,14 +659,17 @@ OUTPUT_FLAGS = [
 
 
 @pytest.mark.parametrize("command, flag", OUTPUT_FLAGS, ids=lambda x: x.lstrip("-"))
-def test_unwritable_output_is_one_line_error(command, flag, corpus, tmp_path, capsys):
+def test_unwritable_output_is_one_line_error(command, flag, corpus, tmp_path, capsys,
+                                             monkeypatch):
     model_path = str(tmp_path / "model.json")
     write_model(model_path, _model())
+    _forbid_work(monkeypatch)
     bad = str(tmp_path / "missing" / "out")
     argv = _small_run(command, corpus, model_path)
     if flag == "--trace-out":
         argv += ["--out", str(tmp_path / "fit.json")]
     _assert_one_line_failure(argv + [flag, bad], capsys, "cannot write", bad)
+    assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "model.json"]
 
 
 @pytest.mark.parametrize("failing", ["--out", "--trace-out", "fit"])
@@ -684,6 +689,80 @@ def test_failed_fit_leaves_no_output_file(failing, corpus, tmp_path, capsys, mon
     argv += [arg for flag, path in outputs.items() for arg in (flag, str(path))]
     _assert_one_line_failure(argv, capsys, "cannot write" if failing in outputs else "fit failed")
     assert not any(path.exists() for path in outputs.values())
+
+
+def _failing_fit(counts, config):
+    raise MtdError("the fit failed")
+
+
+@pytest.mark.parametrize("failure", ["usage", "fit"])
+def test_failed_run_keeps_a_pre_existing_output(failure, corpus, tmp_path, capsys, monkeypatch):
+    """A usage error, or a failure before the write, leaves an existing output byte-identical."""
+    outputs = {"--out": tmp_path / "fit.json", "--trace-out": tmp_path / "trace.tsv"}
+    for flag, path in outputs.items():
+        path.write_text(f"kept {flag}\n")
+    argv = _small_run("fit", corpus, None)
+    argv += [arg for flag, path in outputs.items() for arg in (flag, str(path))]
+    if failure == "usage":
+        _forbid_work(monkeypatch)
+        argv += ["--lag-order", "2"]  # above --order 1, which only the command checks
+    else:
+        monkeypatch.setattr(cli, "fit_with_restarts", _failing_fit)
+    _assert_one_line_failure(argv, capsys, code=2 if failure == "usage" else 1)
+    assert {flag: path.read_text() for flag, path in outputs.items()} == {
+        flag: f"kept {flag}\n" for flag in outputs}
+
+
+@pytest.mark.parametrize("kind", ["symlink", "file"])
+def test_failed_write_removes_a_changed_file_but_not_a_link(kind, corpus, tmp_path, capsys,
+                                                             monkeypatch):
+    target = tmp_path / "target.json"
+    target.write_text("an earlier model\n")
+    out = target if kind == "file" else tmp_path / "link.json"
+    if kind == "symlink":
+        out.symlink_to(target)
+
+    def write_model(path, model, provenance):
+        with open(path, "w") as fh:
+            fh.write("part of a model")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_model", write_model)
+    argv = _small_run("fit", corpus, None) + ["--out", str(out)]
+    _assert_one_line_failure(argv, capsys, "cannot write", "No space left on device")
+    if kind == "symlink":
+        assert out.is_symlink() and os.readlink(out) == str(target)
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "tv-experiment"])
+def test_too_large_block_table_is_one_line_error(command, corpus, tmp_path, capsys):
+    # a table of 4**31 entries, which no allocation can hold
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--alphabet", "acgt", "--order", "30", "--lag-order", "30", "--in", corpus,
+                "--out", str(out)],
+        "tv-experiment": ["tv-experiment", "--gen-order", "30", "--length", "40",
+                          "--out", str(out)],
+    }[command]
+    _assert_one_line_failure(argv, capsys, "exceeds")
+    assert not out.exists()
+
+
+def test_fit_of_an_order_14_block_table_fails_before_allocating(corpus, tmp_path):
+    # a subprocess under a memory cap: the 4**15-entry table would take 8 GiB
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "mtdchain.cli", "fit", "--alphabet", "acgt", "--order", "14",
+         "--lag-order", "14", "--restarts", "1", "--in", corpus,
+         "--out", str(tmp_path / "fit.json")],
+        capture_output=True, text=True, timeout=60, preexec_fn=_capped_memory,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("mtdchain: error: ") and result.stderr.count("\n") == 1
+    assert "exceeds" in result.stderr
 
 
 def _short_corpus(tmp_path):
@@ -806,3 +885,41 @@ def test_mutated_model_file_works_or_fails_in_one_line(kind, key, value, tmp_pat
             if code:
                 assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1), argv
                 assert err.getvalue().startswith("mtdchain: error: "), argv
+
+
+# every command's flags that _FLAGS gives a least value, with each kind of value their type rejects
+RANGE_CASES = [
+    (command, flag, kind)
+    for command, (_, flags) in cli._SUBCOMMANDS.items()
+    for flag in flags.replace("*", "").split() if "low" in cli._FLAGS[flag]
+    for kind in ("below", "not-int", "zero-entry")
+    if kind != "zero-entry" or cli._FLAGS[flag]["type"] is cli._int_list
+]
+
+
+def _rejected_values(flag, kind):
+    low = cli._FLAGS[flag]["low"]
+    if kind == "below":
+        return st.integers(low - 10**6, low - 1).map(str)
+    if kind == "not-int":
+        return st.sampled_from(["1.5", "x", "1e3"])
+    entries = st.lists(st.integers(1, 9), max_size=3).flatmap(lambda xs: st.permutations(xs + [0]))
+    return entries.map(lambda xs: ",".join(map(str, xs)))
+
+
+@pytest.mark.parametrize("command, flag, kind", RANGE_CASES,
+                         ids=[f"{c}{f[1:]}-{k}" for c, f, k in RANGE_CASES])
+@settings(max_examples=5)
+@given(data=st.data())
+def test_flag_out_of_its_range_is_usage_error(command, flag, kind, data, tmp_path_factory):
+    value = data.draw(_rejected_values(flag, kind), label="value")
+    with _wall_clock_guard(10), pytest.MonkeyPatch.context() as patch:
+        _forbid_work(patch)
+        tmp_path = tmp_path_factory.mktemp("range")
+        argv = _required_argv(command, str(tmp_path / "corpus.txt"), tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + [f"{flag}={value}"])
+        assert (code, out.getvalue(), err.getvalue().count("\n")) == (2, "", 1)
+        assert err.getvalue().startswith("mtdchain: error: ")
+        assert not any(tmp_path.iterdir())  # a usage error claims no output

@@ -355,6 +355,12 @@ class TestLagContingency:
         assert np.array_equal(table, expected)
         assert table.dtype == np.int64 and not table.flags.writeable
 
+    def test_block_table_size_is_checked_before_allocating(self, dna):
+        # a table of 4**31 entries cannot be allocated at all
+        counts = count_ngrams([random_sequence(dna, 60, 9)], 30)
+        with pytest.raises(ModelTooLarge):
+            lag_contingency(counts, 1, 30)
+
 
 class TestSerialization:
     def test_round_trip(self, dna, tmp_path):

@@ -630,6 +630,17 @@ class TestRandomMtd:
         assert model.matrices[0].shape == (64, 4)
         assert model.matrices[0].min() > 0
 
+    def test_table_size_is_checked_before_drawing(self):
+        # a (4**30, 4) table of draws cannot be allocated; 4**(10**30) would never finish
+        with pytest.raises(ModelTooLarge):
+            random_mtd(4, 30, 30)
+        with pytest.raises(ModelTooLarge):
+            random_mtd(4, 10**30, 10**30)
+        with pytest.raises(ModelTooLarge):
+            random_mtd(4, 31, 30, variant="general")
+        with pytest.raises(ModelTooLarge):
+            random_full_markov(4, 30)
+
 
 class TestSamplingLoglikConsistency:
     def test_entropy_rate(self, equiv_model_a):
