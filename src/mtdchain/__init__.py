@@ -7,7 +7,7 @@ stationary word distributions, sampling, sequence/model file I/O, and a
 CLI with experiment harnesses.
 """
 
-from .berchtold import BerchtoldConfig, berchtold_fit, berchtold_step, loglik_gradient
+from .berchtold import berchtold_fit, berchtold_step, loglik_gradient
 from .counts import (
     NGramCounts,
     count_ngrams,

@@ -6,44 +6,23 @@ then moves delta of mass within each vector from its smallest-derivative
 component to its largest-derivative one: one :func:`berchtold_step` for
 phi and one for all matrix rows at once.  If the composite move fails to
 increase the log-likelihood it is reverted and delta decays
-geometrically.  The fit runs on EM's kernel (``em._Kernel``): the same
-cells, gather, gradient and feasibility check on the parameter vector
-theta = (phi, every matrix entry), so both fitters share one likelihood
-and only the reported model is built as an :class:`MtdModel`.  Kept as
-a comparison baseline for the EM fitter, not as a faithful reproduction
-of any published delta schedule.
+geometrically on one fixed schedule, so the baseline has no step-size
+knob: of :class:`EmConfig` it reads only ``epsilon`` and ``max_iters``,
+the stopping rule :func:`em_fit` reads.  The fit runs on EM's kernel
+(``em._Kernel``): the same cells, gather, gradient and feasibility
+check on the parameter vector theta = (phi, every matrix entry), so
+both fitters share one likelihood and only the reported model is built
+as an :class:`MtdModel`.  Kept as a comparison baseline for the EM
+fitter, not as a faithful reproduction of any published delta schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .counts import NGramCounts
-from .em import FitReport, _Kernel, _make_report
+from .em import EmConfig, FitReport, _Kernel, _make_report
 from .model import MtdModel
-
-
-@dataclass
-class BerchtoldConfig:
-    """Step-size schedule and stopping rule for :func:`berchtold_fit`."""
-
-    delta0: float = 0.1
-    delta_decay: float = 0.5
-    min_delta: float = 1e-6
-    max_iters: int = 1000
-    epsilon: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.delta0 <= 1.0:
-            raise ValueError("delta0 must lie in (0, 1]")
-        if not 0.0 < self.delta_decay < 1.0:
-            raise ValueError("delta_decay must lie in (0, 1)")
 
 
 def loglik_gradient(model: MtdModel, counts: NGramCounts):
@@ -60,6 +39,13 @@ def loglik_gradient(model: MtdModel, counts: NGramCounts):
     """
     kernel = _Kernel(counts, model)
     return kernel.split(kernel.gradient(kernel.start))
+
+
+# delta starts at _DELTA0, is multiplied by _DELTA_DECAY on each reverted move,
+# and the fit stops once it falls below _MIN_DELTA
+_DELTA0 = 0.1
+_DELTA_DECAY = 0.5
+_MIN_DELTA = 1e-6
 
 
 def berchtold_step(vectors: np.ndarray, gradients: np.ndarray, delta: float) -> np.ndarray:
@@ -86,7 +72,7 @@ def berchtold_step(vectors: np.ndarray, gradients: np.ndarray, delta: float) -> 
 
 
 def berchtold_fit(
-    counts: NGramCounts, init: MtdModel, config: BerchtoldConfig | None = None
+    counts: NGramCounts, init: MtdModel, config: EmConfig | None = None
 ) -> FitReport:
     """Accept-or-revert coordinate ascent from ``init``.
 
@@ -95,9 +81,11 @@ def berchtold_fit(
     a feasible model with a higher log-likelihood, so the trace, which
     holds the initial log-likelihood followed by every accepted value,
     is strictly increasing.  Stops when an accepted increase falls below
-    epsilon, when delta decays below min_delta, or at max_iters.
+    ``config.epsilon``, when delta decays below 1e-6, or after
+    ``config.max_iters`` iterations; the other fields of ``config`` are
+    not read.
     """
-    config = config or BerchtoldConfig()
+    config = config or EmConfig()
     kernel = _Kernel(counts, init)
     G = kernel.G
     theta = kernel.start
@@ -105,7 +93,7 @@ def berchtold_fit(
     kernel.check_positive(point.probs)
     current = point.loglik
     trace = [current]
-    delta = config.delta0
+    delta = _DELTA0
     converged = False
     for _ in range(config.max_iters):
         grad = kernel.gradient(theta)
@@ -120,8 +108,8 @@ def berchtold_fit(
                 converged = True
                 break
         else:
-            delta *= config.delta_decay
-            if delta < config.min_delta:
+            delta *= _DELTA_DECAY
+            if delta < _MIN_DELTA:
                 converged = True
                 break
     return _make_report(kernel.model(theta), trace, converged, None, counts)

@@ -1,18 +1,7 @@
 """Command-line interface.
 
-Each subcommand takes only the flags it reads; * marks a required one.
-
-  count          --alphabet* --order* --in* --format --out
-  fit            --alphabet* --order* --in* --format --out* --lag-order --variant
-                 --epsilon --restarts --max-iters --seed --algorithm --floor --trace-out
-  eval           --model* --in* --format --dim-convention --bic-n --out
-  sample         --model* --length* --prefix --seed --out
-  expand         --model* --out* --seed
-  convert        --model* --to* --out* --ref-letter --seed
-  tv-experiment  --gen-order --alphabet-size --length --fit-orders --replicates
-                 --word-len --seed --out
-  bic-compare    --alphabet* --orders* --in* --format --lag-orders --variant
-                 --epsilon --restarts --max-iters --dim-convention --seed --out
+Each subcommand takes only the flags it reads, as ``_SUBCOMMANDS`` declares;
+``mtdchain <command> --help`` lists them.
 
 expand and convert write --seed only into the model file's provenance.
 sample --prefix is spelled like one sequence file line over the model's
@@ -38,7 +27,7 @@ import os
 import stat
 import sys
 
-from .berchtold import BerchtoldConfig, berchtold_fit
+from .berchtold import berchtold_fit
 from .counts import count_ngrams, write_counts
 from .em import EmConfig, fit_with_restarts, init_contingency, loglik_from_counts
 from .errors import EmptyCorpus, MtdError
@@ -121,6 +110,14 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _tsv(rows) -> str:
+    """A header of the first row's keys, then each row's values: floats by repr, others by str."""
+    lines = ["\t".join(rows[0])]
+    for row in rows:
+        lines.append("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row.values()))
+    return "\n".join(lines) + "\n"
 
 
 def _load_corpus(args):
@@ -214,10 +211,7 @@ def cmd_fit(args, argv) -> int:
         raise _UsageError(
             f"invalid flag value: --lag-order must be in 1..{args.order}, got {args.lag_order}"
         )
-    # EmConfig checks every fit flag, so Berchtold rejects the same invalid values
     config = _em_config(args, floor=args.floor, lag_order=args.lag_order)
-    if args.algorithm == "berchtold":
-        config = _from_flags(BerchtoldConfig, epsilon=args.epsilon, max_iters=args.max_iters)
     sequences = _load_corpus(args)
     counts = count_ngrams(sequences, args.order)
     if args.algorithm == "em":
@@ -228,10 +222,8 @@ def cmd_fit(args, argv) -> int:
     if args.trace_out:
         write_trace(args.trace_out, report.loglik_trace)
     write_model(args.out, report.model, provenance=_provenance(args, argv))
-    sys.stdout.write(
-        "final_loglik\titerations\tconverged\tbic\n"
-        f"{report.final_loglik!r}\t{report.iterations}\t{report.converged}\t{report.bic!r}\n"
-    )
+    sys.stdout.write(_tsv([{"final_loglik": report.final_loglik, "iterations": report.iterations,
+                             "converged": report.converged, "bic": report.bic}]))
     return 0
 
 
@@ -254,12 +246,9 @@ def cmd_eval(args, argv) -> int:
     if not n_terms:
         raise EmptyCorpus(f"no sequence is longer than order {scoring.order}: no word to score")
     dim = d_theta if args.dim_convention == "theta_u" else d_raw
-    value = bic(loglik, dim, n_terms)
-    text = (
-        "loglik\tdim_theta_u\tdim_raw\tn_terms\tbic\n"
-        f"{loglik!r}\t{d_theta}\t{d_raw}\t{n_terms}\t{value!r}\n"
-    )
-    _emit(text, args.out)
+    row = {"loglik": loglik, "dim_theta_u": d_theta, "dim_raw": d_raw, "n_terms": n_terms,
+           "bic": bic(loglik, dim, n_terms)}
+    _emit(_tsv([row]), args.out)
     return 0
 
 
@@ -293,12 +282,9 @@ def cmd_tv_experiment(args, argv) -> int:
         )
     rows, _ = tv_experiment(args.gen_order, args.alphabet_size, args.length, args.fit_orders,
                             args.replicates, args.word_len, args.seed)
-    lines = ["replicate\tfit_order\ttv"]
-    for row in rows:
-        lines.append(f"{row['replicate']}\t{row['fit_order']}\t{row['tv']!r}")
-    for m, mean in tv_experiment_summary(rows).items():
-        lines.append(f"mean\t{m}\t{mean!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    means = [{"replicate": "mean", "fit_order": m, "tv": tv}
+             for m, tv in tv_experiment_summary(rows).items()]
+    _emit(_tsv(rows + means), args.out)
     return 0
 
 
@@ -310,16 +296,7 @@ def cmd_bic_compare(args, argv) -> int:
     sequences = _load_corpus(args)
     rows = bic_compare(sequences, args.orders, args.lag_orders, config=config,
                        dim_convention=args.dim_convention)
-    cols = [
-        "order", "lag_order", "n_terms", "loglik_full", "dim_full", "bic_full",
-        "loglik_mtd", "dim_mtd", "bic_mtd", "delta_bic",
-    ]
-    lines = ["\t".join(cols)]
-    for row in rows:
-        lines.append(
-            "\t".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols)
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_tsv(rows), args.out)
     return 0
 
 

@@ -50,7 +50,6 @@ maps of the losing starts are never run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +65,7 @@ from .model import (
     spell_word,
     word_probabilities,
 )
-from .reparam import ThetaU, bic, model_dimension, to_theta_u
+from .reparam import bic, model_dimension
 
 # step halving stops short of alpha = -1, where the extrapolation is theta_2 itself
 _ALPHA_FLOOR = -1.0 - 1.0 / 16
@@ -78,7 +77,7 @@ _POLISH_FACTOR = 100
 
 @dataclass
 class EmConfig:
-    """Knobs for :func:`em_fit` and :func:`fit_with_restarts`.
+    """Knobs for :func:`em_fit`, :func:`fit_with_restarts` and :func:`berchtold_fit`.
 
     ``epsilon`` is the stopping threshold on the absolute log-likelihood
     increase of one EM map over its input: :func:`em_fit` stops there,
@@ -91,6 +90,10 @@ class EmConfig:
     leader runs on.  ``floor``, when set, bounds every mixture component
     weight below before posterior normalization instead of aborting on a
     degenerate word.
+
+    :func:`fit_with_restarts` reads every field, :func:`em_fit` only
+    ``epsilon``, ``max_iters`` and ``floor``, and the Berchtold baseline
+    only ``epsilon`` and ``max_iters``.
     """
 
     epsilon: float = 1e-3
@@ -144,11 +147,6 @@ class FitReport:
     restart_index: int | None
     bic: float
     restarts: tuple[RestartRecord, ...] = ()
-
-    @cached_property
-    def theta_u(self) -> ThetaU:
-        """One-block table of the fitted model around letter 0, built on first read."""
-        return to_theta_u(self.model, 0)
 
 
 def _loglik(N: np.ndarray, probs: np.ndarray) -> float:

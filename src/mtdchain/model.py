@@ -411,7 +411,11 @@ def history_rows(model, history_indices: np.ndarray) -> np.ndarray:
 
 
 def _check_dense_size(q: int, order: int) -> None:
-    """Raise :class:`ModelTooLarge` if a dense (order m) or block (order l) table is too large."""
+    """Raise :class:`ModelTooLarge` if a table of q**(order + 1) entries is too large.
+
+    That is a dense (order m) or block (order l) table, or the distribution
+    of (order + 1)-letter words.
+    """
     # q >= 2 and MAX_TABLE_ENTRIES < 2**64, so order >= 63 exceeds it with no power taken
     if order >= 63 or q ** (order + 1) > MAX_TABLE_ENTRIES:
         raise ModelTooLarge(f"a table of {q}**{order + 1} entries exceeds {MAX_TABLE_ENTRIES}")
@@ -671,8 +675,8 @@ def _resolve_alphabet(alphabet, q) -> Alphabet:
 
 def random_mtd(q, order, lag_order, variant="general", seed=0, alphabet=None) -> MtdModel:
     """Random MTD model: phi and all matrix rows are normalized uniforms."""
+    _check_dense_size(q, lag_order)  # before the alphabet, which has q symbols
     alphabet = _resolve_alphabet(alphabet, q)
-    _check_dense_size(q, lag_order)
     rng = np.random.default_rng(seed)
     G = order - lag_order + 1
     phi = _positive_rows(rng, (G,))
@@ -683,7 +687,7 @@ def random_mtd(q, order, lag_order, variant="general", seed=0, alphabet=None) ->
 
 def random_full_markov(q, order, seed=0, alphabet=None) -> MtdModel:
     """Random full Markov model (the MTD model with l = m): every row a normalized uniform draw."""
-    alphabet = _resolve_alphabet(alphabet, q)
     _check_dense_size(q, order)
+    alphabet = _resolve_alphabet(alphabet, q)
     rng = np.random.default_rng(seed)
     return MtdModel(alphabet, order, order, [1.0], [_positive_rows(rng, (q**order, q))])

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetMismatch, ModelTooLarge, NonConvergentStationary
-from .model import MAX_TABLE_ENTRIES, Alphabet, full_transition_matrix
+from .errors import AlphabetMismatch, NonConvergentStationary
+from .model import Alphabet, _check_dense_size, full_transition_matrix
 
 _POWER_TOL = 1e-12
 _MAX_SWEEPS = 10**5
@@ -23,9 +23,10 @@ class WordDistribution:
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=np.float64)
-        q = self.alphabet.size
-        if arr.shape != (q**self.word_length,):
-            raise ValueError(f"expected {q**self.word_length} probabilities, got {arr.shape}")
+        q, k = self.alphabet.size, self.word_length
+        # q >= 2, so no array holds q**k entries once k >= 63; testing it first keeps q**k small
+        if k >= 63 or arr.shape != (q**k,):
+            raise ValueError(f"expected {q}**{k} probabilities, got {arr.shape}")
         if abs(arr.sum() - 1.0) > 1e-9:
             raise ValueError(f"word distribution sums to {arr.sum()!r}")
         arr = arr.copy()
@@ -62,8 +63,7 @@ def word_distribution(model, word_length: int) -> WordDistribution:
     k = int(word_length)
     if k < 1:
         raise ValueError("word_length must be >= 1")
-    if q**k > MAX_TABLE_ENTRIES:
-        raise ModelTooLarge(f"q**k = {q}**{k} exceeds {MAX_TABLE_ENTRIES} entries")
+    _check_dense_size(q, k - 1)  # a table of q**k entries
     dense = full_transition_matrix(model)
     # marginal over the most recent min(k, m) letters (low digits of the history)
     probs = stationary_histories(dense).reshape(-1, q ** min(k, m)).sum(axis=0)

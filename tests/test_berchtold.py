@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import random_sequence
 from mtdchain import (
-    BerchtoldConfig,
     DegenerateLikelihood,
     EmConfig,
     MtdModel,
@@ -22,6 +21,7 @@ from mtdchain import (
     sample_sequence,
     word_to_index,
 )
+from mtdchain.berchtold import _DELTA0, _DELTA_DECAY, _MIN_DELTA
 from mtdchain.model import _cell_index
 
 
@@ -79,7 +79,7 @@ def oracle_berchtold_fit(counts, init, config):
     if current == float("-inf"):
         raise DegenerateLikelihood("oracle: initial model assigns zero probability")
     trace = [current]
-    delta = config.delta0
+    delta = _DELTA0
     converged = False
     for _ in range(config.max_iters):
         d_phi, d_pi = oracle_loglik_gradient(model, counts)
@@ -100,8 +100,8 @@ def oracle_berchtold_fit(counts, init, config):
                 converged = True
                 break
         else:
-            delta *= config.delta_decay
-            if delta < config.min_delta:
+            delta *= _DELTA_DECAY
+            if delta < _MIN_DELTA:
                 converged = True
                 break
     return np.asarray(trace), model, converged
@@ -123,7 +123,7 @@ class TestMatchesOracle:
         truth = random_mtd(4, 6, l, variant=variant, seed=l + 60)
         counts = count_ngrams([sample_sequence(truth, 3000, seed=l)], 6)
         for init in (init_contingency(counts, l, variant), random_mtd(4, 6, l, variant=variant, seed=7)):
-            report = assert_matches_oracle(counts, init, BerchtoldConfig(max_iters=120))
+            report = assert_matches_oracle(counts, init, EmConfig(max_iters=120))
             assert report.iterations > 10
 
     @settings(max_examples=30)
@@ -141,7 +141,7 @@ class TestMatchesOracle:
         truth = random_mtd(q, m, l, variant=variant, seed=seed)
         counts = count_ngrams([sample_sequence(truth, 600, seed=seed + 1)], m)
         init = random_mtd(q, m, l, variant=variant, seed=seed + 2)
-        assert_matches_oracle(counts, init, BerchtoldConfig(epsilon=1e-6, max_iters=max_iters))
+        assert_matches_oracle(counts, init, EmConfig(epsilon=1e-6, max_iters=max_iters))
 
 
 class TestGradient:
@@ -256,7 +256,7 @@ class TestFit:
         seq = random_sequence(dna, 500, 5)
         counts = count_ngrams([seq], 1)
         init = init_contingency(counts)
-        config = BerchtoldConfig(epsilon=1e-8, min_delta=1e-9, max_iters=5000)
+        config = EmConfig(epsilon=1e-8, max_iters=5000)
         report = berchtold_fit(counts, init, config)
         table = lag_contingency(counts, 1, 1).astype(float)
         mle = table / table.sum(axis=1, keepdims=True)
@@ -269,13 +269,13 @@ class TestFit:
         model = random_mtd(3, 2, 1, seed=seed + 500)
         seq = sample_sequence(model, 400, seed=seed)
         counts = count_ngrams([seq], 2)
-        report = berchtold_fit(counts, init_contingency(counts), BerchtoldConfig())
+        report = berchtold_fit(counts, init_contingency(counts), EmConfig())
         diffs = np.diff(report.loglik_trace)
         assert (diffs > 0).all()
 
     def test_iterates_stay_feasible(self, dna):
         counts = count_ngrams([random_sequence(dna, 300, 6)], 2)
-        report = berchtold_fit(counts, init_contingency(counts), BerchtoldConfig())
+        report = berchtold_fit(counts, init_contingency(counts), EmConfig())
         model = report.model
         assert model.phi.min() >= 0
         assert abs(model.phi.sum() - 1.0) < 1e-12
@@ -290,7 +290,7 @@ class TestFit:
         counts = count_ngrams([seq], 2)
         init = init_contingency(counts)
         em_report = em_fit(counts, init, EmConfig(epsilon=1e-4))
-        b_report = berchtold_fit(counts, init, BerchtoldConfig(epsilon=1e-4))
+        b_report = berchtold_fit(counts, init, EmConfig(epsilon=1e-4))
         assert em_report.final_loglik >= b_report.final_loglik - 0.5
 
     def test_rejects_degenerate_init(self, song):
@@ -298,12 +298,12 @@ class TestFit:
         init = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
         counts = count_ngrams([Sequence(song, [0, 0, 1])], 2)
         with pytest.raises(DegenerateLikelihood) as err:
-            berchtold_fit(counts, init, BerchtoldConfig())
+            berchtold_fit(counts, init, EmConfig())
         assert err.value.word_index == word_to_index([0, 0, 1], 3)
         assert err.value.word == "112"
 
     def test_trace_starts_at_init_loglik(self, dna):
         counts = count_ngrams([random_sequence(dna, 200, 8)], 2)
         init = init_contingency(counts)
-        report = berchtold_fit(counts, init, BerchtoldConfig())
+        report = berchtold_fit(counts, init, EmConfig())
         assert report.loglik_trace[0] == loglik_from_counts(init, counts)

@@ -93,6 +93,26 @@ def test_fit_summary_golden(corpus, tmp_path, capsys):
     assert float(out.splitlines()[1].split("\t")[0]) >= PLAIN_EM_FIT_LOGLIK
 
 
+# (recorded while the baseline still had a configuration class of its own)
+BERCHTOLD_FIT_GOLDEN = (
+    "final_loglik\titerations\tconverged\tbic\n"
+    "-5131.607100501032\t186\tTrue\t10524.139583368249\n"
+)
+BERCHTOLD_MODEL_SHA256 = "41826c782a3ad7c682084873edf2f28db947d47c466075c26a4187dd2113acca"
+
+
+def test_berchtold_fit_golden(tmp_path, monkeypatch, capsys):
+    # relative paths: the command line is part of the file's provenance
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.txt").write_text(_corpus())
+    argv = ["fit", "--in", "corpus.txt", "--alphabet", "acgt", "--order", "3",
+            "--algorithm", "berchtold", "--epsilon", "1e-4", "--out", "model.json"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == BERCHTOLD_FIT_GOLDEN
+    digest = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
+    assert digest == BERCHTOLD_MODEL_SHA256
+
+
 def test_fit_without_out_fails_before_work(corpus, monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
@@ -763,6 +783,31 @@ def test_fit_of_an_order_14_block_table_fails_before_allocating(corpus, tmp_path
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr.startswith("mtdchain: error: ") and result.stderr.count("\n") == 1
     assert "exceeds" in result.stderr
+
+
+@pytest.mark.parametrize("word_len", [10**9, 10**12])
+def test_huge_word_length_is_one_line_error(word_len, capfd):
+    # q**k of a 10**12-letter word was taken before its size was checked, and never finished
+    argv = ["tv-experiment", "--gen-order", "2", "--length", "100", "--fit-orders", "2",
+            "--replicates", "1", "--word-len", str(word_len)]
+    with _wall_clock_guard(2):  # capfd: the guard's faulthandler needs a real stderr
+        _assert_one_line_failure(argv, capfd, f"4**{word_len} entries exceeds")
+
+
+def test_huge_alphabet_size_fails_before_building_the_alphabet(tmp_path):
+    # a subprocess under a memory cap: 10**11 symbols ran out of memory in a traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "mtdchain.cli", "tv-experiment", "--gen-order", "1",
+         "--alphabet-size", str(10**11), "--length", "10", "--fit-orders", "1",
+         "--replicates", "1", "--out", str(tmp_path / "tv.tsv")],
+        capture_output=True, text=True, timeout=60, preexec_fn=_capped_memory,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("mtdchain: error: ") and result.stderr.count("\n") == 1
+    assert f"{10**11}**2 entries exceeds" in result.stderr
+    assert not (tmp_path / "tv.tsv").exists()
 
 
 def _short_corpus(tmp_path):

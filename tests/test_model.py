@@ -630,7 +630,7 @@ class TestRandomMtd:
         assert model.matrices[0].shape == (64, 4)
         assert model.matrices[0].min() > 0
 
-    def test_table_size_is_checked_before_drawing(self):
+    def test_table_size_is_checked_before_drawing(self, monkeypatch):
         # a (4**30, 4) table of draws cannot be allocated; 4**(10**30) would never finish
         with pytest.raises(ModelTooLarge):
             random_mtd(4, 30, 30)
@@ -640,6 +640,12 @@ class TestRandomMtd:
             random_mtd(4, 31, 30, variant="general")
         with pytest.raises(ModelTooLarge):
             random_full_markov(4, 30)
+        # nor can an alphabet of 10**11 symbols: the table size is refused before it is built
+        monkeypatch.setattr(mtdchain.model, "default_alphabet", None)
+        with pytest.raises(ModelTooLarge, match=r"100000000000\*\*2 entries"):
+            random_mtd(10**11, 1, 1)
+        with pytest.raises(ModelTooLarge, match=r"100000000000\*\*2 entries"):
+            random_full_markov(10**11, 1)
 
 
 class TestSamplingLoglikConsistency:

@@ -131,6 +131,9 @@ class TestWordDistribution:
     def test_invalid_distribution_rejected(self, ab):
         with pytest.raises(ValueError):
             WordDistribution(ab, 1, np.array([0.4, 0.4]))
+        # 2**(10**12) is never taken: the length is checked first
+        with pytest.raises(ValueError, match=r"expected 2\*\*1000000000000 probabilities"):
+            WordDistribution(ab, 10**12, np.array([0.5, 0.5]))
 
 
 class TestTvDistance:
