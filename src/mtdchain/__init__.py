@@ -8,14 +8,7 @@ CLI with experiment harnesses.
 """
 
 from .berchtold import berchtold_fit, berchtold_step, loglik_gradient
-from .counts import (
-    NGramCounts,
-    count_ngrams,
-    lag_contingency,
-    merge_counts,
-    read_counts,
-    write_counts,
-)
+from .counts import NGramCounts, count_ngrams, lag_contingency, write_counts
 from .em import (
     EmConfig,
     FitReport,

@@ -3,7 +3,8 @@
 Each subcommand takes only the flags it reads, as ``_SUBCOMMANDS`` declares;
 ``mtdchain <command> --help`` lists them.
 
-expand and convert write --seed only into the model file's provenance.
+expand, convert and fit --algorithm berchtold write --seed only into the model
+file's provenance.
 sample --prefix is spelled like one sequence file line over the model's
 alphabet: case variants read as their symbols, ',' joins multi-character ones.
 All outputs are TSV or JSON, deterministic given --seed.  Exit codes: 0
@@ -137,10 +138,10 @@ _FLAGS = {
     "--lag-order": dict(type=int, low=1, default=1, help="component block length l"),
     "--variant": dict(choices=("general", "single_matrix"), default="general"),
     "--epsilon": dict(type=float, default=1e-3),
-    "--restarts": dict(type=int, default=5),
+    "--restarts": dict(type=int, default=5, help="starts of an EM fit (only EM reads it)"),
     "--max-iters": dict(type=int, default=1000),
     "--algorithm": dict(choices=("em", "berchtold"), default="em"),
-    "--floor": dict(type=float),
+    "--floor": dict(type=float, help="least component weight of an EM fit, in (0, 1)"),
     "--trace-out": dict(help="write the log-likelihood trace here"),
     "--model": dict(),
     "--dim-convention": dict(choices=("theta_u", "raw"), default="theta_u"),
@@ -211,6 +212,8 @@ def cmd_fit(args, argv) -> int:
         raise _UsageError(
             f"invalid flag value: --lag-order must be in 1..{args.order}, got {args.lag_order}"
         )
+    if args.algorithm == "berchtold" and args.floor is not None:
+        raise _UsageError("invalid flag value: --floor is read only by --algorithm em")
     config = _em_config(args, floor=args.floor, lag_order=args.lag_order)
     sequences = _load_corpus(args)
     counts = count_ngrams(sequences, args.order)

@@ -1,27 +1,25 @@
 """Corpus sufficient statistics: (m+1)-gram counts and lag contingency tables.
 
-Counting windows never cross sequence boundaries, so a corpus may be
-ingested per sequence (or per chunk of sequences) and combined with
-:func:`merge_counts`.  A count table is two aligned read-only int64
-arrays: the observed word indices, strictly ascending, and their
-counts, all positive.  Every table is built by one function from chunks
-of word indices and optional weights: an in-place tally over the word
-space when the words are at least as many, else ``np.unique``, with the
-weights of a repeated word summed exactly.  :func:`count_ngrams` feeds
-it the uint32 windows of the letters' one-byte buffer, a fixed-size
-chunk at a time.  Fitting code reads the two arrays directly.  The
-counts file format (``word<TAB>count`` lines) is defined here and
-nowhere else; :class:`Alphabet`, the single owner of the letter format,
-spells and decodes its words as sequence file lines.  The writer spells
-them from the alphabet's byte table and writes each count's decimal
-digits, building one UTF-8 byte buffer per fixed-size chunk of lines.
+A count table is two aligned read-only int64 arrays: the observed word
+indices, strictly ascending, and their counts, all positive.
+:func:`count_ngrams` is the one producer: it tallies the uint32 windows
+of the letters' one-byte buffer a fixed-size chunk at a time, into one
+table over the word space when the words are at least as many, else by
+``np.unique``, and hands its fresh arrays to the table unchecked.  The
+:class:`NGramCounts` constructor checks tables built elsewhere.  Fitting
+code reads the two arrays directly.  The counts file format
+(``word<TAB>count`` lines) is defined here and nowhere else;
+:class:`Alphabet`, the single owner of the letter format, spells its
+words as sequence file lines.  The writer spells them from the
+alphabet's byte table and writes each count's decimal digits, building
+one UTF-8 byte buffer per fixed-size chunk of lines.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import AlphabetMismatch, EmptyCorpus, IoError, LagOutOfRange
+from .errors import AlphabetMismatch, EmptyCorpus, LagOutOfRange
 from .model import (
     _INT64_MAX,
     Alphabet,
@@ -58,17 +56,23 @@ class NGramCounts:
         # caller's arrays are neither kept nor frozen
         keep = counts > 0
         words, counts = words[keep], counts[keep]
+        # an int64 sum is exact while max * n stays below 2**63; Python ints otherwise
+        exact = not counts.size or int(counts.max()) * counts.size <= _INT64_MAX
+        total = int(counts.sum()) if exact else sum(counts.tolist())
+        if total > _INT64_MAX:
+            raise ValueError(f"total count {total} exceeds 2**63 - 1")
+        self._adopt(alphabet, word_length, words, counts, total)
+
+    def _adopt(self, alphabet, word_length, words, counts, total) -> NGramCounts:
+        """Set the fields to a checked table, freezing its fresh int64 arrays in place."""
         words.flags.writeable = False
         counts.flags.writeable = False
         self.alphabet = alphabet
         self.word_length = word_length
-        # an int64 sum is exact while max * n stays below 2**63; Python ints otherwise
-        exact = not counts.size or int(counts.max()) * counts.size <= _INT64_MAX
-        self.total = int(counts.sum()) if exact else sum(counts.tolist())
-        if self.total > _INT64_MAX:
-            raise ValueError(f"total count {self.total} exceeds 2**63 - 1")
+        self.total = total
         self._words = words
         self._counts = counts
+        return self
 
     @property
     def order(self) -> int:
@@ -99,47 +103,15 @@ class NGramCounts:
         )
 
 
-def _tally(alphabet: Alphabet, word_length: int, chunks, n_words: int, weights=None):
-    """Count table of the word indices in ``chunks``, each occurrence weighted 1 or by ``weights``.
-
-    This is the one construction path of every producer below.  ``chunks``
-    is an iterable of index arrays holding ``n_words`` words in all.
-    Unweighted words are tallied by adding each chunk into one table over
-    the whole word space (``np.add.at``) when it has no more entries than
-    ``n_words``, and by one ``np.unique`` (a sort) of all chunks
-    otherwise; both give the same table.  Weighted words come in one chunk
-    aligned with ``weights``, from ``np.unique``, and the weights of a
-    repeated word are summed exactly, as Python ints; a sum above
-    2**63 - 1 raises ValueError.
-    """
-    space = alphabet.size**word_length
-    if weights is None and space <= n_words:
-        table = np.zeros(space, dtype=np.int64)
-        for words in chunks:
-            np.add.at(table, words, 1)
-        distinct = np.flatnonzero(table)
-        sums = table[distinct]
-        del table  # before NGramCounts copies distinct and sums
-    elif weights is None:
-        words = np.concatenate([np.empty(0, np.uint32), *chunks])
-        distinct, sums = np.unique(words, return_counts=True)
-    else:
-        (words,) = chunks
-        order = np.argsort(words)
-        distinct, starts = np.unique(words[order], return_index=True)
-        sums = np.add.reduceat(weights[order].astype(object), starts)
-        if sums.size and sums.max() > _INT64_MAX:
-            w = int(distinct[np.argmax(sums)])
-            raise ValueError(f"counts of word {w} sum to {sums.max()}, above 2**63 - 1")
-    return NGramCounts(alphabet, word_length, distinct, sums)
-
-
 def count_ngrams(sequences, order: int, alphabet: Alphabet | None = None) -> NGramCounts:
     """Count every (order+1)-letter window fully inside one sequence.
 
-    The windows come in fixed-size chunks, so besides the one-byte letter
-    buffer and the table the temporaries stay a few hundred kilobytes,
-    whatever the corpus size.
+    The windows come in fixed-size chunks.  They are added into one table
+    over the word space (``np.add.at``) when it has no more entries than
+    there are windows, and counted by one ``np.unique`` (a sort) of all
+    chunks otherwise; both give the same table.  Besides the one-byte
+    letter buffer and the table the temporaries stay a few hundred
+    kilobytes, whatever the corpus size.
     """
     order = int(order)
     if order < 1:
@@ -155,16 +127,19 @@ def count_ngrams(sequences, order: int, alphabet: Alphabet | None = None) -> NGr
     q, k = alphabet.size, order + 1
     _check_word_space(q, k)
     n_words = sum(max(len(seq) - order, 0) for seq in sequences)
-    return _tally(alphabet, k, _window_word_indices(sequences, k, q), n_words)
-
-
-def merge_counts(a: NGramCounts, b: NGramCounts) -> NGramCounts:
-    """Pointwise sum of two count tables (associative, commutative)."""
-    if a.alphabet != b.alphabet or a.word_length != b.word_length:
-        raise AlphabetMismatch("count tables have different alphabets or word lengths")
-    words = np.concatenate([a.word_indices(), b.word_indices()])
-    weights = np.concatenate([a.values(), b.values()])
-    return _tally(a.alphabet, a.word_length, [words], words.size, weights)
+    chunks = _window_word_indices(sequences, k, q)
+    if q**k <= n_words:
+        table = np.zeros(q**k, dtype=np.int64)
+        for words in chunks:
+            np.add.at(table, words, 1)
+        words = np.flatnonzero(table)
+        counts = table[words]
+    else:
+        words = np.concatenate([np.empty(0, np.uint32), *chunks])
+        words, counts = np.unique(words, return_counts=True)
+        words = words.astype(np.int64, copy=False)
+    # fresh, ascending, positive and in range: the table takes them unchecked
+    return NGramCounts.__new__(NGramCounts)._adopt(alphabet, k, words, counts, n_words)
 
 
 def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> np.ndarray:
@@ -235,49 +210,3 @@ def write_counts(counts: NGramCounts, path) -> None:
         return
     with open(path, "wb") as fh:
         fh.writelines(_count_lines(counts))
-
-
-def read_counts(path, alphabet: Alphabet) -> NGramCounts:
-    """Read a counts file written by :func:`write_counts`, decoding words like sequence lines.
-
-    A foreign letter, or a word unlike the first in length, raises IoError naming its line.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as err:
-        raise IoError(f"cannot read counts file {path}: {err}") from err
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        try:
-            word, n = line.split("\t")
-            n = int(n)
-        except ValueError:
-            word = ""
-        if not word:
-            raise IoError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}")
-        if not 0 <= n <= _INT64_MAX:
-            raise IoError(f"{path}:{lineno}: count {n} outside [0, 2**63 - 1]")
-        rows.append((lineno, word, n))
-    if not rows:
-        raise EmptyCorpus(f"no counts in {path}")
-    linenos, words, ns = zip(*rows)
-    sep, q = alphabet.separator, alphabet.size
-    lengths = np.array([w.count(sep) + 1 for w in words] if sep else list(map(len, words)))
-    k = int(lengths[0])
-    _check_word_space(q, k)
-    # the separator between words keeps their letters apart
-    letters = alphabet.decode(sep.join(words))
-    foreign = np.logical_or.reduceat(letters < 0, np.cumsum(lengths) - lengths)
-    wrong = foreign | (lengths != k)
-    if wrong.any():
-        i = int(np.argmax(wrong))
-        problem = "letter outside the alphabet" if foreign[i] else "inconsistent word length"
-        raise IoError(f"{path}:{linenos[i]}: {problem}: {words[i]!r}")
-    indices = letters.reshape(-1, k) @ q ** np.arange(k - 1, -1, -1)
-    try:
-        return _tally(alphabet, k, [indices], indices.size, np.array(ns, np.int64))
-    except ValueError as err:
-        raise IoError(f"{path}: {err}") from None

@@ -89,7 +89,7 @@ class EmConfig:
     is screened for 10 EM maps (at most ``max_iters``) and only the
     leader runs on.  ``floor``, when set, bounds every mixture component
     weight below before posterior normalization instead of aborting on a
-    degenerate word.
+    degenerate word; it lies in (0, 1), as a component weight is at most 1.
 
     :func:`fit_with_restarts` reads every field, :func:`em_fit` only
     ``epsilon``, ``max_iters`` and ``floor``, and the Berchtold baseline
@@ -111,8 +111,8 @@ class EmConfig:
             raise ValueError("max_iters must be >= 1")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
-        if self.floor is not None and not 0.0 < self.floor < np.inf:
-            raise ValueError(f"floor must be finite and > 0, got {self.floor}")
+        if self.floor is not None and not 0.0 < self.floor < 1.0:
+            raise ValueError(f"floor must lie in (0, 1), got {self.floor}")
         if self.variant == "single_matrix" and self.lag_order != 1:
             raise ValueError(f"single_matrix variant requires lag_order 1, got {self.lag_order}")
 

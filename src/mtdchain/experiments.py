@@ -9,7 +9,7 @@ import numpy as np
 from .counts import NGramCounts, count_ngrams, lag_contingency
 from .errors import EmptyCorpus
 from .em import EmConfig, fit_with_restarts, loglik_from_counts
-from .model import MtdModel, _normalize_rows, random_full_markov, sample_sequence
+from .model import MtdModel, _adopt_dense, _normalize_rows, random_full_markov, sample_sequence
 from .reparam import bic, model_dimension
 from .stationary import tv_distance, word_distribution
 
@@ -19,7 +19,7 @@ def fit_full_markov(counts: NGramCounts) -> MtdModel:
     m = counts.order
     # the lag-1 block of m letters is the whole history
     table = _normalize_rows(lag_contingency(counts, 1, m), 1.0 / counts.alphabet.size)
-    return MtdModel(counts.alphabet, m, m, [1.0], [table])
+    return _adopt_dense(counts.alphabet, m, table)
 
 
 def tv_experiment(

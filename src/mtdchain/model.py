@@ -23,6 +23,14 @@ row, beside a mask of the row's own bytes (its byte length).  Sequence
 lines and counts files gather rows and masks, keep the masked bytes and
 drop the very first separator.
 
+Checks live at the boundary: the public constructors of the value types
+(:class:`Sequence`, :class:`MtdModel`, ``NGramCounts``, ``ThetaU``), the
+file readers and the CLI flags check everything they are given.  Each
+type's one ``_adopt`` method sets its fields, at the end of its
+constructor, and a value the library builds from parts it has already
+checked (a count table, a read sequence, a dense or one-block table) goes
+through ``_adopt`` alone, on ``cls.__new__(cls)``.
+
 Window layout: lag g's l-letter block sits at history digits
 g-1 .. g+l-2, which is axis 1 of :func:`_window`'s
 (q**(m-g-l+1), q**l, q**(g-1), q) view of a dense (q**m, q) table.
@@ -205,9 +213,15 @@ class Sequence:
         q = self.alphabet.size
         if arr.size and ((arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= q):
             raise InvalidSymbol("sequence contains indices outside the alphabet")
-        arr = arr.astype(self.alphabet.letter_dtype, copy=False)
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        self._adopt(self.alphabet, arr.astype(self.alphabet.letter_dtype, copy=False), self.name)
+
+    def _adopt(self, alphabet, data, name) -> Sequence:
+        """Set the fields to checked letters of ``alphabet.letter_dtype``, frozen in place."""
+        data.flags.writeable = False
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "name", name)
+        return self
 
     def __len__(self) -> int:
         return int(self.data.size)
@@ -221,12 +235,6 @@ class Sequence:
         letters = self.data.astype(np.intp)
         spelled = rows.take(letters, axis=0)[own.take(letters, axis=0)]
         return spelled.tobytes()[len(self.alphabet.separator) :].decode("utf-8", "surrogatepass")
-
-
-def _freeze(a) -> np.ndarray:
-    arr = np.array(a, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
 
 
 def validate_stochastic(matrix: np.ndarray, rows: int, cols: int, what: str = "matrix"):
@@ -279,23 +287,30 @@ class MtdModel:
         q = alphabet.size
         _check_word_space(q, lag_order)
         G = order - lag_order + 1
-        phi = _freeze(phi)
+        phi = np.array(phi, dtype=np.float64)
         if phi.shape != (G,):
             raise ShapeMismatch(f"phi has shape {phi.shape}, expected ({G},)")
         if not (phi >= 0.0).all() or abs(phi.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError("phi must be nonnegative and sum to 1")
-        matrices = [_freeze(mat) for mat in matrices]
+        matrices = [np.array(mat, dtype=np.float64) for mat in matrices]
         expected = 1 if variant == "single_matrix" else G
         if len(matrices) != expected:
             raise ShapeMismatch(f"expected {expected} matrices, got {len(matrices)}")
         for i, mat in enumerate(matrices):
             validate_stochastic(mat, q**lag_order, q, what=f"pi_{i + 1}")
+        self._adopt(alphabet, order, lag_order, phi, matrices, variant)
+
+    def _adopt(self, alphabet, order, lag_order, phi, matrices, variant) -> MtdModel:
+        """Set the fields to checked parameters, freezing their fresh float64 arrays in place."""
+        for arr in (phi, *matrices):
+            arr.flags.writeable = False
         self.alphabet = alphabet
         self.order = order
         self.lag_order = lag_order
         self.variant = variant
         self.phi = phi
         self.matrices = matrices
+        return self
 
     @property
     def n_components(self) -> int:
@@ -442,7 +457,18 @@ def full_transition_matrix(model) -> MtdModel:
         return model
     terms = [(g, model.lag_order, p * model.matrix_for_lag(g)) for g, p in enumerate(model.phi, 1)]
     table = _build_dense(model.alphabet.size, model.order, terms)
-    return MtdModel(model.alphabet, model.order, model.order, [1.0], [table])
+    return _adopt_dense(model.alphabet, model.order, table)
+
+
+def _adopt_dense(alphabet, order, table) -> MtdModel:
+    """The full Markov model of ``table``, a fresh (q**m, q) table built from checked parts.
+
+    The table is taken as it is, unchecked.  A row of
+    :func:`full_transition_matrix` is a phi-weighted sum of checked rows,
+    so it may stray from 1 by their tolerances together, beyond
+    ``ROW_SUM_TOL`` itself.
+    """
+    return MtdModel.__new__(MtdModel)._adopt(alphabet, order, order, np.ones(1), [table], "general")
 
 
 def _check_word_space(q: int, k: int) -> None:

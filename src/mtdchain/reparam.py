@@ -19,9 +19,9 @@ from .model import (
     ROW_SUM_TOL,
     Alphabet,
     MtdModel,
+    _adopt_dense,
     _build_dense,
     _check_word_space,
-    _freeze,
     history_rows,
     validate_stochastic,
 )
@@ -50,7 +50,7 @@ class ThetaU:
         _check_word_space(q, lag_order)
         u = alphabet.check_index(u)
         G = order - lag_order + 1
-        tables = [_freeze(t) for t in tables]
+        tables = [np.array(t, dtype=np.float64) for t in tables]
         if len(tables) != G:
             raise ShapeMismatch(f"expected {G} tables, got {len(tables)}")
         for g, t in enumerate(tables, start=1):
@@ -61,11 +61,18 @@ class ThetaU:
                 raise ValueError(
                     f"lag-{g + 1} table differs from the lag-{g} table on their shared rows"
                 )
+        self._adopt(alphabet, order, lag_order, u, tables)
+
+    def _adopt(self, alphabet, order, lag_order, u, tables) -> ThetaU:
+        """Set the fields to checked tables, freezing their fresh float64 arrays in place."""
+        for t in tables:
+            t.flags.writeable = False
         self.alphabet = alphabet
         self.order = order
         self.lag_order = lag_order
         self.u = u
         self.tables = tables
+        return self
 
     @staticmethod
     def _u_block(u: int, lag_order: int, q: int) -> int:
@@ -102,6 +109,9 @@ def to_theta_u(model: MtdModel, u) -> ThetaU:
 
     Computed directly from the model's components, without expanding the
     full q**m table: :func:`history_rows` gathers the rows of these histories.
+    They are rows of the checked model, and the rows two tables share are
+    the same histories' rows, equal by construction, so the tables are
+    adopted unchecked.
     """
     q = model.alphabet.size
     u = model.alphabet.check_index(u)
@@ -115,7 +125,7 @@ def to_theta_u(model: MtdModel, u) -> ThetaU:
         shift = q ** (g - 1)
         hist = u_all + (np.arange(q**l) - u_block) * shift
         tables.append(history_rows(model, hist))
-    return ThetaU(model.alphabet, m, l, u, tables)
+    return ThetaU.__new__(ThetaU)._adopt(model.alphabet, m, l, u, tables)
 
 
 def from_theta_u(theta: ThetaU) -> MtdModel:
@@ -158,7 +168,7 @@ def from_theta_u(theta: ThetaU) -> MtdModel:
         )
     table = np.clip(table, 0.0, 1.0)
     table /= table.sum(axis=1, keepdims=True)
-    return MtdModel(theta.alphabet, m, m, [1.0], [table])
+    return _adopt_dense(theta.alphabet, m, table)
 
 
 def dim_full_markov(order: int, q: int) -> int:

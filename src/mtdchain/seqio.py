@@ -32,7 +32,8 @@ def _decode_records(records, alphabet: Alphabet) -> list[Sequence]:
     sep = alphabet.separator
     indices = alphabet.decode(sep.join(text for _, text in records))
     foreign = (indices < 0).nonzero()[0].tolist()
-    # one cast for the batch, so every run is a view of the sequences' dtype
+    # one cast for the batch, so every run is a view of the sequences' dtype; the
+    # decoded letters are in the alphabet, so each run is adopted as a Sequence
     indices = indices.astype(alphabet.letter_dtype)
     sequences: list[Sequence] = []
     start = 0
@@ -41,7 +42,10 @@ def _decode_records(records, alphabet: Alphabet) -> list[Sequence]:
         cuts = [start - 1, *foreign[bisect_left(foreign, start) : bisect_left(foreign, end)], end]
         runs = [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if b > a + 1]
         names = [name] if len(runs) == 1 else [f"{name}:{i}" for i in range(len(runs))]
-        sequences.extend(Sequence(alphabet, indices[a:b], name=n) for (a, b), n in zip(runs, names))
+        sequences.extend(
+            Sequence.__new__(Sequence)._adopt(alphabet, indices[a:b], n)
+            for (a, b), n in zip(runs, names)
+        )
         start = end
     return sequences
 

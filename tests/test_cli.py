@@ -231,6 +231,9 @@ def _forbid_work(monkeypatch):
         ("sample", ["--seed", "-1"]),
         ("bic-compare", ["--orders", "2", "--seed", "-1"]),
         ("tv-experiment", ["--seed", "-1"]),
+        ("fit", ["--alphabet", "acgt", "--floor", "1"]),
+        ("fit", ["--alphabet", "acgt", "--floor", "1e308"]),
+        ("fit", ["--alphabet", "acgt", "--floor", "0.5", "--algorithm", "berchtold"]),
     ],
     ids=[
         "alphabet", "epsilon", "epsilon-berchtold", "epsilon-nan", "epsilon-inf",
@@ -244,6 +247,7 @@ def _forbid_work(monkeypatch):
         "floor-negative-berchtold", "restarts-0-berchtold",
         "fit-seed-negative", "fit-seed-negative-berchtold",
         "sample-seed-negative", "bic-compare-seed-negative", "tv-experiment-seed-negative",
+        "floor-one", "floor-1e308", "floor-berchtold",
     ],
 )
 def test_rejected_flag_value_is_usage_error(
@@ -836,7 +840,8 @@ def test_eval_of_a_corpus_with_no_scored_word_by_its_length(tmp_path, capsys):
 
 
 def _fuzz_documents(tmp_path):
-    """Valid model documents: mtd, mtd with l = m, full_markov and theta_u."""
+    """Valid model documents: mtd, mtd with l = m, full_markov, theta_u, and an mtd at the
+    edge of the row-sum tolerance."""
     ab = Alphabet(("a", "b"))
     docs = {}
     for kind, model in [
@@ -848,6 +853,11 @@ def _fuzz_documents(tmp_path):
         docs[kind] = json.loads((tmp_path / "base.json").read_text())
     docs["mtd l = m"] = {**docs["full_markov"], "model_kind": "mtd", "l": 2,
                          "variant": "general", "phi": [1.0]}
+    # phi and every row sum to 1 + 8e-13, inside read_model's 1e-12 tolerance, so the
+    # dense rows sum to 1 + 1.6e-12, outside it
+    edge = [0.5, 0.5 + 8e-13]
+    docs["tolerance edge"] = {**docs["mtd"], "m": 2, "phi": edge,
+                              "matrices": [[edge, edge[::-1]]] * 2}
     return docs
 
 
@@ -858,7 +868,7 @@ _MUTANTS = [10**30, 1e308, 2.5, True, False, None, -1, 0, 1, 2, 3, "a", "", [], 
             [0.5, 0.5], [1 - 1e-13], ["a", "b", "c"], "theta_u", "full_markov", _DELETED]
 
 
-_KINDS = ["mtd", "mtd l = m", "full_markov", "theta_u"]
+_KINDS = ["mtd", "mtd l = m", "full_markov", "theta_u", "tolerance edge"]
 # every key of a model file; a key the kind does not hold is added
 _KEYS = ["format_version", "alphabet", "model_kind", "m", "l", "variant", "phi", "matrices",
          "u", "parametrization", "provenance"]
@@ -930,6 +940,18 @@ def test_mutated_model_file_works_or_fails_in_one_line(kind, key, value, tmp_pat
             if code:
                 assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1), argv
                 assert err.getvalue().startswith("mtdchain: error: "), argv
+
+
+def test_model_at_the_tolerance_edge_samples_and_converts(tmp_path, capsys):
+    model_path, out = str(tmp_path / "m.json"), str(tmp_path / "out.json")
+    Path(model_path).write_text(json.dumps(_fuzz_documents(tmp_path)["tolerance edge"]))
+    assert cli.main(["sample", "--model", model_path, "--length", "30"]) == 0
+    assert len(capsys.readouterr().out) == 31
+    for argv in (["convert", "--model", model_path, "--to", "theta_u", "--out", out],
+                 ["expand", "--model", model_path, "--out", out]):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 0 or (code, err.count("\n"), err[:17]) == (1, 1, "mtdchain: error: ")
 
 
 # every command's flags that _FLAGS gives a least value, with each kind of value their type rejects

@@ -1,5 +1,4 @@
 import io
-import re
 import tracemalloc
 from collections import Counter
 
@@ -14,7 +13,6 @@ from conftest import SYMBOL_SETS, random_sequence
 from mtdchain import (
     Alphabet,
     AlphabetMismatch,
-    IoError,
     LagOutOfRange,
     ModelTooLarge,
     NGramCounts,
@@ -22,9 +20,7 @@ from mtdchain import (
     count_ngrams,
     default_alphabet,
     lag_contingency,
-    merge_counts,
     random_mtd,
-    read_counts,
     read_sequences,
     sample_sequence,
     spell_word,
@@ -132,6 +128,11 @@ class TestCountNgrams:
         assert np.array_equal(counts.values(), ns)
         for array in (counts.word_indices(), counts.values()):
             assert array.dtype == np.int64 and not array.flags.writeable
+        # the table count_ngrams adopts unchecked passes the constructor's checks
+        again = NGramCounts(alphabet, counts.word_length, counts.word_indices(), counts.values())
+        assert list(again.items()) == list(counts.items())
+        assert (again.word_length, again.total) == (counts.word_length, counts.total)
+        assert type(counts.total) is int
 
 
 @pytest.mark.parametrize("q,k", [(2, 32), (2, 33), (4, 16), (4, 17), (300, 3), (300, 4)])
@@ -236,18 +237,24 @@ class TestContainer:
         assert list(counts.items()) == [(0, 2), (3, 5)]
 
 
-class TestMergeCounts:
-    def test_identity(self, ab):
-        x = count_ngrams([Sequence(ab, ab.decode("abab"))], 1)
-        empty = NGramCounts(ab, 2)
-        merged = merge_counts(x, empty)
-        assert dict(merged.items()) == dict(x.items())
-        assert len(merge_counts(empty, empty)) == 0
+def _summed(*tables):
+    """(word index, count) pairs of count tables added word by word, ascending."""
+    return sorted(sum((Counter(dict(t.items())) for t in tables), Counter()).items())
 
-    def test_commutative(self, dna):
-        a = count_ngrams([random_sequence(dna, 40, 1)], 2)
-        b = count_ngrams([random_sequence(dna, 60, 2)], 2)
-        assert dict(merge_counts(a, b).items()) == dict(merge_counts(b, a).items())
+
+def _read_back(path, alphabet, k):
+    """(word index, count) pairs of a counts file, each k-letter word decoded as a sequence line."""
+    pairs = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        word, n = line.split("\t")
+        letters = alphabet.decode(word)
+        assert letters.size == k
+        pairs.append((word_to_index(letters, alphabet.size), int(n)))
+    return pairs
+
+
+class TestMergeCounts:
+    """Windows never cross sequences, so the counts of a corpus split in two add up to its own."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_split_and_merge(self, dna, seed):
@@ -257,7 +264,7 @@ class TestMergeCounts:
         cut = int(rng.integers(0, len(seqs) + 1))
         left = count_ngrams(seqs[:cut], 2, alphabet=dna)
         right = count_ngrams(seqs[cut:], 2, alphabet=dna)
-        assert dict(merge_counts(left, right).items()) == dict(whole.items())
+        assert _summed(left, right) == list(whole.items())
 
     @settings(max_examples=60)
     @given(
@@ -276,31 +283,13 @@ class TestMergeCounts:
     ):
         seqs = [random_sequence(alphabet, n, seed + i) for i, n in enumerate(lengths)]
         whole = count_ngrams(seqs, order)
-        merged = merge_counts(
-            count_ngrams(seqs[:cut], order, alphabet=alphabet),
-            count_ngrams(seqs[cut:], order, alphabet=alphabet),
-        )
-        assert np.array_equal(merged.word_indices(), whole.word_indices())
-        assert np.array_equal(merged.values(), whole.values())
-        assert merged.total == whole.total
-        if len(whole):
-            path = tmp_path_factory.mktemp("counts") / "counts.tsv"
-            write_counts(whole, path)
-            again = read_counts(path, alphabet)
-            assert list(again.items()) == list(whole.items())
-            assert again.word_length == whole.word_length
-
-    def test_sum_above_int64_raises(self, ab):
-        big = NGramCounts(ab, 1, [0], [2**62])
-        assert merge_counts(big, NGramCounts(ab, 1, [0], [2**62 - 1]))[0] == 2**63 - 1
-        with pytest.raises(ValueError, match="sum to 9223372036854775808"):
-            merge_counts(big, big)
-
-    def test_mismatch(self, ab, dna):
-        with pytest.raises(AlphabetMismatch):
-            merge_counts(NGramCounts(ab, 2), NGramCounts(dna, 2))
-        with pytest.raises(AlphabetMismatch):
-            merge_counts(NGramCounts(ab, 2), NGramCounts(ab, 3))
+        left = count_ngrams(seqs[:cut], order, alphabet=alphabet)
+        right = count_ngrams(seqs[cut:], order, alphabet=alphabet)
+        assert _summed(left, right) == list(whole.items())
+        assert left.total + right.total == whole.total
+        path = tmp_path_factory.mktemp("counts") / "counts.tsv"
+        write_counts(whole, path)
+        assert _read_back(path, alphabet, order + 1) == list(whole.items())
 
 
 class TestLagContingency:
@@ -367,9 +356,7 @@ class TestSerialization:
         counts = count_ngrams([random_sequence(dna, 90, 9)], 2)
         path = tmp_path / "counts.tsv"
         write_counts(counts, path)
-        again = read_counts(path, dna)
-        assert dict(again.items()) == dict(counts.items())
-        assert again.word_length == counts.word_length
+        assert _read_back(path, dna, 3) == list(counts.items())
 
     def test_spelled_oldest_first(self, dna, tmp_path):
         counts = NGramCounts(dna, 2, [word_to_index([0, 3], 4)], [5])
@@ -384,77 +371,7 @@ class TestSerialization:
         write_counts(counts, path)
         words = [line.split("\t")[0] for line in path.read_text().splitlines()]
         assert all(word.count(",") == 2 for word in words)
-        again = read_counts(path, alphabet)
-        assert list(again.items()) == list(counts.items())
-        assert again.word_length == 3
-
-    def test_repeated_words_are_summed(self, dna, tmp_path):
-        path = tmp_path / "counts.tsv"
-        path.write_text("gt\t2\nac\t3\ngt\t4\n")
-        counts = read_counts(path, dna)
-        ac, gt = word_to_index([0, 1], 4), word_to_index([2, 3], 4)
-        assert list(counts.items()) == [(ac, 3), (gt, 6)]
-
-    def test_malformed_line(self, dna, tmp_path):
-        path = tmp_path / "counts.tsv"
-        path.write_text("ac\t3\ngt 4\n")
-        with pytest.raises(IoError, match=":2:"):
-            read_counts(path, dna)
-
-    @pytest.mark.parametrize("count", ["-3", "99999999999999999999"])
-    def test_count_outside_int64(self, count, dna, tmp_path):
-        path = tmp_path / "counts.tsv"
-        path.write_text(f"gt\t4\nac\t{count}\n")
-        with pytest.raises(IoError, match=f"{path}:2: count {count} outside"):
-            read_counts(path, dna)
-
-    @pytest.mark.parametrize("words", [("ac", "gt"), ("ac", "ac")], ids=["total", "one-word"])
-    def test_sum_outside_int64(self, words, dna, tmp_path):
-        # each count fits int64, their sum does not
-        path = tmp_path / "counts.tsv"
-        path.write_text("".join(f"{w}\t5000000000000000000\n" for w in words))
-        with pytest.raises(IoError, match=re.escape(f"{path}: ") + ".*10000000000000000000"):
-            read_counts(path, dna)
-
-    def test_missing_file(self, dna, tmp_path):
-        with pytest.raises(IoError):
-            read_counts(tmp_path / "absent.tsv", dna)
-
-    @pytest.mark.parametrize(
-        "text,alphabet",
-        [("ac\t3\naN\t4\n", Alphabet(tuple("acgt"))), ("s0,s1\t3\ns1,x\t4\n", default_alphabet(12))],
-        ids=["one-character", "multi-character"],
-    )
-    def test_foreign_letter_names_its_line(self, text, alphabet, tmp_path):
-        path = tmp_path / "counts.tsv"
-        path.write_text(text)
-        with pytest.raises(IoError, match=f"{re.escape(str(path))}:2: letter outside the alphabet"):
-            read_counts(path, alphabet)
-
-    def test_upper_case_words_read_like_sequence_lines(self, dna, tmp_path):
-        path = tmp_path / "counts.tsv"
-        path.write_text("AC\t3\ngT\t4\n")
-        ac, gt = word_to_index([0, 1], 4), word_to_index([2, 3], 4)
-        assert list(read_counts(path, dna).items()) == [(ac, 3), (gt, 4)]
-
-    def test_inconsistent_word_length_names_its_line(self, dna, tmp_path):
-        path = tmp_path / "counts.tsv"
-        path.write_text("ac\t3\ngt\t1\n\nacg\t4\n")
-        with pytest.raises(IoError, match=":4: inconsistent word length: 'acg'"):
-            read_counts(path, dna)
-
-    def test_empty_word_is_malformed(self, dna, tmp_path):
-        path = tmp_path / "counts.tsv"
-        path.write_text("ac\t3\n\t4\n")
-        with pytest.raises(IoError, match=":2: expected 'word<TAB>count'"):
-            read_counts(path, dna)
-
-    def test_word_index_overflow(self, tmp_path):
-        ab = Alphabet(tuple("abcdefghijklmnopqrst"))
-        path = tmp_path / "counts.tsv"
-        path.write_text("b" * 15 + "\t2\n")
-        with pytest.raises(ModelTooLarge):
-            read_counts(path, ab)
+        assert _read_back(path, alphabet, 3) == list(counts.items())
 
 
 def _oracle(counts):

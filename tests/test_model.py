@@ -16,21 +16,63 @@ from mtdchain import (
     InvalidSymbol,
     ModelTooLarge,
     MtdModel,
+    NGramCounts,
     Sequence,
     ShapeMismatch,
     ThetaU,
+    count_ngrams,
+    fit_full_markov,
+    from_theta_u,
     full_transition_matrix,
     index_to_word,
     random_full_markov,
     random_mtd,
+    read_sequences,
     sample_sequence,
     sequence_loglik,
     spell_word,
+    to_theta_u,
     transition_prob,
     word_to_index,
 )
 from mtdchain.model import _SAMPLE_PRECOMPUTE_LIMIT, history_rows, word_probabilities
 from mtdchain.reparam import dim_full_markov, model_dimension
+
+
+def _validate_once_cases(tmp_path):
+    """Each producer that adopts what it builds, with its inputs built beforehand."""
+    model = random_mtd(3, 3, 2, seed=5)
+    seq = sample_sequence(model, 300, seed=6)
+    counts = count_ngrams([seq], 3)
+    theta = to_theta_u(model, 1)
+    path = tmp_path / "corpus.txt"
+    path.write_text("012x21\n" * 5)
+    return {
+        "count_ngrams": (NGramCounts, lambda: count_ngrams([seq], 4)),
+        "read_sequences": (Sequence, lambda: read_sequences(path, alphabet=model.alphabet)),
+        "full_transition_matrix": (MtdModel, lambda: full_transition_matrix(model)),
+        "fit_full_markov": (MtdModel, lambda: fit_full_markov(counts)),
+        "from_theta_u": (MtdModel, lambda: from_theta_u(theta)),
+        "to_theta_u": (ThetaU, lambda: to_theta_u(model, 2)),
+    }
+
+
+@pytest.mark.parametrize("producer", ["count_ngrams", "read_sequences", "full_transition_matrix",
+                                      "fit_full_markov", "from_theta_u", "to_theta_u"])
+def test_producers_never_enter_the_validating_constructor(producer, tmp_path, monkeypatch):
+    kind, produce = _validate_once_cases(tmp_path)[producer]
+    validating = "__post_init__" if kind is Sequence else "__init__"
+    entered, construct = [], getattr(kind, validating)
+
+    def counted(self, *args, **kwargs):
+        entered.append(1)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(kind, validating, counted)
+    result = produce()
+    values = result if isinstance(result, list) else [result]
+    assert len(values) >= 1 and all(type(v) is kind for v in values)
+    assert entered == []
 
 
 class TestAlphabet:

@@ -13,13 +13,16 @@ from mtdchain import (
     NotAnMtdPoint,
     ThetaU,
     bic,
+    count_ngrams,
     dim_full_markov,
     dim_raw_mtd,
     dim_theta_u,
+    fit_full_markov,
     from_theta_u,
     full_transition_matrix,
     model_dimension,
     random_mtd,
+    sample_sequence,
     to_theta_u,
 )
 
@@ -169,6 +172,12 @@ class TestFromThetaU:
         u = data.draw(st.integers(0, model.alphabet.size - 1), label="u")
         theta = to_theta_u(model, u)
         assert np.array_equal(from_theta_u(theta).matrices[0], _gather_from_theta_u(theta))
+        # what the builders adopt unchecked passes the constructors' checks
+        a, m = model.alphabet, model.order
+        assert ThetaU(a, m, model.lag_order, u, theta.tables) == theta
+        counts = count_ngrams([sample_sequence(model, 4 * m, seed=1)], m)
+        for dense in (full_transition_matrix(model), fit_full_markov(counts), from_theta_u(theta)):
+            assert MtdModel(a, m, m, [1.0], dense.matrices) == dense
 
     def test_overlap_mismatch_rejected(self):
         ab = Alphabet(("a", "b"))
