@@ -37,8 +37,8 @@ def loglik_gradient(model: MtdModel, counts: NGramCounts):
     d L / d pi_g(b,j) = sum over words with block_g = b, i0 = j of
                         N(w) phi_g / p(w)
     """
-    kernel = _Kernel(counts, model)
-    return kernel.split(kernel.gradient(kernel.start))
+    kernel, theta = _Kernel.of(counts, model)
+    return kernel.split(kernel.gradient(theta))
 
 
 # delta starts at _DELTA0, is multiplied by _DELTA_DECAY on each reverted move,
@@ -86,9 +86,8 @@ def berchtold_fit(
     not read.
     """
     config = config or EmConfig()
-    kernel = _Kernel(counts, init)
+    kernel, theta = _Kernel.of(counts, init)
     G = kernel.G
-    theta = kernel.start
     point = kernel.gather(theta)
     kernel.check_positive(point.probs)
     current = point.loglik

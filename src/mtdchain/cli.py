@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import os
 import stat
@@ -181,7 +182,9 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mtdchain`` parser, built once per process: parsing leaves no state in it."""
     parser = _Parser(prog="mtdchain")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, flags) in _SUBCOMMANDS.items():

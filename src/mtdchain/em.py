@@ -8,19 +8,22 @@ on the word's position, so one pass over the distinct observed words
 (weighted by their counts) is a full E-step, and the M-step is closed
 form.  Each E+M pair cannot decrease the conditional log-likelihood.
 
-Both steps run on one kernel, :class:`_Kernel`, built once per fit and
-shared with the Berchtold baseline.  It works on the parameter vector
-theta = (phi, every matrix entry) and holds the (G, n_words) array of
-flat cell indices (g-1)*q**(l+1) + block_g(w)*q + i_0(w) into the
-matrix part of theta (the single-matrix variant drops the g offset, so
-its lags pool into one matrix).  An iteration is then one gather of the
-weighted components phi_g * pi_g(w) from the small table phi_g times
-lag g's matrix, whose sum over g is the E-step denominator p(w) and
-also gives the log-likelihood of the current iterate; the components,
-divided by p(w) and multiplied by N(w) in place, are the weights of one
-``bincount`` over the same cells for the M-step numerators, which maps
-theta to theta.  Only the reported model is built as an
-:class:`MtdModel`.
+Both steps run on one kernel, :class:`_Kernel`, which the Berchtold
+baseline shares.  It works on the parameter vector theta = (phi, every
+matrix entry) and holds the (G, n_words) array of flat cell indices
+(g-1)*q**(l+1) + block_g(w)*q + i_0(w) into the matrix part of theta
+(the single-matrix variant drops the g offset, so its lags pool into one
+matrix).  An iteration is then one gather of the weighted components
+phi_g * pi_g(w) from the small table phi_g times lag g's matrix, whose
+sum over g is the E-step denominator p(w) and also gives the
+log-likelihood of the current iterate; the components, divided by p(w)
+and multiplied by N(w) in place, are the weights of one ``bincount``
+over the same cells for the M-step numerators, which maps theta to
+theta.  The same ``bincount`` of N alone gives the lag contingency
+tables of the contingency start.  A fit builds its kernel once:
+:func:`fit_with_restarts` shares one kernel between its contingency
+start, every restart's screen and the polish, and only the reported
+model is built as an :class:`MtdModel`.
 
 The EM map F runs in SQUAREM cycles (Varadhan & Roland 2008, Scand.
 J. Stat. 35:335), scheme SqS3.  A cycle takes two EM maps
@@ -54,12 +57,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .counts import NGramCounts, lag_contingency
-from .errors import AllRestartsFailed, DegenerateLikelihood, EmptyCorpus, ShapeMismatch
+from .counts import NGramCounts
+from .errors import (
+    AllRestartsFailed,
+    DegenerateLikelihood,
+    EmptyCorpus,
+    LagOutOfRange,
+    ShapeMismatch,
+)
 from .model import (
     ROW_SUM_TOL,
     MtdModel,
     _cell_index,
+    _check_dense_size,
     _normalize_rows,
     random_mtd,
     spell_word,
@@ -169,49 +179,68 @@ class _Point(NamedTuple):
     loglik: float
 
 
+def _theta(model: MtdModel) -> np.ndarray:
+    """The parameter vector theta = (phi, every matrix entry) of ``model``."""
+    return np.concatenate([model.phi, *(mat.ravel() for mat in model.matrices)])
+
+
 class _Kernel:
     """The likelihood of ``counts`` as a function of theta = (phi, every matrix entry).
 
-    Built once per (counts, model shape): it holds the :func:`_cell_index`
-    cells of the observed words, their counts N as float64 (exact, as
-    corpus totals stay below 2**53, and cast once, not in every map), the
-    model ``like`` whose shape theta has and that model's own theta,
-    ``start``.  ``rows(theta)`` is the (rows, q) view of the matrix
-    entries.
+    One kernel serves every model of one shape over ``counts``: alphabet,
+    lag order l and variant, at the counts' order.  It holds the
+    :func:`_cell_index` cells of the observed words and their counts N as
+    float64 (exact, as corpus totals stay below 2**53).  Both are built
+    once, when the kernel is: :func:`fit_with_restarts` builds one kernel
+    for its contingency start, every screen and the polish, and
+    :func:`em_fit`, :func:`e_step`, :func:`m_step` and the Berchtold fit
+    build one for the model they are given.  ``rows(theta)`` is the
+    (rows, q) view of the matrix entries.
 
     :meth:`gather` scales each lag's matrix by phi_g into a (G, q**(l+1))
     table and takes the components from it at ``table_cells``, the same
     IEEE products as scaling each gathered entry.  In the general variant
     these are the cells; the single-matrix variant's table has a row per
     lag, so its ``table_cells`` add the g offset its pooled cells drop.
+    :meth:`scatter` adds per-word weights into the matrix entries at the
+    cells: N for the lag contingency tables of :meth:`contingency`, the
+    weighted posteriors for the M-step numerators and phi_g N / p(w) for
+    the gradient.
     """
 
-    def __init__(self, counts: NGramCounts, like: MtdModel):
-        if counts.word_length != like.order + 1:
-            raise ShapeMismatch(
-                f"counts are over {counts.word_length}-words, model needs {like.order + 1}"
-            )
+    def __init__(self, counts: NGramCounts, alphabet, lag_order: int, variant: str):
         self.counts = counts
-        self.like = like
-        self.G, self.q = like.n_components, like.alphabet.size
-        self.width = self.q ** (like.lag_order + 1)
-        self.cells = _cell_index(like, counts.word_indices())
+        self.alphabet, self.lag_order, self.variant = alphabet, lag_order, variant
+        self.G, self.q = counts.order - lag_order + 1, alphabet.size
+        self.n_matrices = 1 if variant == "single_matrix" else self.G
+        self.width = self.q ** (lag_order + 1)
+        self.cells = _cell_index(counts.word_indices(), self.q, lag_order, self.G, variant)
         self.table_cells = self.cells
-        if like.variant == "single_matrix":
+        if variant == "single_matrix":
             self.table_cells = self.cells + self.width * np.arange(self.G)[:, None]
         self.N = counts.values().astype(np.float64)
-        self.start = np.concatenate([like.phi, *(mat.ravel() for mat in like.matrices)])
+
+    @classmethod
+    def of(cls, counts: NGramCounts, model: MtdModel) -> tuple[_Kernel, np.ndarray]:
+        """The kernel of ``model``'s shape over ``counts``, and the model's own theta."""
+        if counts.word_length != model.order + 1:
+            raise ShapeMismatch(
+                f"counts are over {counts.word_length}-words, model needs {model.order + 1}"
+            )
+        return cls(counts, model.alphabet, model.lag_order, model.variant), _theta(model)
 
     def rows(self, theta: np.ndarray) -> np.ndarray:
         return theta[self.G :].reshape(-1, self.q)
 
     def split(self, theta: np.ndarray):
         """``(phi, matrices)`` of theta; matrices has shape (number of matrices, q**l, q)."""
-        return theta[: self.G], self.rows(theta).reshape(len(self.like.matrices), -1, self.q)
+        return theta[: self.G], self.rows(theta).reshape(self.n_matrices, -1, self.q)
 
     def model(self, theta: np.ndarray) -> MtdModel:
-        like, (phi, matrices) = self.like, self.split(theta)
-        return MtdModel(like.alphabet, like.order, like.lag_order, phi, matrices, like.variant)
+        phi, matrices = self.split(theta)
+        return MtdModel(
+            self.alphabet, self.counts.order, self.lag_order, phi, matrices, self.variant
+        )
 
     def feasible(self, theta: np.ndarray) -> bool:
         """The tests :class:`MtdModel` makes: finite, in [0, 1], phi and every row summing to 1."""
@@ -228,6 +257,21 @@ class _Kernel:
         comps = table.take(self.table_cells)
         probs = comps.sum(axis=0)
         return _Point(theta, comps, probs, _loglik(self.N, probs))
+
+    def scatter(self, weights: np.ndarray) -> np.ndarray:
+        """Per-word ``weights``, shape (G, n_words), summed into the matrix entries: (rows, q)."""
+        size = self.n_matrices * self.width
+        flat = np.bincount(self.cells.ravel(), weights=weights.ravel(), minlength=size)
+        return flat.reshape(-1, self.q)
+
+    def contingency(self) -> np.ndarray:
+        """theta of the contingency start: phi uniform, each lag's table of N plus 1, normalized.
+
+        The tables are integer sums below 2**53, so the scatter is exact.
+        """
+        tables = self.scatter(np.broadcast_to(self.N, self.cells.shape))
+        rows = _normalize_rows(tables + 1.0, 0.0)
+        return np.concatenate([np.full(self.G, 1.0 / self.G), rows.ravel()])
 
     def check_positive(self, probs: np.ndarray) -> None:
         """Raise :class:`DegenerateLikelihood` naming the first observed word with p(w) <= 0."""
@@ -263,9 +307,7 @@ class _Kernel:
     def maximize(self, theta: np.ndarray, weighted: np.ndarray) -> np.ndarray:
         """The M-step from ``theta`` and :meth:`weights`: rows with no weight keep their value."""
         phi = weighted.sum(axis=1) / self.counts.total
-        rows = self.rows(theta)
-        num = np.bincount(self.cells.ravel(), weights=weighted.ravel(), minlength=rows.size)
-        rows = _normalize_rows(num.reshape(rows.shape), rows)
+        rows = _normalize_rows(self.scatter(weighted), self.rows(theta))
         return np.concatenate([phi, rows.ravel()])
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
@@ -274,9 +316,21 @@ class _Kernel:
         probs = theta[: self.G] @ pi_vals
         self.check_positive(probs)
         ratio = self.N / probs
-        weights = (theta[: self.G, None] * ratio).ravel()
-        d_pi = np.bincount(self.cells.ravel(), weights=weights, minlength=theta.size - self.G)
-        return np.concatenate([pi_vals @ ratio, d_pi])
+        d_pi = self.scatter(theta[: self.G, None] * ratio)
+        return np.concatenate([pi_vals @ ratio, d_pi.ravel()])
+
+
+def _start_kernel(counts: NGramCounts, lag_order: int, variant: str) -> _Kernel:
+    """The kernel of (``lag_order``, ``variant``) models over ``counts``, checked first."""
+    if len(counts) == 0:
+        raise EmptyCorpus("cannot initialize from empty counts")
+    if variant not in ("general", "single_matrix"):
+        raise ValueError(f"unknown variant {variant!r}")
+    lag_order = int(lag_order)
+    if not 1 <= lag_order <= counts.order:
+        raise LagOutOfRange(f"lag order {lag_order} outside 1..{counts.order}")
+    _check_dense_size(counts.alphabet.size, lag_order)
+    return _Kernel(counts, counts.alphabet, lag_order, variant)
 
 
 def e_step(model: MtdModel, counts: NGramCounts, floor: float | None = None) -> np.ndarray:
@@ -286,8 +340,8 @@ def e_step(model: MtdModel, counts: NGramCounts, floor: float | None = None) -> 
     mixture probability, unless ``floor`` bounds the component weights
     below first.
     """
-    kernel = _Kernel(counts, model)
-    return kernel.posterior(kernel.gather(kernel.start), floor)
+    kernel, theta = _Kernel.of(counts, model)
+    return kernel.posterior(kernel.gather(theta), floor)
 
 
 def m_step(posteriors: np.ndarray, counts: NGramCounts, model: MtdModel):
@@ -298,26 +352,20 @@ def m_step(posteriors: np.ndarray, counts: NGramCounts, model: MtdModel):
     from ``model`` unchanged: any stochastic row is optimal there, and
     keeping the previous iterate preserves determinism and monotonicity.
     """
-    kernel = _Kernel(counts, model)
-    phi, matrices = kernel.split(kernel.maximize(kernel.start, posteriors * kernel.N))
+    kernel, theta = _Kernel.of(counts, model)
+    phi, matrices = kernel.split(kernel.maximize(theta, posteriors * kernel.N))
     return phi, list(matrices)
 
 
 def init_contingency(counts: NGramCounts, lag_order: int = 1, variant: str = "general") -> MtdModel:
     """Starting point from lag contingency tables with +1 pseudocounts.
 
-    phi starts uniform; every matrix entry is strictly positive.
+    phi starts uniform; every matrix entry is strictly positive.  Lag g's
+    table tallies N over (lag-g block, final letter) pairs, as
+    :func:`lag_contingency` does; the single-matrix variant pools all lags.
     """
-    if len(counts) == 0:
-        raise EmptyCorpus("cannot initialize from empty counts")
-    m = counts.order
-    G = m - lag_order + 1
-    tables = [lag_contingency(counts, g, lag_order) for g in range(1, G + 1)]
-    if variant == "single_matrix":
-        tables = [sum(tables)]
-    mats = [_normalize_rows(t + 1.0, 0.0) for t in tables]
-    phi = np.full(G, 1.0 / G)
-    return MtdModel(counts.alphabet, m, lag_order, phi, mats, variant=variant)
+    kernel = _start_kernel(counts, lag_order, variant)
+    return kernel.model(kernel.contingency())
 
 
 def _make_report(model, trace, converged, restart_index, counts) -> FitReport:
@@ -356,20 +404,13 @@ def _extrapolate(t0, t1, t2, p2: _Point, kernel: _Kernel) -> _Point:
     return p2
 
 
-def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) -> FitReport:
-    """EM maps from ``init`` until one gains less than epsilon over its input.
+def _run(kernel: _Kernel, theta: np.ndarray, config: EmConfig):
+    """EM maps from ``theta`` until one gains less than epsilon: ``(theta, trace, converged)``.
 
-    The trace records the conditional log-likelihood of ``init`` and then
-    of every EM map's output, so ``iterations`` counts EM maps.  The maps
-    run in SQUAREM cycles: two maps, an extrapolation, one map from the
-    kept point.  The map after a kept extrapolation starts from a better
-    point than the trace's previous entry, so the trace jumps there; it
-    never goes down.  A degenerate E-step aborts the run; the partial
-    trace is attached to the raised error.
+    The map loop of :func:`em_fit`, returning the last map's theta; a
+    degenerate E-step raises with the partial trace attached.
     """
-    config = config or EmConfig()
-    kernel = _Kernel(counts, init)
-    point = kernel.gather(kernel.start)
+    point = kernel.gather(theta)
     trace = [point.loglik]
     cycle = [point.theta]  # parameter vectors of the current SQUAREM cycle
     converged = False
@@ -390,20 +431,39 @@ def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) 
         if len(cycle) == 3 and len(trace) <= config.max_iters:
             point = _extrapolate(*cycle, point, kernel)
             cycle = []
-    return _make_report(kernel.model(point.theta), trace, converged, None, counts)
+    return point.theta, trace, converged
+
+
+def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) -> FitReport:
+    """EM maps from ``init`` until one gains less than epsilon over its input.
+
+    The trace records the conditional log-likelihood of ``init`` and then
+    of every EM map's output, so ``iterations`` counts EM maps.  The maps
+    run in SQUAREM cycles: two maps, an extrapolation, one map from the
+    kept point.  The map after a kept extrapolation starts from a better
+    point than the trace's previous entry, so the trace jumps there; it
+    never goes down.  A degenerate E-step aborts the run; the partial
+    trace is attached to the raised error.
+    """
+    config = config or EmConfig()
+    kernel, theta = _Kernel.of(counts, init)
+    theta, trace, converged = _run(kernel, theta, config)
+    return _make_report(kernel.model(theta), trace, converged, None, counts)
 
 
 def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> FitReport:
     """Screen one contingency-initialized start plus random ones, then polish the leader.
 
     Restart 0 starts from :func:`init_contingency`; restarts 1..n-1 start
-    from seeded uniform-random models.  Each runs :func:`em_fit` for at
-    most 10 EM maps (never more than ``max_iters``); a start that hits a
-    degenerate likelihood fails.  The leader is the screened run with the
-    highest log-likelihood (ties: lowest restart index), and it continues
-    by :func:`em_fit` from its screened model at ``epsilon / 100`` with
-    the maps left of ``max_iters``.  With one restart the fit is that
-    start's :func:`em_fit` at ``epsilon``, unscreened.
+    from seeded uniform-random models.  Each runs the maps of
+    :func:`em_fit` for at most 10 EM maps (never more than ``max_iters``);
+    a start that hits a degenerate likelihood fails.  The leader is the
+    screened run with the highest log-likelihood (ties: lowest restart
+    index), and its maps continue from where its screen stopped at
+    ``epsilon / 100`` with the maps left of ``max_iters``.  With one
+    restart the fit is that start's :func:`em_fit` at ``epsilon``,
+    unscreened.  Every start, screen and the polish share one kernel, and
+    only the reported model is built.
 
     The report describes the leader: its trace is the screening trace
     followed by the polish's, without the repeated entry where they
@@ -412,47 +472,45 @@ def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> Fi
     those of that trace.  ``restarts`` records every start.
     """
     config = config or EmConfig()
-    q = counts.alphabet.size
+    kernel = _start_kernel(counts, config.lag_order, config.variant)
     seeds = np.random.SeedSequence(config.seed).spawn(max(config.n_restarts - 1, 0))
     screened = config.n_restarts > 1
     screen = replace(config, max_iters=min(_SCREEN_MAPS, config.max_iters)) if screened else config
-    leader = None
+    leader = None  # (restart index, theta, trace, converged) of the best screen so far
     records = []
     for r in range(config.n_restarts):
         if r == 0:
-            kind, init = "contingency", init_contingency(counts, config.lag_order, config.variant)
+            kind, theta = "contingency", kernel.contingency()
         else:
             kind = "random"
             init = random_mtd(
-                q,
+                kernel.q,
                 counts.order,
                 config.lag_order,
                 variant=config.variant,
                 seed=seeds[r - 1],
                 alphabet=counts.alphabet,
             )
+            theta = _theta(init)
         try:
-            report = em_fit(counts, init, screen)
+            theta, trace, converged = _run(kernel, theta, screen)
         except DegenerateLikelihood as err:
             records.append(RestartRecord(r, kind, None, err))
             continue
-        records.append(RestartRecord(r, kind, report.final_loglik, None))
-        report.restart_index = r
-        if leader is None or report.final_loglik > leader.final_loglik:
-            leader = report
+        records.append(RestartRecord(r, kind, trace[-1], None))
+        if leader is None or trace[-1] > leader[2][-1]:
+            leader = r, theta, trace, converged
     if leader is None:
         raise AllRestartsFailed(
             f"all {config.n_restarts} restarts hit a degenerate likelihood",
             failures=[(rec.index, rec.error) for rec in records],
         )
-    left = config.max_iters - leader.iterations
+    r, theta, trace, converged = leader
+    left = config.max_iters - (len(trace) - 1)
     if screened and left > 0:
-        polish = em_fit(
-            counts,
-            leader.model,
-            replace(config, epsilon=config.epsilon / _POLISH_FACTOR, max_iters=left),
-        )
-        trace = np.concatenate([leader.loglik_trace, polish.loglik_trace[1:]])
-        leader = _make_report(polish.model, trace, polish.converged, leader.restart_index, counts)
-    leader.restarts = tuple(records)
-    return leader
+        polish = replace(config, epsilon=config.epsilon / _POLISH_FACTOR, max_iters=left)
+        theta, tail, converged = _run(kernel, theta, polish)
+        trace = trace + tail[1:]
+    report = _make_report(kernel.model(theta), trace, converged, r, counts)
+    report.restarts = tuple(records)
+    return report

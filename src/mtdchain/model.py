@@ -251,7 +251,7 @@ def validate_stochastic(matrix: np.ndarray, rows: int, cols: int, what: str = "m
     bad = np.abs(matrix.sum(axis=1) - 1.0) > ROW_SUM_TOL
     if bad.any():
         r = int(np.argmax(bad))
-        raise ValueError(f"{what} row {r} sums to {matrix[r].sum()!r}, expected 1")
+        raise ValueError(f"{what} row {r} sums to {float(matrix[r].sum())!r}, expected 1")
 
 
 class MtdModel:
@@ -369,20 +369,19 @@ def _lag_cells(word_indices: np.ndarray, g: int, q: int, l: int) -> np.ndarray:
     return cells
 
 
-def _cell_index(model: MtdModel, word_indices: np.ndarray) -> np.ndarray:
+def _cell_index(word_indices: np.ndarray, q: int, lag_order: int, n_components: int,
+                variant: str = "general") -> np.ndarray:
     """Position of pi_g(block_g(w), i_0(w)) in the matrices laid end to end, shape (G, n_words).
 
     Row g-1 is (g-1)*q**(l+1) plus the :func:`_lag_cells` of lag g.  The
     single-matrix variant drops the g offset, so every lag reads (and, in
     a ``bincount``, writes) the one shared matrix.
     """
-    q = model.alphabet.size
-    l = model.lag_order
     word_indices = np.asarray(word_indices, dtype=np.int64)
-    stride = 0 if model.variant == "single_matrix" else q ** (l + 1)
-    cells = np.empty((model.n_components, word_indices.size), dtype=np.int64)
-    for g in range(1, model.n_components + 1):
-        np.add(_lag_cells(word_indices, g, q, l), (g - 1) * stride, out=cells[g - 1])
+    stride = 0 if variant == "single_matrix" else q ** (lag_order + 1)
+    cells = np.empty((n_components, word_indices.size), dtype=np.int64)
+    for g in range(1, n_components + 1):
+        np.add(_lag_cells(word_indices, g, q, lag_order), (g - 1) * stride, out=cells[g - 1])
     return cells
 
 
@@ -457,16 +456,29 @@ def full_transition_matrix(model) -> MtdModel:
         return model
     terms = [(g, model.lag_order, p * model.matrix_for_lag(g)) for g, p in enumerate(model.phi, 1)]
     table = _build_dense(model.alphabet.size, model.order, terms)
-    return _adopt_dense(model.alphabet, model.order, table)
+    return _adopt_dense(model.alphabet, model.order, _renormalize_strays(table))
+
+
+def _renormalize_strays(rows: np.ndarray) -> np.ndarray:
+    """Divide by its sum, in place, each row that sums to 1 only beyond ``ROW_SUM_TOL`` or
+    holds an entry above 1; the others keep their bits.
+
+    A row that is a phi-weighted sum of checked rows strays from 1 by
+    their tolerances together, and the model file of such a row would
+    not read back.
+    """
+    sums = rows.sum(axis=1)
+    stray = (np.abs(sums - 1.0) > ROW_SUM_TOL) | (rows.max(axis=1) > 1.0)
+    if stray.any():
+        rows[stray] /= sums[stray, None]
+    return rows
 
 
 def _adopt_dense(alphabet, order, table) -> MtdModel:
     """The full Markov model of ``table``, a fresh (q**m, q) table built from checked parts.
 
-    The table is taken as it is, unchecked.  A row of
-    :func:`full_transition_matrix` is a phi-weighted sum of checked rows,
-    so it may stray from 1 by their tolerances together, beyond
-    ``ROW_SUM_TOL`` itself.
+    The table is taken as it is, unchecked: its builder keeps every row
+    stochastic within ``ROW_SUM_TOL``.
     """
     return MtdModel.__new__(MtdModel)._adopt(alphabet, order, order, np.ones(1), [table], "general")
 

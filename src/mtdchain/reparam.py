@@ -22,6 +22,7 @@ from .model import (
     _adopt_dense,
     _build_dense,
     _check_word_space,
+    _renormalize_strays,
     history_rows,
     validate_stochastic,
 )
@@ -109,9 +110,10 @@ def to_theta_u(model: MtdModel, u) -> ThetaU:
 
     Computed directly from the model's components, without expanding the
     full q**m table: :func:`history_rows` gathers the rows of these histories.
-    They are rows of the checked model, and the rows two tables share are
-    the same histories' rows, equal by construction, so the tables are
-    adopted unchecked.
+    They are rows of the checked model, renormalized where they stray from
+    1 beyond ``ROW_SUM_TOL``, and the rows two tables share are the same
+    histories' rows, equal by construction, so the tables are adopted
+    unchecked.
     """
     q = model.alphabet.size
     u = model.alphabet.check_index(u)
@@ -124,7 +126,7 @@ def to_theta_u(model: MtdModel, u) -> ThetaU:
         # replace the l digits at positions g-1..g+l-2 of the all-u history
         shift = q ** (g - 1)
         hist = u_all + (np.arange(q**l) - u_block) * shift
-        tables.append(history_rows(model, hist))
+        tables.append(_renormalize_strays(history_rows(model, hist)))
     return ThetaU.__new__(ThetaU)._adopt(model.alphabet, m, l, u, tables)
 
 
@@ -163,7 +165,7 @@ def from_theta_u(theta: ThetaU) -> MtdModel:
             int(np.argmax(np.maximum(-table, table - 1.0))), table.shape
         )
         raise NotAnMtdPoint(
-            f"reconstructed probability {table[bad]!r} at history {bad[0]}, "
+            f"reconstructed probability {float(table[bad])!r} at history {bad[0]}, "
             f"letter {bad[1]} falls outside [0, 1]"
         )
     table = np.clip(table, 0.0, 1.0)

@@ -28,7 +28,7 @@ class WordDistribution:
         if k >= 63 or arr.shape != (q**k,):
             raise ValueError(f"expected {q}**{k} probabilities, got {arr.shape}")
         if abs(arr.sum() - 1.0) > 1e-9:
-            raise ValueError(f"word distribution sums to {arr.sum()!r}")
+            raise ValueError(f"word distribution sums to {float(arr.sum())!r}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)

@@ -48,7 +48,8 @@ def raw_loglik(phi, matrices, counts, lag_order):
 def oracle_loglik_gradient(model, counts):
     ws = counts.word_indices()
     N = counts.values().astype(np.float64)
-    cells = _cell_index(model, ws)
+    q = model.alphabet.size
+    cells = _cell_index(ws, q, model.lag_order, model.n_components, model.variant)
     flat = np.concatenate([mat.ravel() for mat in model.matrices])
     pi_vals = flat[cells]
     p = model.phi @ pi_vals

@@ -447,6 +447,25 @@ def test_expand_golden(tmp_path, monkeypatch):
     assert digest == EXPAND_SHA256
 
 
+def test_main_calls_in_one_process_share_the_parser_and_nothing_else(tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    write_model("model.json", random_mtd(4, 4, 2, seed=11, alphabet=DNA))
+    # a usage error, then two commands whose flags differ, then the usage error again
+    _assert_one_line_failure(["convert", "--model", "model.json", "--out", "x.json"], capsys,
+                             "--to", code=2)
+    assert cli.main(["expand", "--model", "model.json", "--out", "dense.json"]) == 0
+    argv = ["convert", "--model", "model.json", "--to", "theta_u", "--ref-letter", "g",
+            "--out", "theta.json"]
+    assert cli.main(argv) == 0
+    _assert_one_line_failure(["convert", "--model", "model.json", "--out", "x.json"], capsys,
+                             "--to", code=2)
+    assert hashlib.sha256(Path("dense.json").read_bytes()).hexdigest() == EXPAND_SHA256
+    assert hashlib.sha256(Path("theta.json").read_bytes()).hexdigest() == CONVERT_THETA_U_SHA256
+    assert not Path("x.json").exists()
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_bic_compare_golden(corpus, capsys):
     argv = ["bic-compare", "--in", corpus, "--alphabet", "acgt", "--orders", "1,2,3",
             "--lag-orders", "1,2", "--restarts", "2", "--seed", "3"]
@@ -945,13 +964,20 @@ def test_mutated_model_file_works_or_fails_in_one_line(kind, key, value, tmp_pat
 def test_model_at_the_tolerance_edge_samples_and_converts(tmp_path, capsys):
     model_path, out = str(tmp_path / "m.json"), str(tmp_path / "out.json")
     Path(model_path).write_text(json.dumps(_fuzz_documents(tmp_path)["tolerance edge"]))
+    corpus = tmp_path / "ab.txt"
+    corpus.write_text("abbabaabbbaababb\n")
     assert cli.main(["sample", "--model", model_path, "--length", "30"]) == 0
     assert len(capsys.readouterr().out) == 31
+    # the written rows would sum to 1 + 1.6e-12; the writer renormalizes them, so the
+    # output reads back and scores like the model it came from
+    assert cli.main(["eval", "--model", model_path, "--in", str(corpus)]) == 0
+    want = capsys.readouterr().out.split("\n")[1].split("\t")[0]
     for argv in (["convert", "--model", model_path, "--to", "theta_u", "--out", out],
                  ["expand", "--model", model_path, "--out", out]):
-        code = cli.main(argv)
-        err = capsys.readouterr().err
-        assert code == 0 or (code, err.count("\n"), err[:17]) == (1, 1, "mtdchain: error: ")
+        assert cli.main(argv) == 0
+        assert cli.main(["eval", "--model", out, "--in", str(corpus)]) == 0, capsys.readouterr()
+        loglik = capsys.readouterr().out.split("\n")[1].split("\t")[0]
+        assert float(loglik) == pytest.approx(float(want), abs=1e-9)
 
 
 # every command's flags that _FLAGS gives a least value, with each kind of value their type rejects

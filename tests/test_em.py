@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtdchain.counts as counts_module
 import mtdchain.em as em_module
 import refdata
 from conftest import build_model, random_sequence
@@ -15,6 +16,7 @@ from mtdchain import (
     DegenerateLikelihood,
     EmConfig,
     EmptyCorpus,
+    LagOutOfRange,
     MtdModel,
     Sequence,
     berchtold_fit,
@@ -470,6 +472,12 @@ class TestInitContingency:
         with pytest.raises(EmptyCorpus):
             init_contingency(NGramCounts(dna, 3))
 
+    @pytest.mark.parametrize("lag_order", [0, 3, 4])
+    def test_lag_order_outside_the_order(self, dna, lag_order):
+        counts = count_ngrams([random_sequence(dna, 100, 1)], 2)
+        with pytest.raises(LagOutOfRange):
+            init_contingency(counts, lag_order)
+
 
 class TestEmFit:
     def test_fixed_point_converges_fast(self, dna):
@@ -573,28 +581,124 @@ class TestAccelerated:
         assert fast.final_loglik >= plain[-1]
 
 
+def count_builds(monkeypatch):
+    """Lists that grow by one per ``MtdModel.__init__`` and per ``_cell_index`` call."""
+    built, indexed = [], []
+    construct, cell_index = MtdModel.__init__, em_module._cell_index
+
+    def counted_construct(self, *args, **kwargs):
+        built.append(1)
+        construct(self, *args, **kwargs)
+
+    def counted_cell_index(*args):
+        indexed.append(1)
+        return cell_index(*args)
+
+    monkeypatch.setattr(MtdModel, "__init__", counted_construct)
+    monkeypatch.setattr(em_module, "_cell_index", counted_cell_index)
+    return built, indexed
+
+
 class TestOneKernel:
     @pytest.mark.parametrize("fit", [em_fit, berchtold_fit], ids=["em", "berchtold"])
     def test_cells_and_model_built_once(self, fit, monkeypatch):
         truth = random_mtd(3, 3, 2, seed=3)
         counts = count_ngrams([sample_sequence(truth, 2000, seed=4)], 3)
         init = init_contingency(counts, 2)
-        built, indexed = [], []
-        construct, cell_index = MtdModel.__init__, em_module._cell_index
-
-        def counted_construct(self, *args, **kwargs):
-            built.append(1)
-            construct(self, *args, **kwargs)
-
-        def counted_cell_index(*args):
-            indexed.append(1)
-            return cell_index(*args)
-
-        monkeypatch.setattr(MtdModel, "__init__", counted_construct)
-        monkeypatch.setattr(em_module, "_cell_index", counted_cell_index)
+        built, indexed = count_builds(monkeypatch)
         report = fit(counts, init)
         assert report.iterations > 3
         assert (len(built), len(indexed)) == (1, 1)
+
+    def test_restarts_share_one_kernel(self, monkeypatch):
+        truth = random_mtd(3, 3, 1, seed=3)
+        counts = count_ngrams([sample_sequence(truth, 2000, seed=4)], 3)
+
+        def no_lag_contingency(*args, **kwargs):
+            raise AssertionError("the contingency start is the fit kernel's scatter")
+
+        monkeypatch.setattr(counts_module, "lag_contingency", no_lag_contingency)
+        monkeypatch.setattr(em_module, "lag_contingency", no_lag_contingency, raising=False)
+        built, indexed = count_builds(monkeypatch)
+        init_contingency(counts)
+        assert (len(built), len(indexed)) == (1, 1)
+        config = EmConfig()
+        report = fit_with_restarts(counts, config)
+        assert report.iterations > 10  # the leader was polished
+        # one cell index for the whole fit; a model for each random start and the report
+        assert (len(built), len(indexed)) == (1 + config.n_restarts, 1 + 1)
+
+
+def composed_fit_with_restarts(counts, config, starts):
+    """fit_with_restarts as public calls, given its random starts.
+
+    Every start runs em_fit for 10 maps, and em_fit from the leader's
+    model runs on at epsilon / 100 with the maps left; one restart is
+    em_fit of the contingency start.  Returns ``(trace, final, leader
+    index, records)``: ``final`` is the last em_fit's report, records
+    are (index, init, loglik, error text).
+    """
+    inits = [init_contingency(counts, config.lag_order, config.variant), *starts]
+    if config.n_restarts == 1:
+        report = em_fit(counts, inits[0], config)
+        return report.loglik_trace, report, 0, [(0, "contingency", report.final_loglik, None)]
+    screen = dataclasses.replace(config, max_iters=min(10, config.max_iters))
+    lead, leader, records = None, None, []
+    for r, init in enumerate(inits):
+        kind = "random" if r else "contingency"
+        try:
+            report = em_fit(counts, init, screen)
+        except DegenerateLikelihood as err:
+            records.append((r, kind, None, str(err)))
+            continue
+        records.append((r, kind, report.final_loglik, None))
+        if leader is None or report.final_loglik > leader.final_loglik:
+            lead, leader = r, report
+    polish = em_fit(counts, leader.model, dataclasses.replace(
+        config, epsilon=config.epsilon / 100, max_iters=config.max_iters - leader.iterations))
+    trace = np.concatenate([leader.loglik_trace, polish.loglik_trace[1:]])
+    return trace, polish, lead, records
+
+
+class TestRestartsEqualPublicCalls:
+    @pytest.mark.parametrize("n_restarts", [1, 3])
+    @pytest.mark.parametrize("floor", [None, 1e-9])
+    @pytest.mark.parametrize("l, variant", [(1, "general"), (2, "general"),
+                                            (1, "single_matrix")])
+    def test_bit_identical(self, l, variant, floor, n_restarts):
+        truth = random_mtd(3, 3, l, variant=variant, seed=60 + l)
+        counts = count_ngrams([sample_sequence(truth, 3000, seed=61)], 3)
+        config = EmConfig(n_restarts=n_restarts, seed=62, floor=floor, lag_order=l,
+                          variant=variant)
+        starts, original = [], em_module.random_mtd
+
+        def last_start_degenerate(*args, **kwargs):
+            # every word not ending in the first letter has probability 0 under
+            # the second random start: without a floor it fails
+            start = original(*args, **kwargs)
+            if len(starts) == 1:
+                mats = [np.zeros_like(mat) for mat in start.matrices]
+                for mat in mats:
+                    mat[:, 0] = 1.0
+                start = MtdModel(start.alphabet, 3, l, start.phi, mats, variant)
+            starts.append(start)
+            return start
+
+        with mock.patch.object(em_module, "random_mtd", last_start_degenerate):
+            report = fit_with_restarts(counts, config)
+        trace, final, lead, records = composed_fit_with_restarts(counts, config, starts)
+        assert np.array_equal(report.loglik_trace, trace)
+        assert report.model == final.model
+        assert (report.final_loglik, report.iterations, report.converged, report.bic) == (
+            final.final_loglik, len(trace) - 1, final.converged, final.bic
+        )
+        assert report.restart_index == lead
+        got = [(rec.index, rec.init, rec.loglik, rec.error and str(rec.error))
+               for rec in report.restarts]
+        assert got == records
+        assert len(starts) == n_restarts - 1
+        if n_restarts == 3 and floor is None:
+            assert isinstance(report.restarts[2].error, DegenerateLikelihood)
 
 
 class TestFitWithRestarts:
@@ -707,6 +811,17 @@ class TestFitWithRestarts:
         assert np.diff(report.loglik_trace).min() >= 0.0
         assert report.iterations <= config.max_iters
 
+    def test_unknown_variant_fails_before_any_map(self, dna, monkeypatch):
+        counts = count_ngrams([random_sequence(dna, 300, 4)], 2)
+
+        def no_map(*args):
+            raise AssertionError("a map ran before the variant was checked")
+
+        monkeypatch.setattr(em_module, "_run", no_map)
+        for n_restarts in (1, 3):
+            with pytest.raises(ValueError, match="unknown variant 'pooled'"):
+                fit_with_restarts(counts, EmConfig(variant="pooled", n_restarts=n_restarts))
+
     def test_deterministic(self, dna):
         counts = count_ngrams([random_sequence(dna, 500, 6)], 2)
         config = EmConfig(seed=7)
@@ -732,22 +847,19 @@ class TestFitWithRestarts:
 
     def test_all_restarts_failed(self, song):
         # forcing failure requires a degenerate *initial* model, so feed the
-        # fit a corpus whose contingency init is fine but patch randomness out
+        # fit a corpus whose contingency init is fine but patch every start:
+        # the contingency start is the fit kernel's, the others random_mtd's
         counts = count_ngrams([Sequence(song, [0, 0, 1, 0])], 2)
         pi = np.array([[1.0, 0.0, 0.0]] * 3)
-
-        original_cont = em_module.init_contingency
-        original_rand = em_module.random_mtd
         degenerate = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
-        try:
-            em_module.init_contingency = lambda *a, **k: degenerate
-            em_module.random_mtd = lambda *a, **k: degenerate
-            with pytest.raises(AllRestartsFailed) as err:
-                em_module.fit_with_restarts(counts, EmConfig(n_restarts=3))
-            assert len(err.value.failures) == 3
-        finally:
-            em_module.init_contingency = original_cont
-            em_module.random_mtd = original_rand
+        theta = np.concatenate([degenerate.phi, pi.ravel(), pi.ravel()])
+        with (
+            mock.patch.object(em_module._Kernel, "contingency", lambda kernel: theta.copy()),
+            mock.patch.object(em_module, "random_mtd", lambda *a, **k: degenerate),
+            pytest.raises(AllRestartsFailed) as err,
+        ):
+            em_module.fit_with_restarts(counts, EmConfig(n_restarts=3))
+        assert len(err.value.failures) == 3
 
 
 class TestVariantAgainstGridSearch:

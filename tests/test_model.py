@@ -202,7 +202,8 @@ class TestMtdModelValidation:
         bad = np.full((4, 4), 0.25)
         bad = bad.copy()
         bad[0, 0] = 0.5
-        with pytest.raises(ValueError):
+        # the sum prints as a plain float, not as numpy's np.float64(1.25)
+        with pytest.raises(ValueError, match=r"^pi_2 row 0 sums to 1\.25, expected 1$"):
             MtdModel(dna, 2, 1, [0.5, 0.5], [np.full((4, 4), 0.25), bad])
 
     def test_single_matrix_requires_l1(self, dna):

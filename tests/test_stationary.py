@@ -129,7 +129,7 @@ class TestWordDistribution:
         assert np.abs(d2.probs.reshape(4, 4).sum(axis=1) - d1.probs).max() < 1e-9
 
     def test_invalid_distribution_rejected(self, ab):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^word distribution sums to 0\.8$"):
             WordDistribution(ab, 1, np.array([0.4, 0.4]))
         # 2**(10**12) is never taken: the length is checked first
         with pytest.raises(ValueError, match=r"expected 2\*\*1000000000000 probabilities"):
