@@ -1,19 +1,22 @@
 """Coordinate-ascent baseline optimizer for MTD likelihoods.
 
 Treats phi and every matrix row as independent probability vectors.  One
-iteration computes the gradient of the conditional log-likelihood once,
-then moves delta of mass within each vector from its smallest-derivative
-component to its largest-derivative one: one :func:`berchtold_step` for
-phi and one for all matrix rows at once.  If the composite move fails to
-increase the log-likelihood it is reverted and delta decays
-geometrically on one fixed schedule, so the baseline has no step-size
-knob: of :class:`EmConfig` it reads only ``epsilon`` and ``max_iters``,
-the stopping rule :func:`em_fit` reads.  The fit runs on EM's kernel
-(``em._Kernel``): the same cells, gather, gradient and feasibility
-check on the parameter vector theta = (phi, every matrix entry), so
-both fitters share one likelihood and only the reported model is built
-as an :class:`MtdModel`.  Kept as a comparison baseline for the EM
-fitter, not as a faithful reproduction of any published delta schedule.
+iteration moves delta of mass within each vector from its
+smallest-derivative component to its largest-derivative one, along the
+gradient of the conditional log-likelihood at the current point: one
+:func:`berchtold_step` for phi and one for all matrix rows at once.  If
+the composite move fails to increase the log-likelihood it is reverted
+and delta decays geometrically on one fixed schedule, so the baseline
+has no step-size knob: of :class:`EmConfig` it reads only ``epsilon``
+and ``max_iters``, the stopping rule :func:`em_fit` reads.  The fit runs
+on EM's kernel (``em._Kernel``) on the parameter vector theta = (phi,
+every matrix entry): the same cells, feasibility check and gather, whose
+p(w) and log-likelihood decide whether a candidate is accepted.  The
+gradient then reads the accepted point's gather, so each iterate is
+gathered once, both fitters share one likelihood, and only the reported
+model is built as an :class:`MtdModel`.  Kept as a comparison baseline
+for the EM fitter, not as a faithful reproduction of any published delta
+schedule.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ def loglik_gradient(model: MtdModel, counts: NGramCounts):
                         N(w) phi_g / p(w)
     """
     kernel, theta = _Kernel.of(counts, model)
-    return kernel.split(kernel.gradient(theta))
+    point = kernel.gather(theta)
+    kernel.check_positive(point.probs)
+    return kernel.split(kernel.gradient(point))
 
 
 # delta starts at _DELTA0, is multiplied by _DELTA_DECAY on each reverted move,
@@ -76,39 +81,38 @@ def berchtold_fit(
 ) -> FitReport:
     """Accept-or-revert coordinate ascent from ``init``.
 
-    Gradients are recomputed once per iteration; phi and every matrix
-    row then take one step each.  A candidate is accepted only if it is
-    a feasible model with a higher log-likelihood, so the trace, which
-    holds the initial log-likelihood followed by every accepted value,
-    is strictly increasing.  Stops when an accepted increase falls below
-    ``config.epsilon``, when delta decays below 1e-6, or after
-    ``config.max_iters`` iterations; the other fields of ``config`` are
-    not read.
+    The gradient is computed once per accepted point, from the gather
+    that accepted it; phi and every matrix row then take one step each.
+    A candidate is accepted only if it is a feasible model with a higher
+    log-likelihood, so the trace, which holds the initial log-likelihood
+    followed by every accepted value, is strictly increasing.  Stops when
+    an accepted increase falls below ``config.epsilon``, when delta
+    decays below 1e-6, or after ``config.max_iters`` iterations; the
+    other fields of ``config`` are not read.
     """
     config = config or EmConfig()
     kernel, theta = _Kernel.of(counts, init)
     G = kernel.G
     point = kernel.gather(theta)
     kernel.check_positive(point.probs)
-    current = point.loglik
-    trace = [current]
+    grad = kernel.gradient(point)
+    trace = [point.loglik]
     delta = _DELTA0
     converged = False
     for _ in range(config.max_iters):
-        grad = kernel.gradient(theta)
-        rows = berchtold_step(kernel.rows(theta), kernel.rows(grad), delta)
-        candidate = np.concatenate([berchtold_step(theta[:G], grad[:G], delta), rows.ravel()])
-        cand_ll = kernel.gather(candidate).loglik if kernel.feasible(candidate) else -np.inf
-        if cand_ll > current:
-            increase = cand_ll - current
-            theta, current = candidate, cand_ll
-            trace.append(current)
+        rows = berchtold_step(kernel.rows(point.theta), kernel.rows(grad), delta)
+        candidate = np.concatenate([berchtold_step(point.theta[:G], grad[:G], delta), rows.ravel()])
+        new = kernel.gather(candidate) if kernel.feasible(candidate) else None
+        if new is not None and new.loglik > point.loglik:
+            increase, point = new.loglik - point.loglik, new
+            trace.append(point.loglik)
             if increase < config.epsilon:
                 converged = True
                 break
+            grad = kernel.gradient(point)
         else:
             delta *= _DELTA_DECAY
             if delta < _MIN_DELTA:
                 converged = True
                 break
-    return _make_report(kernel.model(theta), trace, converged, None, counts)
+    return _make_report(kernel.model(point.theta), trace, converged, None, counts)

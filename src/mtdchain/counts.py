@@ -32,6 +32,22 @@ from .model import (
 _SPELL_CHUNK = 1 << 16  # lines per byte buffer of write_counts, which bounds its temporaries
 
 
+def _int64_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; ValueError unless each is an integer that int64 holds."""
+    arr = np.asarray(values)
+    if arr.dtype == np.int64:
+        return arr
+    try:
+        with np.errstate(invalid="ignore"):
+            ints = arr.astype(np.int64)
+    except (OverflowError, TypeError, ValueError):
+        ints = None  # Python ints beyond int64, or values that are not numbers
+    # a truncated fraction, a wrapped uint64 or a cast NaN compares unequal to its source
+    if ints is None or not np.array_equal(ints, arr):
+        raise ValueError(f"{name} must be integers between -2**63 and 2**63 - 1")
+    return ints
+
+
 class NGramCounts:
     """Occurrence counts of the observed (m+1)-letter words of a corpus."""
 
@@ -39,8 +55,7 @@ class NGramCounts:
         word_length = int(word_length)
         if word_length < 1:
             raise ValueError("word_length must be >= 1")
-        words = np.asarray(words, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        words, counts = _int64_array(words, "words"), _int64_array(counts, "counts")
         if words.ndim != 1 or words.shape != counts.shape:
             raise ValueError("words and counts must be aligned one-dimensional arrays")
         if words.size:

@@ -20,10 +20,14 @@ log-likelihood of the current iterate; the components, divided by p(w)
 and multiplied by N(w) in place, are the weights of one ``bincount``
 over the same cells for the M-step numerators, which maps theta to
 theta.  The same ``bincount`` of N alone gives the lag contingency
-tables of the contingency start.  A fit builds its kernel once:
-:func:`fit_with_restarts` shares one kernel between its contingency
-start, every restart's screen and the polish, and only the reported
-model is built as an :class:`MtdModel`.
+tables of the contingency start.  The gradient that the Berchtold
+baseline climbs reads a gathered iterate too: one ``bincount`` per lag
+sums the ratio N(w) / p(w) per cell, and the mixture form (Raftery
+1985, JRSS B 47:528) factorises both partial derivatives over those
+sums.  A fit builds its kernel once: :func:`fit_with_restarts` shares
+one kernel between its contingency start, every restart's screen and
+the polish, and only the reported model is built as an
+:class:`MtdModel`.
 
 The EM map F runs in SQUAREM cycles (Varadhan & Roland 2008, Scand.
 J. Stat. 35:335), scheme SqS3.  A cycle takes two EM maps
@@ -203,9 +207,11 @@ class _Kernel:
     these are the cells; the single-matrix variant's table has a row per
     lag, so its ``table_cells`` add the g offset its pooled cells drop.
     :meth:`scatter` adds per-word weights into the matrix entries at the
-    cells: N for the lag contingency tables of :meth:`contingency`, the
-    weighted posteriors for the M-step numerators and phi_g N / p(w) for
-    the gradient.
+    cells: N for the lag contingency tables of :meth:`contingency` and
+    the weighted posteriors for the M-step numerators.  :meth:`gradient`
+    takes a gathered point and sums its N / p(w) at each lag's row of
+    ``table_cells`` instead, from which both partial derivatives follow
+    without a second p(w).
     """
 
     def __init__(self, counts: NGramCounts, alphabet, lag_order: int, variant: str):
@@ -310,14 +316,20 @@ class _Kernel:
         rows = _normalize_rows(self.scatter(weighted), self.rows(theta))
         return np.concatenate([phi, rows.ravel()])
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        """d L / d theta; p(w) is summed as ``phi @ pi``, the order Berchtold's fit was built on."""
-        pi_vals = theta[self.G :][self.cells]
-        probs = theta[: self.G] @ pi_vals
-        self.check_positive(probs)
-        ratio = self.N / probs
-        d_pi = self.scatter(theta[: self.G, None] * ratio)
-        return np.concatenate([pi_vals @ ratio, d_pi.ravel()])
+    def gradient(self, point: _Point) -> np.ndarray:
+        """d L / d theta at a gathered ``point`` whose every p(w) is positive.
+
+        One ``bincount`` of N / p(w) per lag over its ``table_cells`` row
+        sums the ratio per cell into S_g, a row of S, shape (G, q**(l+1));
+        then d phi_g = sum_c pi_g(c) S_g(c) and d pi_g = phi_g S_g, summed
+        over the lags that share one matrix.
+        """
+        phi, pi = point.theta[: self.G, None], point.theta[self.G :].reshape(-1, self.width)
+        ratio, size = self.N / point.probs, self.G * self.width
+        # the rows' cells lie in disjoint ranges of S, so the sum adds only exact zeros
+        S = sum(np.bincount(cells, ratio, size) for cells in self.table_cells).reshape(self.G, -1)
+        d_pi = (phi * S).reshape(self.n_matrices, -1, self.width).sum(axis=1)
+        return np.concatenate([(pi * S).sum(axis=1), d_pi.ravel()])
 
 
 def _start_kernel(counts: NGramCounts, lag_order: int, variant: str) -> _Kernel:

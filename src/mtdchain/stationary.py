@@ -11,6 +11,8 @@ from .model import Alphabet, _check_dense_size, full_transition_matrix
 
 _POWER_TOL = 1e-12
 _MAX_SWEEPS = 10**5
+# sweeps between two checks that the plain power iteration still contracts
+_STRETCH = 100
 
 
 @dataclass(frozen=True)
@@ -39,18 +41,35 @@ def stationary_histories(model) -> np.ndarray:
 
     Iterates mu <- mu T on the expanded chain until the L1 change drops
     to 1e-12 (at most 1e5 sweeps, else :class:`NonConvergentStationary`).
+    A stochastic T never lengthens the change, and an aperiodic
+    irreducible chain shrinks it strictly over any stretch of sweeps at
+    least as long as its primitivity index (at most m when every m-step
+    move has positive probability).  A change that has not shrunk over a
+    stretch of 100 sweeps therefore marks a periodic chain (or one too
+    slow to converge within the cap), and the iteration goes on with the
+    lazy chain (I + T) / 2, which has the same stationary laws and no
+    period.  A chain whose change shrinks over every stretch keeps the
+    plain iteration and its bits.
     """
     table = full_transition_matrix(model).matrices[0]
     n_hist, q = table.shape
     mu = np.full(n_hist, 1.0 / n_hist)
-    for _ in range(_MAX_SWEEPS):
+    lazy, checked = False, np.inf  # checked: the change at the last stretch's end
+    for sweep in range(1, _MAX_SWEEPS + 1):
         # history h = a * q**(m-1) + r moves to r * q + j after letter j, and
         # flat entry h * q + j is a * q**m + (r * q + j): summing the (q, n_hist)
         # view over a adds each successor's terms in increasing h
         nxt = (mu[:, None] * table).reshape(q, n_hist).sum(axis=0)
-        if np.abs(nxt - mu).sum() <= _POWER_TOL:
+        if lazy:
+            nxt += mu
+            nxt *= 0.5
+        change = np.abs(nxt - mu).sum()
+        if change <= _POWER_TOL:
             return nxt
         mu = nxt
+        if sweep % _STRETCH == 0:
+            lazy = lazy or change >= checked
+            checked = change
     raise NonConvergentStationary(
         f"power iteration did not reach tolerance {_POWER_TOL} in {_MAX_SWEEPS} sweeps"
     )

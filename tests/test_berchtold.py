@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtdchain.em as em_module
 from conftest import random_sequence
 from mtdchain import (
     DegenerateLikelihood,
@@ -127,6 +130,55 @@ class TestMatchesOracle:
             report = assert_matches_oracle(counts, init, EmConfig(max_iters=120))
             assert report.iterations > 10
 
+    @pytest.mark.parametrize("l,variant", [(1, "general"), (3, "general"), (1, "single_matrix")])
+    def test_gradient_matches_oracle(self, l, variant):
+        truth = random_mtd(4, 6, l, variant=variant, seed=l + 60)
+        counts = count_ngrams([sample_sequence(truth, 3000, seed=l)], 6)
+        models = (init_contingency(counts, l, variant), random_mtd(4, 6, l, variant=variant, seed=7))
+        for model in models:
+            d_phi, d_pi = loglik_gradient(model, counts)
+            o_phi, o_pi = oracle_loglik_gradient(model, counts)
+            np.testing.assert_allclose(d_phi, o_phi, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(d_pi, np.asarray(o_pi), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("l,variant", [(1, "general"), (3, "general"), (1, "single_matrix")])
+    def test_gathers_each_iterate_once(self, l, variant):
+        truth = random_mtd(4, 6, l, variant=variant, seed=l + 60)
+        counts = count_ngrams([sample_sequence(truth, 3000, seed=l)], 6)
+        init = random_mtd(4, 6, l, variant=variant, seed=7)
+        config = EmConfig(max_iters=120)
+        calls = {"gather": [], "feasible": [], "gradient": [], "cells": []}
+        kernel = em_module._Kernel
+
+        def spy(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                calls[name].append((args, out))
+                return out
+
+            return wrapper
+
+        with (
+            mock.patch.object(kernel, "gather", spy("gather", kernel.gather)),
+            mock.patch.object(kernel, "feasible", spy("feasible", kernel.feasible)),
+            mock.patch.object(kernel, "gradient", spy("gradient", kernel.gradient)),
+            mock.patch.object(em_module, "_cell_index", spy("cells", em_module._cell_index)),
+        ):
+            report = berchtold_fit(counts, init, config)
+        assert len(calls["cells"]) == 1
+        # one gather for the start, then one per feasible candidate
+        gathered = [point for _, point in calls["gather"]]
+        assert len(gathered) == 1 + sum(ok for _, ok in calls["feasible"])
+        # each gradient reads the gather of the start or of an accepted candidate
+        points = [args[1] for args, _ in calls["gradient"]]
+        assert all(any(point is g for g in gathered) for point in points)
+        assert [point.loglik for point in points] == list(report.loglik_trace[: len(points)])
+        assert report.iterations > 10
+        trace, model, converged = oracle_berchtold_fit(counts, init, config)
+        assert np.array_equal(report.loglik_trace, trace)
+        assert report.model == model
+        assert report.converged == converged
+
     @settings(max_examples=30)
     @given(
         q=st.integers(2, 4),
@@ -153,31 +205,35 @@ class TestGradient:
         d_phi, _ = loglik_gradient(model, counts)
         assert d_phi[0] == pytest.approx(counts.total, abs=1e-9)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_finite_differences(self, seed):
-        model = random_mtd(3, 2, 1, seed=seed)
-        counts = count_ngrams([random_sequence(model.alphabet, 300, seed + 10)], 2)
+    # explicit ids keep the general l = 1 cases at their earlier ids 0..4
+    @pytest.mark.parametrize(
+        "seed,l,variant",
+        [pytest.param(seed, 1, "general", id=str(seed)) for seed in range(5)]
+        + [pytest.param(seed, 1, "single_matrix", id=f"single-{seed}") for seed in range(3)]
+        + [pytest.param(seed, 2, "general", id=f"l2-{seed}") for seed in range(3)],
+    )
+    def test_finite_differences(self, seed, l, variant):
+        # order l + 1, so every variant has two lags
+        model = random_mtd(3, l + 1, l, variant=variant, seed=seed)
+        counts = count_ngrams([random_sequence(model.alphabet, 300, seed + 10)], l + 1)
         d_phi, d_pi = loglik_gradient(model, counts)
         h = 1e-6
         phi = model.phi.copy()
         mats = [m.copy() for m in model.matrices]
-        for g in range(2):
+        for g in range(len(phi)):
             up, down = phi.copy(), phi.copy()
             up[g] += h
             down[g] -= h
-            fd = (raw_loglik(up, mats, counts, 1) - raw_loglik(down, mats, counts, 1)) / (2 * h)
+            fd = (raw_loglik(up, mats, counts, l) - raw_loglik(down, mats, counts, l)) / (2 * h)
             assert fd == pytest.approx(d_phi[g], rel=1e-4)
-        for g in range(2):
-            for b in range(3):
-                for j in range(3):
-                    up = [m.copy() for m in mats]
-                    down = [m.copy() for m in mats]
-                    up[g][b, j] += h
-                    down[g][b, j] -= h
-                    fd = (
-                        raw_loglik(phi, up, counts, 1) - raw_loglik(phi, down, counts, 1)
-                    ) / (2 * h)
-                    assert fd == pytest.approx(d_pi[g][b, j], rel=1e-4, abs=1e-6)
+        for i, mat in enumerate(mats):
+            for b, j in np.ndindex(mat.shape):
+                up = [m.copy() for m in mats]
+                down = [m.copy() for m in mats]
+                up[i][b, j] += h
+                down[i][b, j] -= h
+                fd = (raw_loglik(phi, up, counts, l) - raw_loglik(phi, down, counts, l)) / (2 * h)
+                assert fd == pytest.approx(d_pi[i][b, j], rel=1e-4, abs=1e-6)
 
     def test_uniform_model_closed_form(self, dna):
         # with all-uniform matrices p(w) = 1/q, so d_pi(g)[i, j] = phi_g * q * #(i, j)

@@ -222,6 +222,19 @@ class TestContainer:
         with pytest.raises(ValueError, match="total count 9223372036854775808 exceeds"):
             NGramCounts(ab, 1, [0, 1], [2**62, 2**62])
 
+    @pytest.mark.parametrize(
+        "words,ns",
+        [([0.5, 3.9], [1, 2]), ([0, 3], [1.7, 2.2]), ([0, 3], [2**63, 1]), ([0, 3], [2**64, 1])],
+    )
+    def test_values_must_be_int64_integers(self, ab, words, ns):
+        with pytest.raises(ValueError, match="must be integers between"):
+            NGramCounts(ab, 2, words, ns)
+
+    def test_empty_default_and_integral_floats(self, ab):
+        assert (len(NGramCounts(ab, 2)), NGramCounts(ab, 2).total) == (0, 0)
+        counts = NGramCounts(ab, 2, np.array([0.0, 3.0]), [2, 5])
+        assert list(counts.items()) == [(0, 2), (3, 5)]
+
     def test_misaligned(self, ab):
         with pytest.raises(ValueError, match="aligned"):
             NGramCounts(ab, 2, [0, 1], [1])

@@ -17,6 +17,7 @@ from mtdchain import (
     tv_distance,
     word_distribution,
 )
+from mtdchain import stationary
 from mtdchain.model import history_rows
 
 
@@ -44,13 +45,41 @@ class TestStationaryHistories:
                 nxt[(h % 4) * 4 + j] += mu[h] * table[h, j]
         assert np.abs(nxt - mu).max() < 1e-10
 
-    def test_periodic_chain_fails(self):
+    def test_periodic_chain_falls_back_to_lazy_chain(self):
+        # the plain iteration from uniform oscillates forever; the lazy chain converges
+        mu = stationary_histories(_bipartite_chain(1))
+        assert np.abs(mu - [0.5, 0.25, 0.25]).max() < 1e-12
+
+    def test_periodic_higher_order_chain(self):
+        mu = stationary_histories(_bipartite_chain(2))
+        # histories x_{t-2} * 3 + x_{t-1}: ab, ac, ba and ca
+        expected = np.zeros(9)
+        expected[[1, 2, 3, 6]] = 0.25
+        assert np.abs(mu - expected).max() < 1e-12
+
+    def test_flat_sweeps_of_an_aperiodic_chain_keep_the_plain_iteration(self):
+        # a -> b -> c -> a or b has cycles of 3 and 2, so no period, yet the L1
+        # change fails to shrink on 21 of its 80 sweeps
         abc = Alphabet(("a", "b", "c"))
-        # bipartite classes {a} and {b, c}: uniform start oscillates forever
-        table = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        table = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
         chain = MtdModel(abc, 1, 1, [1.0], [table])
-        with pytest.raises(NonConvergentStationary):
-            stationary_histories(chain)
+        assert np.array_equal(stationary_histories(chain), _bincount_stationary(chain))
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(stationary, "_MAX_SWEEPS", 5)
+        with pytest.raises(NonConvergentStationary, match="in 5 sweeps"):
+            stationary_histories(_bipartite_chain(1))
+
+
+def _bipartite_chain(order):
+    """a moves to b or c, each back to a: period 2, stationary law (1/2, 1/4, 1/4).
+
+    At order 2 the chain reads its lag-1 letter alone.
+    """
+    abc = Alphabet(("a", "b", "c"))
+    table = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    phi, mats = ([1.0], [table]) if order == 1 else ([1.0, 0.0], [table, np.full((3, 3), 1 / 3)])
+    return MtdModel(abc, order, 1, phi, mats)
 
 
 def _bincount_stationary(model) -> np.ndarray:
