@@ -88,7 +88,8 @@ def berchtold_fit(
     followed by every accepted value, is strictly increasing.  Stops when
     an accepted increase falls below ``config.epsilon``, when delta
     decays below 1e-6, or after ``config.max_iters`` iterations; the
-    other fields of ``config`` are not read.
+    other fields of ``config`` are not read.  Its input is checked as
+    :func:`em_fit`'s is.
     """
     config = config or EmConfig()
     kernel, theta = _Kernel.of(counts, init)

@@ -64,6 +64,7 @@ import numpy as np
 from .counts import NGramCounts
 from .errors import (
     AllRestartsFailed,
+    AlphabetMismatch,
     DegenerateLikelihood,
     EmptyCorpus,
     LagOutOfRange,
@@ -169,8 +170,23 @@ def _loglik(N: np.ndarray, probs: np.ndarray) -> float:
     return float(N @ np.log(probs))
 
 
+def _check_counts(counts: NGramCounts, model: MtdModel) -> None:
+    """Raise unless ``counts`` hold (m+1)-words over ``model``'s alphabet."""
+    if counts.word_length != model.order + 1:
+        raise ShapeMismatch(
+            f"counts are over {counts.word_length}-words, model needs {model.order + 1}"
+        )
+    if counts.alphabet != model.alphabet:
+        raise AlphabetMismatch("counts and model alphabets differ")
+
+
 def loglik_from_counts(model, counts: NGramCounts) -> float:
-    """Conditional log-likelihood sum_w N(w) log p(w); -inf if any p(w) = 0."""
+    """Conditional log-likelihood sum_w N(w) log p(w); -inf if any p(w) = 0.
+
+    Raises :class:`ShapeMismatch` or :class:`AlphabetMismatch` unless the
+    counts hold (m+1)-words over the model's alphabet.
+    """
+    _check_counts(counts, model)
     return _loglik(counts.values(), word_probabilities(model, counts.word_indices()))
 
 
@@ -199,7 +215,10 @@ class _Kernel:
     for its contingency start, every screen and the polish, and
     :func:`em_fit`, :func:`e_step`, :func:`m_step` and the Berchtold fit
     build one for the model they are given.  ``rows(theta)`` is the
-    (rows, q) view of the matrix entries.
+    (rows, q) view of the matrix entries.  The constructor is the one
+    place a fit's input is checked: it refuses empty counts and a shape
+    the counts cannot hold, and :meth:`of` first refuses a model over
+    another alphabet or order than the counts'.
 
     :meth:`gather` scales each lag's matrix by phi_g into a (G, q**(l+1))
     table and takes the components from it at ``table_cells``, the same
@@ -214,10 +233,18 @@ class _Kernel:
     without a second p(w).
     """
 
-    def __init__(self, counts: NGramCounts, alphabet, lag_order: int, variant: str):
+    def __init__(self, counts: NGramCounts, lag_order: int, variant: str):
+        if len(counts) == 0:
+            raise EmptyCorpus("cannot fit from empty counts")
+        if variant not in ("general", "single_matrix"):
+            raise ValueError(f"unknown variant {variant!r}")
+        lag_order = int(lag_order)
+        if not 1 <= lag_order <= counts.order:
+            raise LagOutOfRange(f"lag order {lag_order} outside 1..{counts.order}")
+        _check_dense_size(counts.alphabet.size, lag_order)
         self.counts = counts
-        self.alphabet, self.lag_order, self.variant = alphabet, lag_order, variant
-        self.G, self.q = counts.order - lag_order + 1, alphabet.size
+        self.alphabet, self.lag_order, self.variant = counts.alphabet, lag_order, variant
+        self.G, self.q = counts.order - lag_order + 1, counts.alphabet.size
         self.n_matrices = 1 if variant == "single_matrix" else self.G
         self.width = self.q ** (lag_order + 1)
         self.cells = _cell_index(counts.word_indices(), self.q, lag_order, self.G, variant)
@@ -229,11 +256,8 @@ class _Kernel:
     @classmethod
     def of(cls, counts: NGramCounts, model: MtdModel) -> tuple[_Kernel, np.ndarray]:
         """The kernel of ``model``'s shape over ``counts``, and the model's own theta."""
-        if counts.word_length != model.order + 1:
-            raise ShapeMismatch(
-                f"counts are over {counts.word_length}-words, model needs {model.order + 1}"
-            )
-        return cls(counts, model.alphabet, model.lag_order, model.variant), _theta(model)
+        _check_counts(counts, model)
+        return cls(counts, model.lag_order, model.variant), _theta(model)
 
     def rows(self, theta: np.ndarray) -> np.ndarray:
         return theta[self.G :].reshape(-1, self.q)
@@ -332,19 +356,6 @@ class _Kernel:
         return np.concatenate([(pi * S).sum(axis=1), d_pi.ravel()])
 
 
-def _start_kernel(counts: NGramCounts, lag_order: int, variant: str) -> _Kernel:
-    """The kernel of (``lag_order``, ``variant``) models over ``counts``, checked first."""
-    if len(counts) == 0:
-        raise EmptyCorpus("cannot initialize from empty counts")
-    if variant not in ("general", "single_matrix"):
-        raise ValueError(f"unknown variant {variant!r}")
-    lag_order = int(lag_order)
-    if not 1 <= lag_order <= counts.order:
-        raise LagOutOfRange(f"lag order {lag_order} outside 1..{counts.order}")
-    _check_dense_size(counts.alphabet.size, lag_order)
-    return _Kernel(counts, counts.alphabet, lag_order, variant)
-
-
 def e_step(model: MtdModel, counts: NGramCounts, floor: float | None = None) -> np.ndarray:
     """Posterior lag probabilities, shape (G, n_words), columns in word-index order.
 
@@ -376,7 +387,7 @@ def init_contingency(counts: NGramCounts, lag_order: int = 1, variant: str = "ge
     table tallies N over (lag-g block, final letter) pairs, as
     :func:`lag_contingency` does; the single-matrix variant pools all lags.
     """
-    kernel = _start_kernel(counts, lag_order, variant)
+    kernel = _Kernel(counts, lag_order, variant)
     return kernel.model(kernel.contingency())
 
 
@@ -455,7 +466,9 @@ def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) 
     kept point.  The map after a kept extrapolation starts from a better
     point than the trace's previous entry, so the trace jumps there; it
     never goes down.  A degenerate E-step aborts the run; the partial
-    trace is attached to the raised error.
+    trace is attached to the raised error.  Empty counts raise
+    :class:`EmptyCorpus`, and counts of another alphabet or order than
+    ``init``'s raise as in :func:`loglik_from_counts`.
     """
     config = config or EmConfig()
     kernel, theta = _Kernel.of(counts, init)
@@ -484,7 +497,7 @@ def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> Fi
     those of that trace.  ``restarts`` records every start.
     """
     config = config or EmConfig()
-    kernel = _start_kernel(counts, config.lag_order, config.variant)
+    kernel = _Kernel(counts, config.lag_order, config.variant)
     seeds = np.random.SeedSequence(config.seed).spawn(max(config.n_restarts - 1, 0))
     screened = config.n_restarts > 1
     screen = replace(config, max_iters=min(_SCREEN_MAPS, config.max_iters)) if screened else config

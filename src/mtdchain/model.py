@@ -39,10 +39,9 @@ g-1 .. g+l-2, which is axis 1 of :func:`_window`'s
 from __future__ import annotations
 
 import warnings
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import isqrt
 
 import numpy as np
@@ -414,7 +413,7 @@ def transition_prob(model: MtdModel, history, next_symbol: int) -> float:
 
 
 def history_rows(model, history_indices: np.ndarray) -> np.ndarray:
-    """Rows of listed histories, one gather per lag (to_theta_u, lazy sampling); shape (H, q)."""
+    """Rows of listed histories, one gather per lag (to_theta_u, sampling); shape (H, q)."""
     history_indices = np.asarray(history_indices, dtype=np.int64)
     q = model.alphabet.size
     rows = np.zeros((history_indices.size, q))
@@ -555,52 +554,51 @@ def sequence_loglik(model, seq: Sequence) -> float:
     return float(np.log(probs).sum())
 
 
-def _cumulative_rows(model):
-    """Flat sampling table: ``(table, offsets)``.
+def _partial_sums(model):
+    """Each history's next-letter partial sums, read two ways: ``(rows, letter)``.
 
-    ``table`` is an ``array('d')`` holding, row after row, each history's
-    first q - 1 next-letter partial sums; history h's row starts at
-    ``offsets[h]``.  A row is non-decreasing, so the letter a uniform draw
-    u in [0, 1) picks is both ``bisect_right`` over the row and the count
-    of the row's entries <= u; either gives a letter in 0..q-1 even when
-    the full sum falls short of 1.0 by rounding.  Up to
-    ``_SAMPLE_PRECOMPUTE_LIMIT`` entries every row is computed up front and
-    ``offsets`` is a ``range``, so the sampler may read the table as
-    columns; above it a row is appended on its history's first visit and a
-    dict keeps its offset.
+    ``rows(h)`` gives the cumulated rows of an array of histories, shape
+    (len(h), q); ``letter(h, u)`` gives ``bisect_right`` of a draw u in
+    the first q - 1 partial sums of one history h.  A row is
+    non-decreasing, so that is the letter u picks, and also the count of
+    those q - 1 sums <= u; either gives a letter in 0..q-1 even when the
+    full sum falls short of 1.0 by rounding.  Up to
+    ``_SAMPLE_PRECOMPUTE_LIMIT`` entries both read the cumulated dense
+    table; above it ``rows`` computes the rows of the histories it is
+    given, and ``letter`` a history's row on its first visit, which it keeps.
     """
     q = model.alphabet.size
-    width = q - 1
-    n_hist = q**model.order
-    if n_hist * q <= _SAMPLE_PRECOMPUTE_LIMIT:
-        cum = np.cumsum(full_transition_matrix(model).matrices[0], axis=1)
-        return array("d", cum[:, :-1].tobytes()), range(0, n_hist * width, width)
-    table = array("d")
+    if q**model.order * q <= _SAMPLE_PRECOMPUTE_LIMIT:
+        table = np.cumsum(full_transition_matrix(model).matrices[0], axis=1)
+        cells = memoryview(table.ravel())
 
-    class Offsets(dict):
-        def __missing__(self, h: int) -> int:
-            lo = self[h] = len(table)
-            table.frombytes(np.cumsum(history_rows(model, np.array([h]))[0])[:-1].tobytes())
-            return lo
+        def letter(h, u):
+            lo = h * q
+            return bisect_right(cells, u, lo, lo + q - 1) - lo
 
-    return table, Offsets()
+        return lambda h: table.take(h, axis=0), letter
+
+    def rows(h):
+        return np.cumsum(history_rows(model, h), axis=1)
+
+    @cache
+    def row(h):
+        return rows(np.array([h]))[0, :-1].tolist()
+
+    return rows, lambda h, u: bisect_right(row(h), u)
 
 
-def _step_histories(columns, h, u, q, base) -> None:
-    """Move each history in ``h`` (in place) on by the letter its draw in ``u`` picks.
-
-    ``columns[k].take(h * (q - 1))`` is partial sum k of each history's row.
-    """
-    starts = h * len(columns)
+def _step_histories(rows, h, u, q, base) -> None:
+    """Move each history in ``h`` (in place) on by the letter its draw in ``u`` picks."""
     letters = np.zeros(h.size, dtype=np.int64)
-    for col in columns:
-        letters += col.take(starts) <= u
+    for partial in rows(h).T[:-1]:  # partial sum k of each history; the full sum is left out
+        letters += partial <= u
     h %= base
     h *= q
     h += letters
 
 
-def _speculate(table, u, hist, h0, span, q, base) -> None:
+def _speculate(rows, u, hist, h0, span, q, base) -> None:
     """Guess ``hist[s]``, the history after draw s, by chunks of ``span`` draws in lockstep.
 
     Chunk 0 starts from ``h0`` and is exact.  Every later chunk starts from
@@ -608,17 +606,15 @@ def _speculate(table, u, hist, h0, span, q, base) -> None:
     the right start unless the two chains have not yet met.
     """
     chunks = -(-u.size // span)
-    flat = np.frombuffer(table, dtype=np.float64)
-    columns = [flat[k:] for k in range(q - 1)]
     h = np.zeros(chunks, dtype=np.int64)
     burn_in = min(_SAMPLE_BURN_IN, span)
     for s in range(span - burn_in, span):
-        _step_histories(columns, h[1:], u[s::span][: chunks - 1], q, base)
+        _step_histories(rows, h[1:], u[s::span][: chunks - 1], q, base)
     h[0] = h0
     for s in range(span):
         draws = u[s::span]  # the chunks still running at step s are the first len(draws)
         running = h[: draws.size]
-        _step_histories(columns, running, draws, q, base)
+        _step_histories(rows, running, draws, q, base)
         hist[s::span] = running
 
 
@@ -632,13 +628,14 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
     ``rng.integers``, and letter t > m is the row of the history before it
     bisected at the (t - m)-th value of one ``rng.random(length - m)`` call.
 
-    With a precomputed table the sample is cut into chunks of about
-    sqrt(2 (n - m)) draws that run in numpy lockstep, each later chunk from
-    a guessed start.  A scalar pass then walks the chunks in order and
-    re-draws each from its true start only until its history meets the
-    guessed one, after which the two share every letter.  Raises
-    :class:`ModelTooLarge` when history indices overflow int64 or the
-    draws or letters cannot be allocated.
+    The draws are cut into chunks of about sqrt(2 (n - m)) that run in
+    numpy lockstep, each later chunk from a guessed start.  A scalar pass
+    then walks the chunks in order and re-draws each from its true start
+    only until its history meets the guessed one, after which the two
+    share every letter.  Both read the rows of :func:`_partial_sums`,
+    precomputed for a small model and computed per history for a large
+    one.  Raises :class:`ModelTooLarge` when history indices overflow
+    int64 or the draws or letters cannot be allocated.
     """
     m = model.order
     q = model.alphabet.size
@@ -663,23 +660,16 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
     # hist[s] is the history after draw s until the last line turns it into its letter
     hist = letters[m:]
     if n:
-        table, offsets = _cumulative_rows(model)
-        width = q - 1
+        rows, letter = _partial_sums(model)
         base = q ** (m - 1)
         h = word_to_index(prefix, q)
         span = isqrt(2 * n)
-        # a lazily filled table has no columns to read in lockstep yet
-        if isinstance(offsets, range):
-            _speculate(table, u, hist, h, span, q, base)
-        else:
-            span = n
-            hist.fill(-1)  # never a history, so the scalar pass draws every letter
+        _speculate(rows, u, hist, h, span, q, base)
         draws, guess = memoryview(u), memoryview(hist)
         for lo in range(0, n, span):
             hi = min(lo + span, n)
             for t in range(lo, hi):
-                o = offsets[h]
-                h = (h % base) * q + bisect_right(table, draws[t], o, o + width) - o
+                h = (h % base) * q + letter(h, draws[t])
                 if guess[t] == h:
                     break  # the guessed chain from here on is the true one
                 guess[t] = h

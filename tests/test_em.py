@@ -12,6 +12,7 @@ import refdata
 from conftest import build_model, random_sequence
 from mtdchain import (
     Alphabet,
+    AlphabetMismatch,
     AllRestartsFailed,
     DegenerateLikelihood,
     EmConfig,
@@ -19,6 +20,7 @@ from mtdchain import (
     LagOutOfRange,
     MtdModel,
     Sequence,
+    ShapeMismatch,
     berchtold_fit,
     count_ngrams,
     e_step,
@@ -29,6 +31,7 @@ from mtdchain import (
     init_contingency,
     lag_contingency,
     loglik_from_counts,
+    loglik_gradient,
     m_step,
     random_mtd,
     sample_sequence,
@@ -526,6 +529,47 @@ class TestEmFit:
             em_fit(counts, init, EmConfig())
         assert err.value.trace is not None
         assert err.value.trace[0] == float("-inf")
+
+
+# each public entry to the fit kernel, as a call of (counts, model)
+_FIT_CALLS = {
+    "em_fit": em_fit,
+    "berchtold_fit": berchtold_fit,
+    "e_step": lambda counts, model: e_step(model, counts),
+    "m_step": lambda counts, model: m_step(
+        np.full((model.n_components, len(counts)), 1.0 / model.n_components), counts, model
+    ),
+    "loglik_gradient": lambda counts, model: loglik_gradient(model, counts),
+}
+
+
+class TestCountsMatchTheModel:
+    def test_loglik_needs_the_models_word_length(self):
+        model = random_mtd(4, 2, 1, seed=1)
+        counts = count_ngrams([sample_sequence(model, 300, seed=2)], 3)
+        with pytest.raises(ShapeMismatch, match="4-words, model needs 3"):
+            loglik_from_counts(model, counts)
+
+    @pytest.mark.parametrize("symbols", [("a", "b"), ("a", "c", "g", "t")], ids=["ab", "acgt"])
+    def test_loglik_needs_the_models_alphabet(self, symbols):
+        seq = random_sequence(Alphabet(symbols), 300, 3)
+        with pytest.raises(AlphabetMismatch):
+            loglik_from_counts(random_mtd(4, 2, 1, seed=1), count_ngrams([seq], 2))
+
+    @pytest.mark.parametrize("call", _FIT_CALLS)
+    @pytest.mark.parametrize("symbols", [("a", "b"), ("a", "c", "g", "t")], ids=["ab", "acgt"])
+    def test_fit_kernel_needs_the_models_alphabet(self, call, symbols):
+        counts = count_ngrams([random_sequence(Alphabet(symbols), 300, 3)], 2)
+        with pytest.raises(AlphabetMismatch):
+            _FIT_CALLS[call](counts, random_mtd(4, 2, 1, seed=1))
+
+    @pytest.mark.parametrize("call", ["em_fit", "berchtold_fit"])
+    def test_fits_refuse_empty_counts(self, call):
+        from mtdchain import NGramCounts
+
+        model = random_mtd(4, 2, 1, seed=1)
+        with pytest.raises(EmptyCorpus):
+            _FIT_CALLS[call](NGramCounts(model.alphabet, 3), model)
 
 
 class TestAccelerated:

@@ -464,10 +464,23 @@ class TestSampleSequence:
         assert digest == "8bee1b99151527c160cf48496d0e1024b1d49a0a70b9f92808aff1d28762656a"
 
     def test_golden_lazy_cache(self):
-        assert 4**12 > _SAMPLE_PRECOMPUTE_LIMIT  # rows are computed per visited history
+        assert 4**12 > _SAMPLE_PRECOMPUTE_LIMIT  # rows are computed per history, not tabled
         seq = sample_sequence(random_mtd(4, 11, 1, seed=2), 5000, seed=3)
         digest = hashlib.sha256(seq.data.astype("<i8").tobytes()).hexdigest()
         assert digest == "459a7d28f42a0027252abe8801c89b647aaef7d177aa7e3825f514c3786c7dec"
+
+    def test_computed_rows_run_in_lockstep(self):
+        # one history_rows call per lockstep step, not one per history the chain visits
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return history_rows(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mtdchain.model, "history_rows", counted)
+            sample_sequence(random_mtd(4, 11, 1, seed=2), 20000, seed=3)
+        assert len(calls) < 2000
 
     def test_golden_chunked(self):
         # a sample long enough to be drawn in many speculative chunks
@@ -608,7 +621,7 @@ class TestSamplerMatchesListOracle:
     def test_property(self, case, seed, path):
         model, length, init = case
         with pytest.MonkeyPatch.context() as mp:
-            if path == "lazy":  # every table is over the limit, so rows are filled on first visit
+            if path == "lazy":  # every table is over the limit, so rows are computed per history
                 mp.setattr(mtdchain.model, "_SAMPLE_PRECOMPUTE_LIMIT", 0)
             got = sample_sequence(model, length, seed=seed, init=init)
             expected = _list_rows_sample(model, length, seed, init)
@@ -623,9 +636,14 @@ class TestSamplerMatchesListOracle:
         model = MtdModel(song, m, 1, [1.0] + [0.0] * (m - 1), [pi] * m)
         n = span * span // 2  # isqrt(2 n) == span
         prefix = [1, 2][:m]
-        got = sample_sequence(model, m + n, seed=0, init=prefix)
-        assert np.array_equal(got.data, (np.arange(m + n) + 1) % 3)
-        assert np.array_equal(got.data, _list_rows_sample(model, m + n, 0, prefix))
+        # the second limit puts the table over it, so rows are computed per history
+        for limit in (_SAMPLE_PRECOMPUTE_LIMIT, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mtdchain.model, "_SAMPLE_PRECOMPUTE_LIMIT", limit)
+                got = sample_sequence(model, m + n, seed=0, init=prefix)
+                expected = _list_rows_sample(model, m + n, 0, prefix)
+            assert np.array_equal(got.data, (np.arange(m + n) + 1) % 3)
+            assert np.array_equal(got.data, expected)
 
     def test_draw_equal_to_a_partial_sum_picks_the_next_letter(self):
         # bisect_right: a draw equal to the partial sum P(0) gives letter 1, in
