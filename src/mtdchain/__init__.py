@@ -8,7 +8,7 @@ CLI with experiment harnesses.
 """
 
 from .berchtold import berchtold_fit, berchtold_step, loglik_gradient
-from .counts import NGramCounts, count_ngrams, lag_contingency, write_counts
+from .counts import NGramCounts, count_ngrams, write_counts
 from .em import (
     EmConfig,
     FitReport,
@@ -55,7 +55,6 @@ from .modelfile import read_model, write_model, write_trace
 from .reparam import (
     ThetaU,
     bic,
-    dim_full_markov,
     dim_raw_mtd,
     dim_theta_u,
     from_theta_u,

@@ -286,6 +286,11 @@ def cmd_tv_experiment(args, argv) -> int:
         raise _UsageError(
             f"invalid flag value: --length must be >= {args.gen_order}, got {args.length}"
         )
+    if max(args.fit_orders) >= args.length:  # a sample of --length letters has no window
+        raise _UsageError(
+            f"invalid flag value: --fit-orders entries must be < --length {args.length}, "
+            f"got {max(args.fit_orders)}"
+        )
     rows, _ = tv_experiment(args.gen_order, args.alphabet_size, args.length, args.fit_orders,
                             args.replicates, args.word_len, args.seed)
     means = [{"replicate": "mean", "fit_order": m, "tv": tv}

@@ -1,4 +1,4 @@
-"""Corpus sufficient statistics: (m+1)-gram counts and lag contingency tables.
+"""Corpus sufficient statistics: the (m+1)-gram count table and its file format.
 
 A count table is two aligned read-only int64 arrays: the observed word
 indices, strictly ascending, and their counts, all positive.
@@ -19,15 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AlphabetMismatch, EmptyCorpus, LagOutOfRange
-from .model import (
-    _INT64_MAX,
-    Alphabet,
-    _check_dense_size,
-    _check_word_space,
-    _lag_cells,
-    _window_word_indices,
-)
+from .errors import AlphabetMismatch, EmptyCorpus
+from .model import _INT64_MAX, Alphabet, _check_word_space, _window_word_indices
 
 _SPELL_CHUNK = 1 << 16  # lines per byte buffer of write_counts, which bounds its temporaries
 
@@ -155,25 +148,6 @@ def count_ngrams(sequences, order: int, alphabet: Alphabet | None = None) -> NGr
         words = words.astype(np.int64, copy=False)
     # fresh, ascending, positive and in range: the table takes them unchecked
     return NGramCounts.__new__(NGramCounts)._adopt(alphabet, k, words, counts, n_words)
-
-
-def lag_contingency(counts: NGramCounts, lag: int, block_length: int = 1) -> np.ndarray:
-    """Tally N-weighted (lag-g block, final letter) pairs into a read-only q**l x q int64 table."""
-    m = counts.order
-    lag = int(lag)
-    block_length = int(block_length)
-    if not 1 <= block_length <= m:
-        raise LagOutOfRange(f"block length {block_length} outside 1..{m}")
-    if not 1 <= lag <= m - block_length + 1:
-        raise LagOutOfRange(f"lag {lag} outside 1..{m - block_length + 1}")
-    q = counts.alphabet.size
-    _check_dense_size(q, block_length)
-    cells = _lag_cells(counts.word_indices(), lag, q, block_length)
-    # float64 sums of int64 counts are exact: corpus totals stay below 2**53
-    table = np.bincount(cells, weights=counts.values(), minlength=q ** (block_length + 1))
-    table = table.reshape(q**block_length, q).astype(np.int64)
-    table.flags.writeable = False
-    return table
 
 
 def _count_lines(counts: NGramCounts):

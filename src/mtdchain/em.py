@@ -384,8 +384,8 @@ def init_contingency(counts: NGramCounts, lag_order: int = 1, variant: str = "ge
     """Starting point from lag contingency tables with +1 pseudocounts.
 
     phi starts uniform; every matrix entry is strictly positive.  Lag g's
-    table tallies N over (lag-g block, final letter) pairs, as
-    :func:`lag_contingency` does; the single-matrix variant pools all lags.
+    table tallies N over (lag-g block, final letter) pairs; the
+    single-matrix variant pools all lags.
     """
     kernel = _Kernel(counts, lag_order, variant)
     return kernel.model(kernel.contingency())

@@ -6,20 +6,31 @@ from dataclasses import replace
 
 import numpy as np
 
-from .counts import NGramCounts, count_ngrams, lag_contingency
+from .counts import NGramCounts, count_ngrams
 from .errors import EmptyCorpus
 from .em import EmConfig, fit_with_restarts, loglik_from_counts
-from .model import MtdModel, _adopt_dense, _normalize_rows, random_full_markov, sample_sequence
+from .model import (
+    MtdModel,
+    _adopt_dense,
+    _check_dense_size,
+    _normalize_rows,
+    random_full_markov,
+    sample_sequence,
+)
 from .reparam import bic, model_dimension
 from .stationary import tv_distance, word_distribution
 
 
 def fit_full_markov(counts: NGramCounts) -> MtdModel:
     """ML full Markov model, as the MtdModel with l = m; unseen histories get uniform rows."""
-    m = counts.order
-    # the lag-1 block of m letters is the whole history
-    table = _normalize_rows(lag_contingency(counts, 1, m), 1.0 / counts.alphabet.size)
-    return _adopt_dense(counts.alphabet, m, table)
+    q, m = counts.alphabet.size, counts.order
+    if len(counts) == 0:
+        raise EmptyCorpus("cannot fit from empty counts")
+    _check_dense_size(q, m)
+    # a word's dense cell (history, next letter) is its own index; float64 sums of
+    # int64 counts are exact, as corpus totals stay below 2**53
+    table = np.bincount(counts.word_indices(), counts.values(), q ** (m + 1))
+    return _adopt_dense(counts.alphabet, m, _normalize_rows(table.reshape(q**m, q), 1.0 / q))
 
 
 def tv_experiment(

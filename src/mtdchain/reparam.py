@@ -173,11 +173,6 @@ def from_theta_u(theta: ThetaU) -> MtdModel:
     return _adopt_dense(theta.alphabet, m, table)
 
 
-def dim_full_markov(order: int, q: int) -> int:
-    """Free parameters of the unconstrained order-m model: q**m (q-1)."""
-    return q**order * (q - 1)
-
-
 def dim_raw_mtd(order: int, lag_order: int, q: int) -> int:
     """Free parameters of the raw (phi, pi) parametrization."""
     G = order - lag_order + 1

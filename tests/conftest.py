@@ -4,7 +4,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import refdata
-from mtdchain import Alphabet, MtdModel, Sequence, random_mtd
+from mtdchain import Alphabet, MtdModel, Sequence, random_mtd, word_to_index
 
 # every property test runs the same examples each time, however long one takes;
 # each test sets its own max_examples
@@ -66,6 +66,23 @@ SYMBOL_SETS = pytest.mark.parametrize(
 def random_sequence(alphabet, length, seed):
     rng = np.random.default_rng(seed)
     return Sequence(alphabet, rng.integers(0, alphabet.size, size=length))
+
+
+def lag_table(seq, order, lag, block=1):
+    """Direct-scan oracle: over the (order+1)-letter windows of ``seq``, the counts of each
+    (block of ``block`` letters ending at lag ``lag``, final letter) pair, a q**block x q table."""
+    q = seq.alphabet.size
+    data = seq.data.tolist()
+    table = np.zeros((q**block, q), dtype=np.int64)
+    for t in range(order, len(data)):
+        table[word_to_index(data[t - lag - block + 1 : t - lag + 1], q), data[t]] += 1
+    return table
+
+
+def plus_one_rows(table):
+    """Rows of ``table`` plus 1, normalized: the contingency start of EM."""
+    smoothed = table + 1.0
+    return smoothed / smoothed.sum(axis=1, keepdims=True)
 
 
 @st.composite

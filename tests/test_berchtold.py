@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtdchain.em as em_module
-from conftest import random_sequence
+from conftest import lag_table, random_sequence
 from mtdchain import (
     DegenerateLikelihood,
     EmConfig,
@@ -17,7 +17,6 @@ from mtdchain import (
     count_ngrams,
     em_fit,
     init_contingency,
-    lag_contingency,
     loglik_gradient,
     loglik_from_counts,
     random_mtd,
@@ -237,11 +236,12 @@ class TestGradient:
 
     def test_uniform_model_closed_form(self, dna):
         # with all-uniform matrices p(w) = 1/q, so d_pi(g)[i, j] = phi_g * q * #(i, j)
-        counts = count_ngrams([random_sequence(dna, 200, 3)], 2)
+        seq = random_sequence(dna, 200, 3)
+        counts = count_ngrams([seq], 2)
         model = MtdModel(dna, 2, 1, [0.4, 0.6], [np.full((4, 4), 0.25)] * 2)
         _, d_pi = loglik_gradient(model, counts)
         for g in (1, 2):
-            table = lag_contingency(counts, g, 1)
+            table = lag_table(seq, 2, g)
             expected = model.phi[g - 1] * 4.0 * table
             assert np.abs(d_pi[g - 1] - expected).max() < 1e-9
 
@@ -315,7 +315,7 @@ class TestFit:
         init = init_contingency(counts)
         config = EmConfig(epsilon=1e-8, max_iters=5000)
         report = berchtold_fit(counts, init, config)
-        table = lag_contingency(counts, 1, 1).astype(float)
+        table = lag_table(seq, 1, 1).astype(float)
         mle = table / table.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             contrib = np.where(table > 0, table * np.log(mle), 0.0)

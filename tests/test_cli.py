@@ -222,6 +222,7 @@ def _forbid_work(monkeypatch):
         ("tv-experiment", ["--alphabet-size", "1"]),
         ("tv-experiment", ["--replicates", "0"]),
         ("tv-experiment", ["--gen-order", "5", "--length", "4"]),
+        ("tv-experiment", ["--gen-order", "3", "--length", "5", "--fit-orders", "5,8"]),
         ("sample", ["--length", "0"]),
         ("sample", ["--prefix", ""]),
         ("fit", ["--alphabet", "acgt", "--floor", "-5", "--algorithm", "berchtold"]),
@@ -243,6 +244,7 @@ def _forbid_work(monkeypatch):
         "orders-0", "lag-orders-0", "lag-orders-above-orders",
         "single-matrix-lag-orders-1-2", "fit-orders-0", "gen-order-0",
         "word-len-0", "alphabet-size-1", "replicates-0", "tv-experiment-length-below-gen-order",
+        "tv-experiment-fit-order-not-below-length",
         "sample-length-0", "sample-prefix-empty",
         "floor-negative-berchtold", "restarts-0-berchtold",
         "fit-seed-negative", "fit-seed-negative-berchtold",
@@ -959,6 +961,70 @@ def test_mutated_model_file_works_or_fails_in_one_line(kind, key, value, tmp_pat
             if code:
                 assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1), argv
                 assert err.getvalue().startswith("mtdchain: error: "), argv
+
+
+# bytes inserted into a valid sequence file; None cuts the file there instead
+_SEQ_MUTATIONS = {
+    "header": b">", "cr": b"\r", "nul": b"\x00", "invalid-utf8": b"\xff",
+    "cut-utf8": "\u00e9".encode()[:1], "lone-surrogate": b"\xed\xa0\x80",
+    "foreign": b"N", "foreign-wide": "\u00e9\U0001F642".encode(), "truncate": None,
+}
+
+
+def _sequence_file(fmt):
+    """A valid acgt sequence file in ``fmt``: three lines, or three records of two lines."""
+    lines = _corpus(n_lines=3, length=40).split()
+    if fmt == "plain":
+        return "".join(line + "\n" for line in lines).encode()
+    return "".join(f">r{i} test\n{line[:20]}\n{line[20:]}\n" for i, line in enumerate(lines)).encode()
+
+
+def _mutated(data, mutations):
+    for kind, at in mutations:
+        at %= len(data) + 1
+        insert = _SEQ_MUTATIONS[kind]
+        data = data[:at] if insert is None else data[:at] + insert + data[at:]
+    return data
+
+
+def _with_sequence_examples(test):
+    for fmt in ("plain", "fasta"):
+        for kind in _SEQ_MUTATIONS:
+            test = example(fmt=fmt, mutations=[(kind, 47)])(test)
+    return test
+
+
+@settings(max_examples=120)
+@given(
+    fmt=st.sampled_from(["plain", "fasta"]),
+    mutations=st.lists(
+        st.tuples(st.sampled_from(list(_SEQ_MUTATIONS)), st.integers(0, 10**6)),
+        min_size=1, max_size=3,
+    ),
+)
+@_with_sequence_examples
+def test_mutated_sequence_file_works_or_fails_in_one_line(fmt, mutations, tmp_path_factory):
+    with _wall_clock_guard(10):
+        tmp_path = tmp_path_factory.mktemp("seqfuzz")
+        corpus, model_path, out_path = (str(tmp_path / f) for f in ("c.txt", "m.json", "out"))
+        Path(corpus).write_bytes(_mutated(_sequence_file(fmt), mutations))
+        write_model(model_path, random_mtd(4, 2, 1, seed=1, alphabet=Alphabet(tuple("acgt"))))
+        read = ["--in", corpus, "--format", fmt]
+        for argv in (["count", "--alphabet", "acgt", "--order", "2", *read],
+                     ["fit", "--alphabet", "acgt", "--order", "2", "--restarts", "2", *read,
+                      "--out", out_path],
+                     ["eval", "--model", model_path, *read],
+                     ["bic-compare", "--alphabet", "acgt", "--orders", "1,2", "--restarts", "2",
+                      *read]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2), argv
+            if code:
+                assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1), argv
+                assert err.getvalue().startswith("mtdchain: error: "), argv
+            else:
+                assert err.getvalue() == "", argv
 
 
 def test_model_at_the_tolerance_edge_samples_and_converts(tmp_path, capsys):

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 import mtdchain.counts
-from conftest import SYMBOL_SETS, random_sequence
+from conftest import SYMBOL_SETS, lag_table, plus_one_rows, random_sequence
 from mtdchain import (
     Alphabet,
     AlphabetMismatch,
-    LagOutOfRange,
     ModelTooLarge,
     NGramCounts,
     Sequence,
     count_ngrams,
     default_alphabet,
-    lag_contingency,
+    fit_full_markov,
+    init_contingency,
     random_mtd,
     read_sequences,
     sample_sequence,
@@ -27,6 +27,7 @@ from mtdchain import (
     word_to_index,
     write_counts,
 )
+from mtdchain.em import _Kernel
 from mtdchain.model import _window_word_indices
 
 
@@ -305,63 +306,65 @@ class TestMergeCounts:
         assert _read_back(path, alphabet, order + 1) == list(whole.items())
 
 
+def ml_rows(table):
+    """Rows of ``table`` normalized, uniform where a row is empty: the dense ML fit."""
+    sums = table.sum(axis=1, keepdims=True)
+    return np.where(sums > 0, table / np.where(sums == 0, 1, sums), 1.0 / table.shape[1])
+
+
 class TestLagContingency:
+    """The lag contingency tables the fits build from the counts, against direct scans.
+
+    ``init_contingency`` starts EM from each lag's table plus 1, normalized
+    (one table pooled over the lags in the single-matrix variant), and
+    ``fit_full_markov`` normalizes the one table whose block is the whole history.
+    """
+
     def test_order_one_is_bigram_matrix(self, ab):
         seq = Sequence(ab, ab.decode("abbab"))
         counts = count_ngrams([seq], 1)
-        table = lag_contingency(counts, 1, 1)
-        data = list(seq.data)
-        expected = np.zeros((2, 2), dtype=int)
-        for t in range(4):
-            expected[data[t], data[t + 1]] += 1
-        assert np.array_equal(table, expected)
+        expected = lag_table(seq, 1, 1)
+        assert np.array_equal(expected, np.array([[0, 2], [1, 1]]))
+        assert np.array_equal(fit_full_markov(counts).matrices[0], ml_rows(expected))
+        for variant in ("general", "single_matrix"):
+            start = init_contingency(counts, 1, variant).matrices
+            assert np.array_equal(start[0], plus_one_rows(expected))
 
     def test_mass_conservation(self, dna):
+        # the fit kernel's scatter of N, the one lag tally, holds the whole corpus at every lag
         counts = count_ngrams([random_sequence(dna, 200, 5)], 3)
-        for lag in (1, 2, 3):
-            assert lag_contingency(counts, lag, 1).sum() == counts.total
-        for lag in (1, 2):
-            assert lag_contingency(counts, lag, 2).sum() == counts.total
+        for l, variant in ((1, "general"), (2, "general"), (1, "single_matrix")):
+            kernel = _Kernel(counts, l, variant)
+            tables = kernel.scatter(np.broadcast_to(kernel.N, kernel.cells.shape))
+            assert tables.sum() == kernel.G * counts.total
+            if variant == "general":
+                assert np.array_equal(tables.reshape(kernel.G, -1).sum(axis=1),
+                                      [counts.total] * kernel.G)
 
     def test_hand_tally(self, ab):
         # "aabab", order 2: lag-2 pairs (y_{t-2}, y_t) for t = 3..5
         seq = Sequence(ab, ab.decode("aabab"))
         counts = count_ngrams([seq], 2)
-        table = lag_contingency(counts, 2, 1)
-        expected = np.zeros((2, 2), dtype=int)
-        data = list(seq.data)
-        for t in range(2, 5):
-            expected[data[t - 2], data[t]] += 1
-        assert np.array_equal(table, expected)
+        expected = lag_table(seq, 2, 2)
         assert np.array_equal(expected, np.array([[1, 1], [0, 1]]))
-
-    def test_lag_out_of_range(self, dna):
-        counts = count_ngrams([random_sequence(dna, 50, 6)], 2)
-        with pytest.raises(LagOutOfRange):
-            lag_contingency(counts, 3, 1)
-        with pytest.raises(LagOutOfRange):
-            lag_contingency(counts, 2, 2)
-        with pytest.raises(LagOutOfRange):
-            lag_contingency(counts, 0, 1)
+        assert np.array_equal(init_contingency(counts).matrices[1], plus_one_rows(expected))
 
     @pytest.mark.parametrize("lag,block", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)])
     def test_against_direct_scan(self, dna, lag, block):
         seq = random_sequence(dna, 150, 8)
         counts = count_ngrams([seq], 3)
-        table = lag_contingency(counts, lag, block)
-        data = list(seq.data)
-        expected = np.zeros((4**block, 4), dtype=int)
-        for t in range(3, len(data)):
-            chunk = data[t - lag - block + 1 : t - lag + 1]
-            expected[word_to_index(chunk, 4), data[t]] += 1
-        assert np.array_equal(table, expected)
-        assert table.dtype == np.int64 and not table.flags.writeable
-
-    def test_block_table_size_is_checked_before_allocating(self, dna):
-        # a table of 4**31 entries cannot be allocated at all
-        counts = count_ngrams([random_sequence(dna, 60, 9)], 30)
-        with pytest.raises(ModelTooLarge):
-            lag_contingency(counts, 1, 30)
+        expected = lag_table(seq, 3, lag, block)
+        start = init_contingency(counts, block).matrices[lag - 1]
+        assert np.array_equal(start, plus_one_rows(expected))
+        if block == 1:
+            pooled = sum(lag_table(seq, 3, g) for g in (1, 2, 3))
+            start = init_contingency(counts, 1, "single_matrix").matrices[0]
+            assert np.array_equal(start, plus_one_rows(pooled))
+        # the dense fit of order lag + block - 1: its one block is the whole history
+        m = lag + block - 1
+        fitted = fit_full_markov(count_ngrams([seq], m)).matrices[0]
+        assert np.array_equal(fitted, ml_rows(lag_table(seq, m, 1, m)))
+        assert not fitted.flags.writeable
 
 
 class TestSerialization:

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mtdchain.counts as counts_module
 import mtdchain.em as em_module
 import refdata
-from conftest import build_model, random_sequence
+from conftest import build_model, lag_table, plus_one_rows, random_sequence
 from mtdchain import (
     Alphabet,
     AlphabetMismatch,
@@ -29,7 +28,6 @@ from mtdchain import (
     from_theta_u,
     full_transition_matrix,
     init_contingency,
-    lag_contingency,
     loglik_from_counts,
     loglik_gradient,
     m_step,
@@ -369,7 +367,7 @@ class TestMStep:
         probs[0] = 1.0
         phi, mats = m_step(probs, counts, model)
         assert np.abs(phi - np.array([1.0, 0.0])).max() < 1e-15
-        table = lag_contingency(counts, 1, 1).astype(float)
+        table = lag_table(seq, 2, 1).astype(float)
         observed = table.sum(axis=1) > 0
         expected = table[observed] / table[observed].sum(axis=1, keepdims=True)
         assert np.abs(mats[0][observed] - expected).max() < 1e-12
@@ -383,7 +381,7 @@ class TestMStep:
         model = random_mtd(4, 1, 1, seed=6, alphabet=dna)
         post = e_step(model, counts)
         phi, mats = m_step(post, counts, model)
-        table = lag_contingency(counts, 1, 1).astype(float)
+        table = lag_table(seq, 1, 1).astype(float)
         expected = table / table.sum(axis=1, keepdims=True)
         assert np.abs(mats[0] - expected).max() < 1e-12
 
@@ -455,16 +453,13 @@ class TestInitContingency:
                                             (1, "single_matrix")])
     def test_rows_match_pseudocount_oracle(self, dna, l, variant):
         # each table's +1 normalization as init_contingency did it before the shared normalizer
-        def pseudocount_rows(table):
-            smoothed = table.astype(np.float64) + 1.0
-            return smoothed / smoothed.sum(axis=1, keepdims=True)
-
-        counts = count_ngrams([random_sequence(dna, 300, 4)], 3)
+        seq = random_sequence(dna, 300, 4)
+        counts = count_ngrams([seq], 3)
         lags = range(1, 3 - l + 2)
         if variant == "single_matrix":
-            expected = [pseudocount_rows(sum(lag_contingency(counts, g, 1) for g in lags))]
+            expected = [plus_one_rows(sum(lag_table(seq, 3, g) for g in lags))]
         else:
-            expected = [pseudocount_rows(lag_contingency(counts, g, l)) for g in lags]
+            expected = [plus_one_rows(lag_table(seq, 3, g, l)) for g in lags]
         model = init_contingency(counts, l, variant)
         assert len(model.matrices) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(model.matrices, expected))
@@ -486,7 +481,7 @@ class TestEmFit:
     def test_fixed_point_converges_fast(self, dna):
         seq = random_sequence(dna, 300, 3)
         counts = count_ngrams([seq], 2)
-        table = lag_contingency(counts, 1, 2).astype(float)
+        table = lag_table(seq, 2, 1, 2).astype(float)
         sums = table.sum(axis=1, keepdims=True)
         mle = np.where(sums > 0, table / np.where(sums == 0, 1.0, sums), 0.25)
         init = MtdModel(dna, 2, 2, [1.0], [mle])
@@ -657,12 +652,6 @@ class TestOneKernel:
     def test_restarts_share_one_kernel(self, monkeypatch):
         truth = random_mtd(3, 3, 1, seed=3)
         counts = count_ngrams([sample_sequence(truth, 2000, seed=4)], 3)
-
-        def no_lag_contingency(*args, **kwargs):
-            raise AssertionError("the contingency start is the fit kernel's scatter")
-
-        monkeypatch.setattr(counts_module, "lag_contingency", no_lag_contingency)
-        monkeypatch.setattr(em_module, "lag_contingency", no_lag_contingency, raising=False)
         built, indexed = count_builds(monkeypatch)
         init_contingency(counts)
         assert (len(built), len(indexed)) == (1, 1)

@@ -3,7 +3,9 @@ import pytest
 
 from mtdchain import (
     EmConfig,
+    EmptyCorpus,
     ModelTooLarge,
+    NGramCounts,
     bic,
     bic_compare,
     count_ngrams,
@@ -12,6 +14,7 @@ from mtdchain import (
     random_full_markov,
     random_mtd,
     sample_sequence,
+    tv_experiment,
 )
 
 
@@ -48,6 +51,17 @@ def test_fit_full_markov_size_guard():
     counts = count_ngrams([sample_sequence(random_mtd(4, 2, 1, seed=5), 40, seed=6)], 30)
     with pytest.raises(ModelTooLarge):
         fit_full_markov(counts)
+
+
+def test_fit_full_markov_from_empty_counts():
+    # a sample no longer than the order has no window: there is nothing to fit
+    generator = random_full_markov(4, 3, seed=1)
+    for counts in (count_ngrams([sample_sequence(generator, 5, seed=2)], 5),
+                   NGramCounts(generator.alphabet, 4)):
+        with pytest.raises(EmptyCorpus, match="cannot fit from empty counts"):
+            fit_full_markov(counts)
+    with pytest.raises(EmptyCorpus):
+        tv_experiment(gen_order=3, seq_len=5, fit_orders=(5, 8), replicates=2, word_len=3)
 
 
 @pytest.mark.parametrize("q, m, n", [(4, 3, 20000), (2, 5, 300), (3, 4, 50)])

@@ -36,7 +36,7 @@ from mtdchain import (
     word_to_index,
 )
 from mtdchain.model import _SAMPLE_PRECOMPUTE_LIMIT, history_rows, word_probabilities
-from mtdchain.reparam import dim_full_markov, model_dimension
+from mtdchain.reparam import dim_raw_mtd, dim_theta_u, model_dimension
 
 
 def _validate_once_cases(tmp_path):
@@ -367,8 +367,9 @@ class TestDenseIsMtdWithLEqualsM:
         h = data.draw(st.integers(0, q**m - 1), label="history")
         j = data.draw(st.integers(0, q - 1), label="letter")
         assert transition_prob(model, index_to_word(h, m, q), j) == table[h, j]
+        assert dim_theta_u(m, m, q) == dim_raw_mtd(m, m, q) == q**m * (q - 1)
         for convention in ("theta_u", "raw"):
-            assert model_dimension(model, convention) == dim_full_markov(m, q)
+            assert model_dimension(model, convention) == q**m * (q - 1)
         assert model == MtdModel(model.alphabet, m, m, [1.0], [table])
         assert MtdModel(model.alphabet, m, m, [1.0], [table]) == model
         assert model.is_dense and full_transition_matrix(model) is model

@@ -14,13 +14,13 @@ from mtdchain import (
     ThetaU,
     bic,
     count_ngrams,
-    dim_full_markov,
     dim_raw_mtd,
     dim_theta_u,
     fit_full_markov,
     from_theta_u,
     full_transition_matrix,
     model_dimension,
+    random_full_markov,
     random_mtd,
     sample_sequence,
     to_theta_u,
@@ -289,7 +289,8 @@ class TestIdentifiability:
 class TestDimensions:
     def test_printed_table(self):
         for m, full, raw1, theta1, raw2, theta2 in refdata.DIMENSION_TABLE:
-            assert dim_full_markov(m, 4) == full
+            assert 4**m * (4 - 1) == full
+            assert dim_theta_u(m, m, 4) == dim_raw_mtd(m, m, 4) == full
             assert dim_raw_mtd(m, 1, 4) == raw1
             assert dim_theta_u(m, 1, 4) == theta1
             if raw2 is not None:
@@ -297,12 +298,13 @@ class TestDimensions:
                 assert dim_theta_u(m, 2, 4) == theta2
 
     def test_trivial_cases(self):
-        assert dim_full_markov(1, 2) == 2
-        assert dim_theta_u(1, 1, 2) == 2
+        assert dim_theta_u(1, 1, 2) == dim_raw_mtd(1, 1, 2) == 2
         for q in (2, 3, 4):
             for m in (1, 2, 3):
-                assert dim_raw_mtd(m, m, q) == dim_full_markov(m, q)
-                assert dim_theta_u(m, m, q) == dim_full_markov(m, q)
+                # at l = m both conventions count the free parameters of the dense model
+                assert dim_theta_u(m, m, q) == dim_raw_mtd(m, m, q) == q**m * (q - 1)
+                dense = random_full_markov(q, m, seed=q * 10 + m)
+                assert model_dimension(dense) == model_dimension(dense, "raw") == q**m * (q - 1)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
@@ -317,7 +319,7 @@ class TestDimensions:
         shared = random_mtd(4, 3, 1, variant="single_matrix", seed=1, alphabet=dna)
         assert model_dimension(shared) == 2 + 4 * 3
         dense = full_transition_matrix(general)
-        assert model_dimension(dense) == dim_full_markov(3, 4)
+        assert model_dimension(dense) == 4**3 * (4 - 1)
         theta = to_theta_u(general, 0)
         assert model_dimension(theta) == dim_theta_u(3, 1, 4)
         assert model_dimension(theta, "raw") == dim_raw_mtd(3, 1, 4)
