@@ -8,15 +8,17 @@ gradient of the conditional log-likelihood at the current point: one
 the composite move fails to increase the log-likelihood it is reverted
 and delta decays geometrically on one fixed schedule, so the baseline
 has no step-size knob: of :class:`EmConfig` it reads only ``epsilon``
-and ``max_iters``, the stopping rule :func:`em_fit` reads.  The fit runs
-on EM's kernel (``em._Kernel``) on the parameter vector theta = (phi,
-every matrix entry): the same cells, feasibility check and gather, whose
-p(w) and log-likelihood decide whether a candidate is accepted.  The
-gradient then reads the accepted point's gather, so each iterate is
-gathered once, both fitters share one likelihood, and only the reported
-model is built as an :class:`MtdModel`.  Kept as a comparison baseline
-for the EM fitter, not as a faithful reproduction of any published delta
-schedule.
+and ``max_iters``, the stopping rule :func:`em_fit` reads.  It climbs
+in EM's one loop, ``em._climb``, which keeps the trace, the budget and
+the stop: :func:`berchtold_fit` supplies only its step, one candidate
+per attempt.  The fit runs on EM's kernel (``em._Kernel``) on the
+parameter vector theta = (phi, every matrix entry): the same cells,
+feasibility check and gather, whose p(w) and log-likelihood decide
+whether a candidate is accepted.  The gradient then reads the accepted
+point's gather, so each iterate is gathered once, both fitters share one
+likelihood, and only the reported model is built as an
+:class:`MtdModel`.  Kept as a comparison baseline for the EM fitter, not
+as a faithful reproduction of any published delta schedule.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .counts import NGramCounts
-from .em import EmConfig, FitReport, _Kernel, _make_report
+from .em import EmConfig, FitReport, _climb, _Kernel, _make_report
 from .model import MtdModel
 
 
@@ -82,38 +84,35 @@ def berchtold_fit(
     """Accept-or-revert coordinate ascent from ``init``.
 
     The gradient is computed once per accepted point, from the gather
-    that accepted it; phi and every matrix row then take one step each.
+    that accepted it, when the next attempt starts there; phi and every
+    matrix row then take one step each.
     A candidate is accepted only if it is a feasible model with a higher
     log-likelihood, so the trace, which holds the initial log-likelihood
     followed by every accepted value, is strictly increasing.  Stops when
     an accepted increase falls below ``config.epsilon``, when delta
-    decays below 1e-6, or after ``config.max_iters`` iterations; the
-    other fields of ``config`` are not read.  Its input is checked as
+    decays below 1e-6 (a stall, reported as converged), or after
+    ``config.max_iters`` candidates, reverted ones included; the other
+    fields of ``config`` are not read.  Its input is checked as
     :func:`em_fit`'s is.
     """
     config = config or EmConfig()
     kernel, theta = _Kernel.of(counts, init)
-    G = kernel.G
+    G, delta, grad = kernel.G, _DELTA0, None  # no gradient is taken at the current point yet
     point = kernel.gather(theta)
     kernel.check_positive(point.probs)
-    grad = kernel.gradient(point)
-    trace = [point.loglik]
-    delta = _DELTA0
-    converged = False
-    for _ in range(config.max_iters):
+
+    def step(point):
+        nonlocal delta, grad
+        if grad is None:
+            grad = kernel.gradient(point)
         rows = berchtold_step(kernel.rows(point.theta), kernel.rows(grad), delta)
         candidate = np.concatenate([berchtold_step(point.theta[:G], grad[:G], delta), rows.ravel()])
         new = kernel.gather(candidate) if kernel.feasible(candidate) else None
         if new is not None and new.loglik > point.loglik:
-            increase, point = new.loglik - point.loglik, new
-            trace.append(point.loglik)
-            if increase < config.epsilon:
-                converged = True
-                break
-            grad = kernel.gradient(point)
-        else:
-            delta *= _DELTA_DECAY
-            if delta < _MIN_DELTA:
-                converged = True
-                break
-    return _make_report(kernel.model(point.theta), trace, converged, None, counts)
+            grad = None
+            return point.loglik, new
+        delta *= _DELTA_DECAY
+        return (point.loglik if delta >= _MIN_DELTA else None), None
+
+    theta, trace, stop = _climb(point, step, config.epsilon, config.max_iters)
+    return _make_report(kernel, theta, trace, stop)

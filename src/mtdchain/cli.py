@@ -123,8 +123,9 @@ def _tsv(rows) -> str:
 
 
 def _load_corpus(args):
+    """``(sequences, alphabet)``: the ``--in`` file decoded with the ``--alphabet`` flag."""
     alphabet = _from_flags(Alphabet, tuple(_tokens(args.alphabet)))
-    return read_sequences(args.infile, fmt=args.format, alphabet=alphabet)
+    return read_sequences(args.infile, fmt=args.format, alphabet=alphabet), alphabet
 
 
 # each flag's parser settings and, for an integer flag, its least value ``low``;
@@ -199,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_count(args, argv) -> int:
-    sequences = _load_corpus(args)
-    counts = count_ngrams(sequences, args.order)
+    sequences, alphabet = _load_corpus(args)
+    counts = count_ngrams(sequences, args.order, alphabet=alphabet)
     write_counts(counts, args.out or sys.stdout)
     return 0
 
@@ -218,8 +219,8 @@ def cmd_fit(args, argv) -> int:
     if args.algorithm == "berchtold" and args.floor is not None:
         raise _UsageError("invalid flag value: --floor is read only by --algorithm em")
     config = _em_config(args, floor=args.floor, lag_order=args.lag_order)
-    sequences = _load_corpus(args)
-    counts = count_ngrams(sequences, args.order)
+    sequences, alphabet = _load_corpus(args)
+    counts = count_ngrams(sequences, args.order, alphabet=alphabet)
     if args.algorithm == "em":
         report = fit_with_restarts(counts, config)
     else:
@@ -304,9 +305,9 @@ def cmd_bic_compare(args, argv) -> int:
     config = _em_config(args, lag_order=max(args.lag_orders))
     if min(args.lag_orders) > max(args.orders):
         raise _UsageError("invalid flag value: no --lag-orders entry is <= an --orders entry")
-    sequences = _load_corpus(args)
+    sequences, alphabet = _load_corpus(args)
     rows = bic_compare(sequences, args.orders, args.lag_orders, config=config,
-                       dim_convention=args.dim_convention)
+                       dim_convention=args.dim_convention, alphabet=alphabet)
     _emit(_tsv(rows), args.out)
     return 0
 

@@ -44,6 +44,13 @@ every kept iterate is a feasible model and the likelihood never goes
 down.  The paper's plain EM, without extrapolation, is a loop over
 :func:`e_step` and :func:`m_step`, which run the same map.
 
+Both fitters climb in one loop, :func:`_climb`.  It holds the trace,
+spends the ``max_iters`` budget one attempt at a time, tests each gain
+against ``epsilon`` and gives the reason the climb stopped; a fitter
+supplies only its step.  EM's step, :func:`_em_step`, is one map, which
+every third attempt starts from the cycle's extrapolation; the Berchtold
+baseline's step is one candidate, accepted or reverted.
+
 :func:`fit_with_restarts` runs EM from several starts, as the paper does
 against local optima, but screens them: each start gets 10 EM maps, and
 only the one with the highest log-likelihood then (the leader) runs on,
@@ -56,7 +63,7 @@ maps of the losing starts are never run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -97,9 +104,11 @@ class EmConfig:
     ``epsilon`` is the stopping threshold on the absolute log-likelihood
     increase of one EM map over its input: :func:`em_fit` stops there,
     and :func:`fit_with_restarts` with several restarts polishes its
-    leader down to ``epsilon / 100``.  ``max_iters`` caps the number of
-    EM maps of one returned fit, a leader's screening and polish
-    together.  ``n_restarts`` counts one contingency-table
+    leader down to ``epsilon / 100``.  ``max_iters`` caps the attempts
+    of one returned fit, a leader's screening and polish together.  For
+    EM one attempt is one EM map, the extrapolation before it included;
+    for the Berchtold baseline it is one candidate, counted whether it is
+    accepted or reverted.  ``n_restarts`` counts one contingency-table
     initialization plus uniform-random ones; with more than one, each
     is screened for 10 EM maps (at most ``max_iters``) and only the
     leader runs on.  ``floor``, when set, bounds every mixture component
@@ -391,23 +400,28 @@ def init_contingency(counts: NGramCounts, lag_order: int = 1, variant: str = "ge
     return kernel.model(kernel.contingency())
 
 
-def _make_report(model, trace, converged, restart_index, counts) -> FitReport:
-    trace = np.asarray(trace, dtype=np.float64)
+def _make_report(kernel, theta, trace, stop, restart_index=None, restarts=()) -> FitReport:
+    """The report of a :func:`_climb`'s trace and stop reason, ending at ``theta``.
+
+    Only a spent budget leaves a fit unconverged: a stall counts as converged.
+    """
+    model, trace = kernel.model(theta), np.asarray(trace, dtype=np.float64)
     return FitReport(
         model=model,
         loglik_trace=trace,
         final_loglik=float(trace[-1]),
         iterations=len(trace) - 1,
-        converged=converged,
+        converged=stop != "max_iters",
         restart_index=restart_index,
-        bic=bic(float(trace[-1]), model_dimension(model), counts.total),
+        bic=bic(float(trace[-1]), model_dimension(model), kernel.counts.total),
+        restarts=restarts,
     )
 
 
-def _extrapolate(t0, t1, t2, p2: _Point, kernel: _Kernel) -> _Point:
-    """The SqS3 point of the cycle t0 -> t1 -> t2 (``p2`` is at t2), or ``p2`` if none is kept."""
+def _extrapolate(t0, t1, p2: _Point, kernel: _Kernel) -> _Point:
+    """The SqS3 point of the cycle t0 -> t1 -> ``p2``, or ``p2`` if none is kept."""
     r = t1 - t0
-    v = t2 - 2.0 * t1 + t0
+    v = p2.theta - 2.0 * t1 + t0
     norm_v = np.linalg.norm(v)
     if norm_v == 0.0:
         return p2
@@ -427,34 +441,58 @@ def _extrapolate(t0, t1, t2, p2: _Point, kernel: _Kernel) -> _Point:
     return p2
 
 
-def _run(kernel: _Kernel, theta: np.ndarray, config: EmConfig):
-    """EM maps from ``theta`` until one gains less than epsilon: ``(theta, trace, converged)``.
+def _em_step(kernel: _Kernel, floor: float | None):
+    """EM's step for :func:`_climb`: one EM map per attempt, in SQUAREM cycles.
 
-    The map loop of :func:`em_fit`, returning the last map's theta; a
-    degenerate E-step raises with the partial trace attached.
+    Two attempts map from their input; the third first extrapolates from
+    the cycle those maps made and maps from the kept point, whose
+    log-likelihood is the attempt's base.  A degenerate E-step raises.
+    Each climb takes a fresh step, as the step holds its cycle.
     """
-    point = kernel.gather(theta)
+    cycle = []  # inputs of the current cycle's maps before its extrapolation
+
+    def step(point: _Point):
+        if len(cycle) == 2:
+            point = _extrapolate(*cycle, point, kernel)
+            cycle.clear()
+        else:
+            cycle.append(point.theta)
+        weighted = kernel.weights(point, floor)
+        return point.loglik, kernel.gather(kernel.maximize(point.theta, weighted))
+
+    return step
+
+
+def _climb(point: _Point, step, epsilon: float, max_iters: int):
+    """The one loop of both fitters: at most ``max_iters`` attempts from ``point``.
+
+    ``step(point)`` makes one attempt and returns ``(base, new)``: the
+    log-likelihood of the point it climbed from, which for EM may lie
+    above ``point``, and the point it reached.  ``new`` is None for a
+    reverted attempt, and ``base`` is None too once the step can make no
+    more (a stall).  The trace holds the log-likelihood of ``point`` and
+    of every point reached.  The climb stops when a gain over its base
+    falls below ``epsilon``, on a stall, or when the budget is spent,
+    and returns ``(theta, trace, stop)``: the parameters of the last
+    point reached and the stop reason ``"epsilon"``, ``"stall"`` or
+    ``"max_iters"``.  A :class:`DegenerateLikelihood` from the step is
+    raised with the trace so far attached.
+    """
     trace = [point.loglik]
-    cycle = [point.theta]  # parameter vectors of the current SQUAREM cycle
-    converged = False
-    while len(trace) <= config.max_iters:
+    for _ in range(max_iters):
         try:
-            weighted = kernel.weights(point, config.floor)
+            base, new = step(point)
         except DegenerateLikelihood as err:
             err.trace = np.asarray(trace)
             raise
-        new = kernel.gather(kernel.maximize(point.theta, weighted))
-        trace.append(new.loglik)
-        converged = new.loglik - point.loglik < config.epsilon
-        point = new
-        if converged:
-            break
-        cycle.append(point.theta)
-        # extrapolate only when a map from the kept point still fits the budget
-        if len(cycle) == 3 and len(trace) <= config.max_iters:
-            point = _extrapolate(*cycle, point, kernel)
-            cycle = []
-    return point.theta, trace, converged
+        if base is None:
+            return point.theta, trace, "stall"
+        if new is not None:
+            trace.append(new.loglik)
+            point = new
+            if new.loglik - base < epsilon:
+                return point.theta, trace, "epsilon"
+    return point.theta, trace, "max_iters"
 
 
 def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) -> FitReport:
@@ -472,8 +510,9 @@ def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) 
     """
     config = config or EmConfig()
     kernel, theta = _Kernel.of(counts, init)
-    theta, trace, converged = _run(kernel, theta, config)
-    return _make_report(kernel.model(theta), trace, converged, None, counts)
+    step = _em_step(kernel, config.floor)
+    theta, trace, stop = _climb(kernel.gather(theta), step, config.epsilon, config.max_iters)
+    return _make_report(kernel, theta, trace, stop)
 
 
 def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> FitReport:
@@ -500,9 +539,13 @@ def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> Fi
     kernel = _Kernel(counts, config.lag_order, config.variant)
     seeds = np.random.SeedSequence(config.seed).spawn(max(config.n_restarts - 1, 0))
     screened = config.n_restarts > 1
-    screen = replace(config, max_iters=min(_SCREEN_MAPS, config.max_iters)) if screened else config
-    leader = None  # (restart index, theta, trace, converged) of the best screen so far
+    budget = min(_SCREEN_MAPS, config.max_iters) if screened else config.max_iters
+    leader = None  # (restart index, theta, trace, stop) of the best screen so far
     records = []
+
+    def climb(theta, epsilon, max_iters):
+        return _climb(kernel.gather(theta), _em_step(kernel, config.floor), epsilon, max_iters)
+
     for r in range(config.n_restarts):
         if r == 0:
             kind, theta = "contingency", kernel.contingency()
@@ -518,24 +561,21 @@ def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> Fi
             )
             theta = _theta(init)
         try:
-            theta, trace, converged = _run(kernel, theta, screen)
+            theta, trace, stop = climb(theta, config.epsilon, budget)
         except DegenerateLikelihood as err:
             records.append(RestartRecord(r, kind, None, err))
             continue
         records.append(RestartRecord(r, kind, trace[-1], None))
         if leader is None or trace[-1] > leader[2][-1]:
-            leader = r, theta, trace, converged
+            leader = r, theta, trace, stop
     if leader is None:
         raise AllRestartsFailed(
             f"all {config.n_restarts} restarts hit a degenerate likelihood",
             failures=[(rec.index, rec.error) for rec in records],
         )
-    r, theta, trace, converged = leader
+    r, theta, trace, stop = leader
     left = config.max_iters - (len(trace) - 1)
     if screened and left > 0:
-        polish = replace(config, epsilon=config.epsilon / _POLISH_FACTOR, max_iters=left)
-        theta, tail, converged = _run(kernel, theta, polish)
+        theta, tail, stop = climb(theta, config.epsilon / _POLISH_FACTOR, left)
         trace = trace + tail[1:]
-    report = _make_report(kernel.model(theta), trace, converged, r, counts)
-    report.restarts = tuple(records)
-    return report
+    return _make_report(kernel, theta, trace, stop, r, tuple(records))

@@ -10,6 +10,7 @@ from .counts import NGramCounts, count_ngrams
 from .errors import EmptyCorpus
 from .em import EmConfig, fit_with_restarts, loglik_from_counts
 from .model import (
+    Alphabet,
     MtdModel,
     _adopt_dense,
     _check_dense_size,
@@ -88,12 +89,15 @@ def bic_compare(
     lag_orders=(1,),
     config: EmConfig | None = None,
     dim_convention: str = "theta_u",
+    alphabet: Alphabet | None = None,
 ):
     """BIC of the dense model vs the mixture model, per order and lag order.
 
     Positive ``delta_bic`` (dense minus mixture) means the mixture model
     is preferred.  Counts (and therefore the number of likelihood terms)
-    are rebuilt at each order.  Raises ``ValueError`` before any work if
+    are rebuilt at each order, over ``alphabet`` when given, as in
+    :func:`count_ngrams`: with it, no sequences raise :class:`EmptyCorpus`
+    for having no word to score.  Raises ``ValueError`` before any work if
     no lag order is at most an order, or if ``config`` rejects a lag order.
     """
     if min(lag_orders) > max(orders):
@@ -102,7 +106,7 @@ def bic_compare(
     configs = {l: replace(base, lag_order=l) for l in lag_orders}
     rows = []
     for m in orders:
-        counts = count_ngrams(sequences, m)
+        counts = count_ngrams(sequences, m, alphabet=alphabet)
         n_terms = counts.total
         if not n_terms:
             raise EmptyCorpus(f"no sequence is longer than order {m}: no word to score")

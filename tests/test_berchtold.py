@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtdchain.berchtold as berchtold_module
 import mtdchain.em as em_module
 from conftest import lag_table, random_sequence
 from mtdchain import (
@@ -358,6 +359,48 @@ class TestFit:
             berchtold_fit(counts, init, EmConfig())
         assert err.value.word_index == word_to_index([0, 0, 1], 3)
         assert err.value.word == "112"
+
+    def test_delta_floor_stop(self, monkeypatch):
+        # epsilon lies below every gain this fit makes, so only the delta floor stops it
+        truth = random_mtd(3, 2, 1, seed=1)
+        counts = count_ngrams([sample_sequence(truth, 300, seed=2)], 2)
+        config = EmConfig(epsilon=1e-9, max_iters=1000)
+        steps = []
+        step = berchtold_module.berchtold_step
+
+        def counted(*args):
+            steps.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(berchtold_module, "berchtold_step", counted)
+        report = berchtold_fit(counts, init_contingency(counts), config)
+        gains = np.diff(report.loglik_trace)
+        assert report.converged is True
+        assert (gains > 0).all() and gains[-1] >= config.epsilon
+        assert report.iterations < config.max_iters
+        # two steps per attempt; the reverted attempts are those that took delta below its floor
+        reverts = next(k for k in range(1, 100) if _DELTA0 * _DELTA_DECAY**k < _MIN_DELTA)
+        assert len(steps) == 2 * (report.iterations + reverts)
+        trace, model, converged = oracle_berchtold_fit(counts, init_contingency(counts), config)
+        assert np.array_equal(report.loglik_trace, trace)
+        assert (report.model, report.converged) == (model, converged)
+
+    def test_budget_counts_reverted_attempts(self):
+        truth = random_mtd(4, 3, 1, seed=0)
+        counts = count_ngrams([sample_sequence(truth, 1000, seed=1)], 3)
+        init = init_contingency(counts)
+        longer = berchtold_fit(counts, init, EmConfig(epsilon=1e-9, max_iters=12))
+        accepted = []
+        for k in range(1, 7):
+            report = berchtold_fit(counts, init, EmConfig(epsilon=1e-9, max_iters=k))
+            trace = report.loglik_trace
+            assert np.array_equal(trace, longer.loglik_trace[: len(trace)])
+            assert report.final_loglik == loglik_from_counts(report.model, counts)
+            assert report.converged is False
+            accepted.append(report.iterations)
+        # one more attempt accepts at most one more candidate, and a reverted one spends budget
+        assert all(b - a in (0, 1) for a, b in zip([0, *accepted], accepted))
+        assert accepted[-1] < 6
 
     def test_trace_starts_at_init_loglik(self, dna):
         counts = count_ngrams([random_sequence(dna, 200, 8)], 2)

@@ -854,6 +854,35 @@ def test_corpus_with_no_scored_word_is_one_line_error(command, tmp_path, capsys)
     _assert_one_line_failure(argv, capsys, "longer than order 3")
 
 
+def test_empty_sequence_file_counts_to_an_empty_table(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    out = tmp_path / "counts.tsv"
+    argv = ["count", "--alphabet", "acgt", "--order", "2", "--in", str(empty), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "command, flags, mention",
+    [
+        ("fit", ["--order", "2", "--out", "m.json"], "cannot fit from empty counts"),
+        ("fit", ["--order", "2", "--out", "m.json", "--algorithm", "berchtold"],
+         "cannot fit from empty counts"),
+        ("bic-compare", ["--orders", "1,2"], "no sequence is longer than order 1"),
+    ],
+    ids=["fit-em", "fit-berchtold", "bic-compare"],
+)
+def test_empty_sequence_file_has_no_word_to_fit(command, flags, mention, tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.txt").write_text("")
+    argv = [command, "--alphabet", "acgt", "--in", "empty.txt", *flags]
+    _assert_one_line_failure(argv, capsys, mention)
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_eval_of_a_corpus_with_no_scored_word_by_its_length(tmp_path, capsys):
     corpus, model_path = _short_corpus(tmp_path)
     assert cli.main(["eval", "--model", model_path, "--in", corpus, "--bic-n", "length"]) == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtdchain.berchtold as berchtold_module
 import mtdchain.em as em_module
 import refdata
 from conftest import build_model, lag_table, plus_one_rows, random_sequence
@@ -516,6 +517,22 @@ class TestEmFit:
         target = full_transition_matrix(truth).matrices[0]
         assert np.abs(fitted - target).sum(axis=1).max() <= 0.05
 
+    def test_budget_counts_maps_across_a_cycle(self):
+        # budgets 1..6 span the first extrapolation, which the third map starts from
+        truth = random_mtd(4, 3, 1, seed=8)
+        counts = count_ngrams([sample_sequence(truth, 3000, seed=9)], 3)
+        init = init_contingency(counts)
+        longer = em_fit(counts, init, EmConfig(epsilon=1e-9, max_iters=12))
+        plain, _ = oracle_em_fit(counts, init, EmConfig(epsilon=1e-9, max_iters=3))
+        assert np.array_equal(longer.loglik_trace[:3], plain[:3])
+        assert longer.loglik_trace[3] > plain[3]  # the extrapolation was kept
+        for k in range(1, 7):
+            report = em_fit(counts, init, EmConfig(epsilon=1e-9, max_iters=k))
+            assert (report.iterations, report.converged) == (k, False)
+            assert np.array_equal(report.loglik_trace, longer.loglik_trace[: k + 1])
+            # the last map's output, not an extrapolation no map followed
+            assert report.final_loglik == loglik_from_counts(report.model, counts)
+
     def test_degenerate_init_attaches_trace(self, song):
         pi = np.array([[1.0, 0.0, 0.0]] * 3)
         init = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
@@ -660,6 +677,52 @@ class TestOneKernel:
         assert report.iterations > 10  # the leader was polished
         # one cell index for the whole fit; a model for each random start and the report
         assert (len(built), len(indexed)) == (1 + config.n_restarts, 1 + 1)
+
+    def test_every_fit_climbs_in_one_loop(self, song, monkeypatch):
+        assert berchtold_module._climb is em_module._climb
+        calls, maps = [], []  # (epsilon, budget) of each climb, and the maps it ran
+        climb = em_module._climb
+
+        def spy(point, step, epsilon, max_iters):
+            calls.append((epsilon, max_iters))
+            theta, trace, stop = climb(point, step, epsilon, max_iters)
+            maps.append(len(trace) - 1)
+            return theta, trace, stop
+
+        for module in (em_module, berchtold_module):
+            monkeypatch.setattr(module, "_climb", spy)
+        truth = random_mtd(3, 3, 1, seed=3)
+        counts = count_ngrams([sample_sequence(truth, 2000, seed=4)], 3)
+        config = EmConfig()
+        for fit in (em_fit, berchtold_fit):
+            calls.clear()
+            fit(counts, init_contingency(counts), config)
+            assert calls == [(config.epsilon, config.max_iters)]
+        # one climb per start, and the polish with the maps the leader's screen left
+        for n_restarts, max_iters in [(1, 1000), (5, 1000), (5, 10), (5, 4)]:
+            calls.clear()
+            maps.clear()
+            config = EmConfig(n_restarts=n_restarts, max_iters=max_iters)
+            report = fit_with_restarts(counts, config)
+            budget = max_iters if n_restarts == 1 else min(10, max_iters)
+            assert calls[:n_restarts] == [(config.epsilon, budget)] * n_restarts
+            left = max_iters - maps[report.restart_index]
+            polished = n_restarts > 1 and left > 0
+            assert calls[n_restarts:] == ([(config.epsilon / 100, left)] if polished else [])
+            assert report.iterations == maps[report.restart_index] + sum(maps[n_restarts:])
+        # a start that fails has climbed too
+        calls.clear()
+        pi = np.array([[1.0, 0.0, 0.0]] * 3)
+        degenerate = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
+        counts = count_ngrams([Sequence(song, [0, 0, 1, 0])], 2)
+        theta = np.concatenate([degenerate.phi, pi.ravel(), pi.ravel()])
+        with (
+            mock.patch.object(em_module._Kernel, "contingency", lambda kernel: theta.copy()),
+            mock.patch.object(em_module, "random_mtd", lambda *a, **k: degenerate),
+            pytest.raises(AllRestartsFailed),
+        ):
+            fit_with_restarts(counts, EmConfig(n_restarts=3))
+        assert len(calls) == 3
 
 
 def composed_fit_with_restarts(counts, config, starts):
@@ -850,7 +913,7 @@ class TestFitWithRestarts:
         def no_map(*args):
             raise AssertionError("a map ran before the variant was checked")
 
-        monkeypatch.setattr(em_module, "_run", no_map)
+        monkeypatch.setattr(em_module, "_climb", no_map)
         for n_restarts in (1, 3):
             with pytest.raises(ValueError, match="unknown variant 'pooled'"):
                 fit_with_restarts(counts, EmConfig(variant="pooled", n_restarts=n_restarts))
