@@ -137,13 +137,14 @@ _FLAGS = {
     "--in": dict(dest="infile"),
     "--format": dict(choices=("plain", "fasta"), default="plain"),
     "--out": dict(help="output path (where optional, default: stdout)"),
-    "--lag-order": dict(type=int, low=1, default=1, help="component block length l"),
-    "--variant": dict(choices=("general", "single_matrix"), default="general"),
-    "--epsilon": dict(type=float, default=1e-3),
-    "--restarts": dict(type=int, default=5, help="starts of an EM fit (only EM reads it)"),
-    "--max-iters": dict(type=int, default=1000),
+    "--lag-order": dict(type=int, low=1, default=EmConfig.lag_order,
+                        help="component block length l"),
+    "--variant": dict(choices=("general", "single_matrix"), default=EmConfig.variant),
+    "--epsilon": dict(type=float, default=EmConfig.epsilon),
+    "--restarts": dict(type=int, low=1, default=EmConfig.n_restarts,
+                       help="starts of an EM fit (only EM reads it)"),
+    "--max-iters": dict(type=int, low=1, default=EmConfig.max_iters),
     "--algorithm": dict(choices=("em", "berchtold"), default="em"),
-    "--floor": dict(type=float, help="least component weight of an EM fit, in (0, 1)"),
     "--trace-out": dict(help="write the log-likelihood trace here"),
     "--model": dict(),
     "--dim-convention": dict(choices=("theta_u", "raw"), default="theta_u"),
@@ -167,7 +168,7 @@ _SUBCOMMANDS = {
               "--alphabet* --order* --in* --format --out"),
     "fit": ("fit an MTD model to a corpus",
             "--alphabet* --order* --in* --format --out* --lag-order --variant --epsilon"
-            " --restarts --max-iters --seed --algorithm --floor --trace-out"),
+            " --restarts --max-iters --seed --algorithm --trace-out"),
     "eval": ("log-likelihood, dimension, and BIC of a model",
              "--model* --in* --format --dim-convention --bic-n --out"),
     "sample": ("sample a sequence from a model", "--model* --length* --prefix --seed --out"),
@@ -216,9 +217,7 @@ def cmd_fit(args, argv) -> int:
         raise _UsageError(
             f"invalid flag value: --lag-order must be in 1..{args.order}, got {args.lag_order}"
         )
-    if args.algorithm == "berchtold" and args.floor is not None:
-        raise _UsageError("invalid flag value: --floor is read only by --algorithm em")
-    config = _em_config(args, floor=args.floor, lag_order=args.lag_order)
+    config = _em_config(args, lag_order=args.lag_order)
     sequences, alphabet = _load_corpus(args)
     counts = count_ngrams(sequences, args.order, alphabet=alphabet)
     if args.algorithm == "em":

@@ -111,20 +111,16 @@ class EmConfig:
     accepted or reverted.  ``n_restarts`` counts one contingency-table
     initialization plus uniform-random ones; with more than one, each
     is screened for 10 EM maps (at most ``max_iters``) and only the
-    leader runs on.  ``floor``, when set, bounds every mixture component
-    weight below before posterior normalization instead of aborting on a
-    degenerate word; it lies in (0, 1), as a component weight is at most 1.
+    leader runs on.
 
-    :func:`fit_with_restarts` reads every field, :func:`em_fit` only
-    ``epsilon``, ``max_iters`` and ``floor``, and the Berchtold baseline
-    only ``epsilon`` and ``max_iters``.
+    :func:`fit_with_restarts` reads every field; :func:`em_fit`, like the
+    Berchtold baseline, reads only ``epsilon`` and ``max_iters``.
     """
 
     epsilon: float = 1e-3
     max_iters: int = 1000
     n_restarts: int = 5
     seed: int = 0
-    floor: float | None = None
     variant: str = "general"
     lag_order: int = 1
 
@@ -135,8 +131,6 @@ class EmConfig:
             raise ValueError("max_iters must be >= 1")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
-        if self.floor is not None and not 0.0 < self.floor < 1.0:
-            raise ValueError(f"floor must lie in (0, 1), got {self.floor}")
         if self.variant == "single_matrix" and self.lag_order != 1:
             raise ValueError(f"single_matrix variant requires lag_order 1, got {self.lag_order}")
 
@@ -324,27 +318,21 @@ class _Kernel:
                 word=word,
             )
 
-    def posterior(self, point: _Point, floor: float | None) -> np.ndarray:
-        """Normalize components by their sum, in place: ``point.comps`` is used up.
+    def posterior(self, point: _Point) -> np.ndarray:
+        """Normalize components by their sum p(w), in place: ``point.comps`` is used up.
 
-        Floored components are a copy, summed anew.
+        Raises :class:`DegenerateLikelihood` if an observed word has p(w) = 0.
         """
-        comps, probs = point.comps, point.probs
-        if floor is not None:
-            comps = np.maximum(comps, floor)
-            probs = comps.sum(axis=0)
-        self.check_positive(probs)
-        comps /= probs
+        comps = point.comps
+        self.check_positive(point.probs)
+        comps /= point.probs
         return comps
 
-    def weights(self, point: _Point, floor: float | None) -> np.ndarray:
-        """N(w) times the posteriors, in place as in :meth:`posterior`: the M-step's input."""
-        weighted = self.posterior(point, floor)
-        weighted *= self.N
-        return weighted
-
     def maximize(self, theta: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-        """The M-step from ``theta`` and :meth:`weights`: rows with no weight keep their value."""
+        """The M-step from ``theta`` and the posteriors times N(w).
+
+        A row with no weight keeps its value.
+        """
         phi = weighted.sum(axis=1) / self.counts.total
         rows = _normalize_rows(self.scatter(weighted), self.rows(theta))
         return np.concatenate([phi, rows.ravel()])
@@ -365,15 +353,14 @@ class _Kernel:
         return np.concatenate([(pi * S).sum(axis=1), d_pi.ravel()])
 
 
-def e_step(model: MtdModel, counts: NGramCounts, floor: float | None = None) -> np.ndarray:
+def e_step(model: MtdModel, counts: NGramCounts) -> np.ndarray:
     """Posterior lag probabilities, shape (G, n_words), columns in word-index order.
 
     Raises :class:`DegenerateLikelihood` if an observed word has zero
-    mixture probability, unless ``floor`` bounds the component weights
-    below first.
+    mixture probability.
     """
     kernel, theta = _Kernel.of(counts, model)
-    return kernel.posterior(kernel.gather(theta), floor)
+    return kernel.posterior(kernel.gather(theta))
 
 
 def m_step(posteriors: np.ndarray, counts: NGramCounts, model: MtdModel):
@@ -441,7 +428,7 @@ def _extrapolate(t0, t1, p2: _Point, kernel: _Kernel) -> _Point:
     return p2
 
 
-def _em_step(kernel: _Kernel, floor: float | None):
+def _em_step(kernel: _Kernel):
     """EM's step for :func:`_climb`: one EM map per attempt, in SQUAREM cycles.
 
     Two attempts map from their input; the third first extrapolates from
@@ -457,7 +444,8 @@ def _em_step(kernel: _Kernel, floor: float | None):
             cycle.clear()
         else:
             cycle.append(point.theta)
-        weighted = kernel.weights(point, floor)
+        weighted = kernel.posterior(point)
+        weighted *= kernel.N
         return point.loglik, kernel.gather(kernel.maximize(point.theta, weighted))
 
     return step
@@ -510,7 +498,7 @@ def em_fit(counts: NGramCounts, init: MtdModel, config: EmConfig | None = None) 
     """
     config = config or EmConfig()
     kernel, theta = _Kernel.of(counts, init)
-    step = _em_step(kernel, config.floor)
+    step = _em_step(kernel)
     theta, trace, stop = _climb(kernel.gather(theta), step, config.epsilon, config.max_iters)
     return _make_report(kernel, theta, trace, stop)
 
@@ -544,7 +532,7 @@ def fit_with_restarts(counts: NGramCounts, config: EmConfig | None = None) -> Fi
     records = []
 
     def climb(theta, epsilon, max_iters):
-        return _climb(kernel.gather(theta), _em_step(kernel, config.floor), epsilon, max_iters)
+        return _climb(kernel.gather(theta), _em_step(kernel), epsilon, max_iters)
 
     for r in range(config.n_restarts):
         if r == 0:

@@ -207,8 +207,6 @@ def _forbid_work(monkeypatch):
         ("fit", ["--alphabet", "acgt", "--order", "0"]),
         ("fit", ["--alphabet", "acgt", "--order", "3", "--lag-order", "5"]),
         ("fit", ["--alphabet", "acgt", "--lag-order", "0"]),
-        ("fit", ["--alphabet", "acgt", "--floor", "-1"]),
-        ("fit", ["--alphabet", "acgt", "--floor", "nan"]),
         ("fit", ["--alphabet", "acgt", "--variant", "single_matrix", "--lag-order", "2"]),
         ("fit", ["--alphabet", "acgt", "--variant", "single_matrix", "--lag-order", "2",
                  "--algorithm", "berchtold"]),
@@ -225,31 +223,26 @@ def _forbid_work(monkeypatch):
         ("tv-experiment", ["--gen-order", "3", "--length", "5", "--fit-orders", "5,8"]),
         ("sample", ["--length", "0"]),
         ("sample", ["--prefix", ""]),
-        ("fit", ["--alphabet", "acgt", "--floor", "-5", "--algorithm", "berchtold"]),
         ("fit", ["--alphabet", "acgt", "--restarts", "0", "--algorithm", "berchtold"]),
         ("fit", ["--alphabet", "acgt", "--seed", "-1"]),
         ("fit", ["--alphabet", "acgt", "--seed", "-1", "--algorithm", "berchtold"]),
         ("sample", ["--seed", "-1"]),
         ("bic-compare", ["--orders", "2", "--seed", "-1"]),
         ("tv-experiment", ["--seed", "-1"]),
-        ("fit", ["--alphabet", "acgt", "--floor", "1"]),
-        ("fit", ["--alphabet", "acgt", "--floor", "1e308"]),
-        ("fit", ["--alphabet", "acgt", "--floor", "0.5", "--algorithm", "berchtold"]),
     ],
     ids=[
         "alphabet", "epsilon", "epsilon-berchtold", "epsilon-nan", "epsilon-inf",
         "epsilon-nan-berchtold", "restarts", "max-iters-berchtold",
-        "order-0", "lag-order-above-order", "lag-order-0", "floor-negative", "floor-nan",
+        "order-0", "lag-order-above-order", "lag-order-0",
         "single-matrix-lag-order-2", "single-matrix-lag-order-2-berchtold",
         "orders-0", "lag-orders-0", "lag-orders-above-orders",
         "single-matrix-lag-orders-1-2", "fit-orders-0", "gen-order-0",
         "word-len-0", "alphabet-size-1", "replicates-0", "tv-experiment-length-below-gen-order",
         "tv-experiment-fit-order-not-below-length",
         "sample-length-0", "sample-prefix-empty",
-        "floor-negative-berchtold", "restarts-0-berchtold",
+        "restarts-0-berchtold",
         "fit-seed-negative", "fit-seed-negative-berchtold",
         "sample-seed-negative", "bic-compare-seed-negative", "tv-experiment-seed-negative",
-        "floor-one", "floor-1e308", "floor-berchtold",
     ],
 )
 def test_rejected_flag_value_is_usage_error(
@@ -283,7 +276,7 @@ def _assert_one_line_failure(argv, capsys, *mentions, code=1):
 FLAGS = {
     "count": "--alphabet* --order* --in* --format --out",
     "fit": "--alphabet* --order* --in* --format --out* --lag-order --variant --epsilon"
-           " --restarts --max-iters --seed --algorithm --floor --trace-out",
+           " --restarts --max-iters --seed --algorithm --trace-out",
     "eval": "--model* --in* --format --dim-convention --bic-n --out",
     "sample": "--model* --length* --prefix --seed --out",
     "expand": "--model* --out* --seed",
@@ -316,7 +309,7 @@ def test_each_command_declares_only_the_flags_it_reads():
         for name, parser in commands.items()
     }
     assert declared == {name: set(flags.split()) for name, flags in FLAGS.items()}
-    assert sum(len(flags) for flags in declared.values()) == 58
+    assert sum(len(flags) for flags in declared.values()) == 57
 
 
 UNREAD_FLAGS = [
@@ -334,6 +327,7 @@ UNREAD_FLAGS = [
     ("tv-experiment", "--in", "corpus.txt"),
     ("bic-compare", "--order", "5"),
     ("bic-compare", "--lag-order", "2"),
+    ("fit", "--floor", "0.05"),
 ]
 
 
@@ -380,10 +374,12 @@ def test_missing_required_flag_is_usage_error(command, flag, corpus, tmp_path, m
          "invalid flag value: --in must not be empty"),
         (["eval", "--model", "m.json", "--in", "c.txt", "--out="],
          "invalid flag value: --out must not be empty"),
+        (["fit", "--alphabet", "acgt", "--in", "c.txt", "--order", "3", "--out", "m.json",
+          "--restarts", "0"], "invalid flag value: --restarts must be >= 1, got 0"),
     ],
     ids=["no-command", "unknown-command", "order-not-int", "epsilon-not-float",
          "format-not-a-choice", "orders-not-int", "fit-out-empty", "count-in-empty",
-         "eval-out-empty"],
+         "eval-out-empty", "fit-restarts-0"],
 )
 def test_malformed_command_line_is_usage_error(argv, mention, monkeypatch, capsys):
     _forbid_work(monkeypatch)
@@ -1054,6 +1050,44 @@ def test_mutated_sequence_file_works_or_fails_in_one_line(fmt, mutations, tmp_pa
                 assert err.getvalue().startswith("mtdchain: error: "), argv
             else:
                 assert err.getvalue() == "", argv
+
+
+@st.composite
+def _fit_flags(draw):
+    """In-range values for the flags of a fit, at orders small enough for a 300-letter corpus."""
+    order = draw(st.integers(1, 4))
+    variant = draw(st.sampled_from(["general", "single_matrix"]))
+    lag_order = 1 if variant == "single_matrix" else draw(st.integers(1, order))
+    values = {
+        "--order": order, "--lag-order": lag_order, "--variant": variant,
+        "--epsilon": draw(st.floats(1e-10, 10.0)), "--restarts": draw(st.integers(1, 4)),
+        "--max-iters": draw(st.integers(1, 60)), "--seed": draw(st.integers(0, 2**32)),
+        "--algorithm": draw(st.sampled_from(["em", "berchtold"])),
+    }
+    flags = draw(st.sets(st.sampled_from(sorted(values))))
+    return [arg for flag in sorted(flags | {"--order"}) for arg in (flag, str(values[flag]))]
+
+
+@settings(max_examples=60)
+@given(flags=_fit_flags())
+def test_fit_flags_work_or_fail_in_one_line(flags, tmp_path_factory):
+    with _wall_clock_guard(10):
+        tmp_path = tmp_path_factory.mktemp("fitfuzz")
+        corpus, model_path, trace_path = (str(tmp_path / f) for f in ("c.txt", "m.json", "t.tsv"))
+        Path(corpus).write_text(_corpus(n_lines=1, length=300))
+        argv = ["fit", "--alphabet", "acgt", "--in", corpus, "--out", model_path,
+                "--trace-out", trace_path, *flags]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1), err.getvalue()
+        if code:
+            assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1)
+            assert err.getvalue().startswith("mtdchain: error: ")
+            return
+        trace = np.loadtxt(trace_path, skiprows=1, usecols=1, ndmin=1)
+        assert np.diff(trace).min(initial=0.0) >= 0.0
+        assert trace[-1] == float(out.getvalue().splitlines()[1].split("\t")[0])
 
 
 def test_model_at_the_tolerance_edge_samples_and_converts(tmp_path, capsys):

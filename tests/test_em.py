@@ -100,11 +100,9 @@ def oracle_loglik(model, counts):
     return float(counts.values() @ np.log(probs))
 
 
-def oracle_e_step(model, counts, floor=None):
+def oracle_e_step(model, counts):
     """Posteriors of shape (n_words, G)."""
     comps = oracle_component_word_probs(model, counts.word_indices())
-    if floor is not None:
-        comps = np.maximum(comps, floor)
     denom = comps.sum(axis=0)
     if (denom <= 0.0).any():
         raise DegenerateLikelihood("oracle: observed word with zero probability")
@@ -137,7 +135,7 @@ def oracle_em_fit(counts, init, config):
     trace = [oracle_loglik(model, counts)]
     for _ in range(config.max_iters):
         try:
-            probs = oracle_e_step(model, counts, config.floor)
+            probs = oracle_e_step(model, counts)
         except DegenerateLikelihood as err:
             err.trace = np.asarray(trace)
             raise
@@ -161,8 +159,8 @@ def plain_em(counts, init, config):
     trace = [loglik_from_counts(model, counts)]
     assert trace[0] == oracle_loglik(model, counts)
     for _ in range(config.max_iters):
-        posteriors = e_step(model, counts, config.floor)
-        assert np.array_equal(posteriors, oracle_e_step(model, counts, config.floor).T)
+        posteriors = e_step(model, counts)
+        assert np.array_equal(posteriors, oracle_e_step(model, counts).T)
         phi, matrices = m_step(posteriors, counts, model)
         want_phi, want_matrices = oracle_m_step(posteriors.T, counts, model)
         assert np.array_equal(phi, want_phi)
@@ -221,25 +219,6 @@ class TestKernelMatchesOracle:
             trace, _ = plain_em(counts, init, config)
             assert len(trace) > 6
             assert_first_maps_plain(counts, init, config, trace)
-
-    def test_floor(self, song):
-        counts = count_ngrams([random_sequence(song, 2000, 21)], 3)
-        config = EmConfig(floor=1e-9, epsilon=1e-6)
-        # pi_1 never emits the last letter: the floor keeps binding on its
-        # components while the unfloored mixture stays positive
-        rest = random_mtd(3, 3, 1, seed=22, alphabet=song)
-        pi1 = np.array([[0.5, 0.5, 0.0]] * 3)
-        init = MtdModel(song, 3, 1, rest.phi, [pi1, *rest.matrices[1:]])
-        _, model = plain_em(counts, init, config)
-        assert model.matrices[0][:, 2].min() < 1e-6
-        # every word not ending in the first letter starts at zero
-        # probability: the floor alone keeps the first E-step defined
-        pi = np.array([[1.0, 0.0, 0.0]] * 3)
-        init = MtdModel(song, 3, 1, [0.2, 0.3, 0.5], [pi, pi, pi])
-        trace, _ = plain_em(counts, init, config)
-        assert trace[0] == float("-inf")
-        assert np.isfinite(trace[-1])
-        assert_first_maps_plain(counts, init, config, trace)
 
     def test_degenerate_init(self, song):
         pi = np.array([[1.0, 0.0, 0.0]] * 3)
@@ -350,13 +329,6 @@ class TestEStep:
         with pytest.raises(DegenerateLikelihood, match="'10,10,11'") as err:
             e_step(model, counts)
         assert err.value.word == "10,10,11"
-
-    def test_floor_avoids_degeneracy(self, song):
-        pi = np.array([[1.0, 0.0, 0.0]] * 3)
-        model = MtdModel(song, 2, 1, [0.5, 0.5], [pi, pi])
-        counts = count_ngrams([Sequence(song, [0, 0, 1])], 2)
-        post = e_step(model, counts, floor=1e-9)
-        assert np.abs(post.sum(axis=0) - 1.0).max() < 1e-12
 
 
 class TestMStep:
@@ -593,9 +565,8 @@ class TestAccelerated:
         single=st.booleans(),
         seed=st.integers(0, 2**16),
         max_iters=st.integers(1, 60),
-        floor=st.sampled_from([None, 1e-9]),
     )
-    def test_monotone_and_valid(self, q, m, l, single, seed, max_iters, floor):
+    def test_monotone_and_valid(self, q, m, l, single, seed, max_iters):
         l = 1 if single else min(l, m)
         variant = "single_matrix" if single else "general"
         truth = random_mtd(q, m, l, variant=variant, seed=seed)
@@ -608,7 +579,7 @@ class TestAccelerated:
             tried.append(theta.copy())
             return gather(kernel, theta)
 
-        config = EmConfig(epsilon=1e-6, max_iters=max_iters, floor=floor)
+        config = EmConfig(epsilon=1e-6, max_iters=max_iters)
         with mock.patch.object(em_module._Kernel, "gather", record):
             report = em_fit(counts, init, config)
         assert np.diff(report.loglik_trace).min() > -1e-9
@@ -758,19 +729,17 @@ def composed_fit_with_restarts(counts, config, starts):
 
 class TestRestartsEqualPublicCalls:
     @pytest.mark.parametrize("n_restarts", [1, 3])
-    @pytest.mark.parametrize("floor", [None, 1e-9])
     @pytest.mark.parametrize("l, variant", [(1, "general"), (2, "general"),
                                             (1, "single_matrix")])
-    def test_bit_identical(self, l, variant, floor, n_restarts):
+    def test_bit_identical(self, l, variant, n_restarts):
         truth = random_mtd(3, 3, l, variant=variant, seed=60 + l)
         counts = count_ngrams([sample_sequence(truth, 3000, seed=61)], 3)
-        config = EmConfig(n_restarts=n_restarts, seed=62, floor=floor, lag_order=l,
-                          variant=variant)
+        config = EmConfig(n_restarts=n_restarts, seed=62, lag_order=l, variant=variant)
         starts, original = [], em_module.random_mtd
 
         def last_start_degenerate(*args, **kwargs):
             # every word not ending in the first letter has probability 0 under
-            # the second random start: without a floor it fails
+            # the second random start, so it fails
             start = original(*args, **kwargs)
             if len(starts) == 1:
                 mats = [np.zeros_like(mat) for mat in start.matrices]
@@ -793,7 +762,7 @@ class TestRestartsEqualPublicCalls:
                for rec in report.restarts]
         assert got == records
         assert len(starts) == n_restarts - 1
-        if n_restarts == 3 and floor is None:
+        if n_restarts == 3:
             assert isinstance(report.restarts[2].error, DegenerateLikelihood)
 
 
@@ -890,10 +859,9 @@ class TestFitWithRestarts:
     @given(
         source=st.sampled_from(["pewee", "crystallin", "mtd-l1", "mtd-l2"]),
         n=st.sampled_from([300, 1000, 3000]),
-        floor=st.sampled_from([None, 1e-9]),
         seed=st.integers(0, 2**16),
     )
-    def test_screened_at_least_full_restarts(self, source, n, floor, seed):
+    def test_screened_at_least_full_restarts(self, source, n, seed):
         if source == "pewee":
             truth = build_model(Alphabet(refdata.SONG_SYMBOLS), refdata.PEWEE_EM_PARAMS)
         elif source == "crystallin":
@@ -901,7 +869,7 @@ class TestFitWithRestarts:
         else:
             truth = random_mtd(4, 4, int(source[-1]), seed=seed)
         counts = count_ngrams([sample_sequence(truth, n, seed=seed + 1)], truth.order)
-        config = EmConfig(seed=seed + 2, floor=floor, lag_order=truth.lag_order)
+        config = EmConfig(seed=seed + 2, lag_order=truth.lag_order)
         report = fit_with_restarts(counts, config)
         assert report.final_loglik >= oracle_fit_with_restarts(counts, config).final_loglik - 1e-6
         assert np.diff(report.loglik_trace).min() >= 0.0
@@ -956,6 +924,46 @@ class TestFitWithRestarts:
         ):
             em_module.fit_with_restarts(counts, EmConfig(n_restarts=3))
         assert len(err.value.failures) == 3
+
+
+class TestEveryMapKeepsWordsPositive:
+    """The argument that no fit needs a floor on its components.
+
+    Take one EM map from a point where every observed word w has p(w) > 0,
+    over N = counts.total words and G components.  Some lag g has posterior
+    at least 1/G for w, so the map gives phi_g >= N(w) / (G N) and lag g's
+    entry at w's cell at least N(w) / (G N): p(w) >= (G N)**-2 after it.
+    Every start of fit_with_restarts is strictly positive, so no start fails.
+    """
+
+    @staticmethod
+    def assert_bound(model, counts):
+        probs = oracle_component_word_probs(model, counts.word_indices()).sum(axis=0)
+        assert probs.min() >= (model.n_components * counts.total) ** -2.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.integers(2, 4),
+        m=st.integers(1, 5),
+        l=st.integers(1, 5),
+        single=st.booleans(),
+        extra=st.integers(2, 399),
+        seed=st.integers(0, 2**16),
+        maps=st.integers(1, 3),
+    )
+    def test_small_corpora(self, q, m, l, single, extra, seed, maps):
+        l = 1 if single else min(l, m)
+        variant = "single_matrix" if single else "general"
+        truth = random_mtd(q, m, l, variant=variant, seed=seed)
+        counts = count_ngrams([sample_sequence(truth, min(m + extra, 399), seed=seed + 1)], m)
+        config = EmConfig(epsilon=1e-8, max_iters=300, seed=seed + 2, variant=variant,
+                          lag_order=l)
+        report = fit_with_restarts(counts, config)
+        assert [rec.error for rec in report.restarts] == [None] * config.n_restarts
+        self.assert_bound(report.model, counts)
+        init = random_mtd(q, m, l, variant=variant, seed=seed + 3)
+        report = em_fit(counts, init, dataclasses.replace(config, max_iters=maps))
+        self.assert_bound(report.model, counts)
 
 
 class TestVariantAgainstGridSearch:
