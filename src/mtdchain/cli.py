@@ -14,9 +14,9 @@ Every error is one ``mtdchain: error:`` line on stderr.
 
 Each integer flag's least value is ``low`` in ``_FLAGS``, checked as argparse
 reads the flag; a command checks only what compares two flags.  ``main`` opens
-every --out and --trace-out for append before the work starts, and a failed run
-removes each that it created or changed if it is a regular file, never a symlink
-or a device.
+every --out and --trace-out for append before the work starts, refuses two that
+name one file as a usage error, and a failed run removes each that it created or
+changed if it is a regular file, never a symlink or a device.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import math
 import os
 import stat
 import sys
@@ -49,14 +50,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _from_flags(build, *args, **kwargs):
-    """``build(*args, **kwargs)`` on flag values; a ValueError becomes a usage error."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as err:
-        raise _UsageError(f"invalid flag value: {err}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -124,7 +117,10 @@ def _tsv(rows) -> str:
 
 def _load_corpus(args):
     """``(sequences, alphabet)``: the ``--in`` file decoded with the ``--alphabet`` flag."""
-    alphabet = _from_flags(Alphabet, tuple(_tokens(args.alphabet)))
+    try:
+        alphabet = Alphabet(tuple(_tokens(args.alphabet)))
+    except ValueError as err:
+        raise _UsageError(f"invalid flag value: {err}") from None
     return read_sequences(args.infile, fmt=args.format, alphabet=alphabet), alphabet
 
 
@@ -207,9 +203,20 @@ def cmd_count(args, argv) -> int:
     return 0
 
 
-def _em_config(args, **fields) -> EmConfig:
-    return _from_flags(EmConfig, epsilon=args.epsilon, max_iters=args.max_iters,
-                       n_restarts=args.restarts, seed=args.seed, variant=args.variant, **fields)
+def _em_config(args, lag_order: int, lag_flag: str) -> EmConfig:
+    """The fit flags as an EmConfig; a value it refuses is a usage error naming the flag.
+
+    ``lag_flag`` is the flag that gives ``lag_order``.  argparse has checked
+    --max-iters and --restarts.
+    """
+    if not 0.0 < args.epsilon < math.inf:
+        raise _UsageError(f"invalid flag value: --epsilon must be finite and > 0, "
+                          f"got {args.epsilon}")
+    if args.variant == "single_matrix" and lag_order != 1:
+        raise _UsageError(f"invalid flag value: {lag_flag} must be 1 with --variant "
+                          f"single_matrix, got {lag_order}")
+    return EmConfig(epsilon=args.epsilon, max_iters=args.max_iters, n_restarts=args.restarts,
+                    seed=args.seed, variant=args.variant, lag_order=lag_order)
 
 
 def cmd_fit(args, argv) -> int:
@@ -217,7 +224,7 @@ def cmd_fit(args, argv) -> int:
         raise _UsageError(
             f"invalid flag value: --lag-order must be in 1..{args.order}, got {args.lag_order}"
         )
-    config = _em_config(args, lag_order=args.lag_order)
+    config = _em_config(args, args.lag_order, "--lag-order")
     sequences, alphabet = _load_corpus(args)
     counts = count_ngrams(sequences, args.order, alphabet=alphabet)
     if args.algorithm == "em":
@@ -245,12 +252,12 @@ def cmd_eval(args, argv) -> int:
     alphabet = scoring.alphabet
     sequences = read_sequences(args.infile, fmt=args.format, alphabet=alphabet)
     counts = count_ngrams(sequences, scoring.order, alphabet=alphabet)
+    if not counts.total:  # whatever --bic-n says, a BIC of no scored word is no score
+        raise EmptyCorpus(f"no sequence is longer than order {scoring.order}: no word to score")
     loglik = loglik_from_counts(scoring, counts)
     d_theta = model_dimension(model, "theta_u")
     d_raw = model_dimension(model, "raw")
     n_terms = counts.total if args.bic_n == "terms" else sum(len(s) for s in sequences)
-    if not n_terms:
-        raise EmptyCorpus(f"no sequence is longer than order {scoring.order}: no word to score")
     dim = d_theta if args.dim_convention == "theta_u" else d_raw
     row = {"loglik": loglik, "dim_theta_u": d_theta, "dim_raw": d_raw, "n_terms": n_terms,
            "bic": bic(loglik, dim, n_terms)}
@@ -300,8 +307,7 @@ def cmd_tv_experiment(args, argv) -> int:
 
 
 def cmd_bic_compare(args, argv) -> int:
-    # EmConfig rejects the single_matrix variant at a lag order above 1
-    config = _em_config(args, lag_order=max(args.lag_orders))
+    config = _em_config(args, max(args.lag_orders), "--lag-orders")
     if min(args.lag_orders) > max(args.orders):
         raise _UsageError("invalid flag value: no --lag-orders entry is <= an --orders entry")
     sequences, alphabet = _load_corpus(args)
@@ -346,9 +352,12 @@ def main(argv=None) -> int:
     claimed = {}  # each output path of the command and its _state before it was claimed
     try:
         args = build_parser().parse_args(argv)
-        for path in filter(None, (getattr(args, dest, None) for dest in ("out", "trace_out"))):
+        outputs = [getattr(args, dest, None) for dest in ("out", "trace_out")]
+        for path in filter(None, outputs):
             claimed.setdefault(path, _state(path))
             open(path, "a").close()  # an output that cannot be written fails before the work
+        if all(outputs) and os.path.samefile(*outputs):  # the model would overwrite the trace
+            raise _UsageError(f"invalid flag value: --trace-out {outputs[1]} is the --out file")
         return _COMMANDS[args.command](args, argv)
     except BaseException as err:
         _release(claimed)  # a failed run leaves no output that it created or changed

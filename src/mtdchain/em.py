@@ -12,8 +12,8 @@ Both steps run on one kernel, :class:`_Kernel`, which the Berchtold
 baseline shares.  It works on the parameter vector theta = (phi, every
 matrix entry) and holds the (G, n_words) array of flat cell indices
 (g-1)*q**(l+1) + block_g(w)*q + i_0(w) into the matrix part of theta
-(the single-matrix variant drops the g offset, so its lags pool into one
-matrix).  An iteration is then one gather of the weighted components
+(the single-matrix variant takes them modulo q**(l+1), so its lags pool
+into one matrix).  An iteration is then one gather of the weighted components
 phi_g * pi_g(w) from the small table phi_g times lag g's matrix, whose
 sum over g is the E-step denominator p(w) and also gives the
 log-likelihood of the current iterate; the components, divided by p(w)
@@ -83,9 +83,9 @@ from .model import (
     _cell_index,
     _check_dense_size,
     _normalize_rows,
+    history_rows,
     random_mtd,
     spell_word,
-    word_probabilities,
 )
 from .reparam import bic, model_dimension
 
@@ -190,7 +190,8 @@ def loglik_from_counts(model, counts: NGramCounts) -> float:
     counts hold (m+1)-words over the model's alphabet.
     """
     _check_counts(counts, model)
-    return _loglik(counts.values(), word_probabilities(model, counts.word_indices()))
+    histories, letters = np.divmod(counts.word_indices(), model.alphabet.size)
+    return _loglik(counts.values(), history_rows(model, histories, letters))
 
 
 class _Point(NamedTuple):
@@ -227,7 +228,8 @@ class _Kernel:
     table and takes the components from it at ``table_cells``, the same
     IEEE products as scaling each gathered entry.  In the general variant
     these are the cells; the single-matrix variant's table has a row per
-    lag, so its ``table_cells`` add the g offset its pooled cells drop.
+    lag, and its ``cells = table_cells % width`` pool every lag into the
+    one matrix.
     :meth:`scatter` adds per-word weights into the matrix entries at the
     cells: N for the lag contingency tables of :meth:`contingency` and
     the weighted posteriors for the M-step numerators.  :meth:`gradient`
@@ -250,10 +252,8 @@ class _Kernel:
         self.G, self.q = counts.order - lag_order + 1, counts.alphabet.size
         self.n_matrices = 1 if variant == "single_matrix" else self.G
         self.width = self.q ** (lag_order + 1)
-        self.cells = _cell_index(counts.word_indices(), self.q, lag_order, self.G, variant)
-        self.table_cells = self.cells
-        if variant == "single_matrix":
-            self.table_cells = self.cells + self.width * np.arange(self.G)[:, None]
+        self.table_cells = _cell_index(counts.word_indices(), self.q, lag_order, self.G)
+        self.cells = self.table_cells % self.width if self.n_matrices == 1 else self.table_cells
         self.N = counts.values().astype(np.float64)
 
     @classmethod

@@ -32,8 +32,9 @@ checked (a count table, a read sequence, a dense or one-block table) goes
 through ``_adopt`` alone, on ``cls.__new__(cls)``.
 
 Window layout: lag g's l-letter block sits at history digits
-g-1 .. g+l-2, which is axis 1 of :func:`_window`'s
-(q**(m-g-l+1), q**l, q**(g-1), q) view of a dense (q**m, q) table.
+g-1 .. g+l-2.  :func:`_lag_blocks` reads it from listed history indices,
+and :func:`_window` is the same layout for a dense (q**m, q) table: axis 1
+of its (q**(m-g-l+1), q**l, q**(g-1), q) view.
 """
 
 from __future__ import annotations
@@ -356,46 +357,24 @@ def _check_history(model, history, what: str = "history") -> np.ndarray:
     return hist
 
 
-def _lag_cells(word_indices: np.ndarray, g: int, q: int, l: int) -> np.ndarray:
-    """Position of pi_g(block_g(w), i_0(w)) in lag g's (q**l, q) matrix, row-major.
+def _lag_blocks(history_indices: np.ndarray, g: int, q: int, l: int) -> np.ndarray:
+    """Lag g's l-letter block of each listed history index: its digits g-1 .. g+l-2."""
+    return history_indices // q ** (g - 1) % q**l
 
-    block_g is the l-letter block whose most recent letter sits at lag g.
+
+def _cell_index(word_indices: np.ndarray, q: int, lag_order: int, n_components: int) -> np.ndarray:
+    """Position of pi_g(block_g(w), i_0(w)) in G lag tables laid end to end, shape (G, n_words).
+
+    Row g-1 is (g-1)*q**(l+1) plus lag g's block times q plus the word's
+    last letter.  Where the lags share one matrix, these cells modulo
+    q**(l+1) pool them into it.
     """
-    cells = word_indices // q**g
-    cells %= q**l
-    cells *= q
-    cells += word_indices % q
+    histories, letters = np.divmod(np.asarray(word_indices, dtype=np.int64), q)
+    cells = np.empty((n_components, letters.size), dtype=np.int64)
+    for g, row in enumerate(cells, 1):
+        np.multiply(_lag_blocks(histories, g, q, lag_order), q, out=row)
+        row += letters + (g - 1) * q ** (lag_order + 1)
     return cells
-
-
-def _cell_index(word_indices: np.ndarray, q: int, lag_order: int, n_components: int,
-                variant: str = "general") -> np.ndarray:
-    """Position of pi_g(block_g(w), i_0(w)) in the matrices laid end to end, shape (G, n_words).
-
-    Row g-1 is (g-1)*q**(l+1) plus the :func:`_lag_cells` of lag g.  The
-    single-matrix variant drops the g offset, so every lag reads (and, in
-    a ``bincount``, writes) the one shared matrix.
-    """
-    word_indices = np.asarray(word_indices, dtype=np.int64)
-    stride = 0 if variant == "single_matrix" else q ** (lag_order + 1)
-    cells = np.empty((n_components, word_indices.size), dtype=np.int64)
-    for g in range(1, n_components + 1):
-        np.add(_lag_cells(word_indices, g, q, lag_order), (g - 1) * stride, out=cells[g - 1])
-    return cells
-
-
-def word_probabilities(model, word_indices: np.ndarray) -> np.ndarray:
-    """Probability of each (m+1)-word's final letter given its history."""
-    word_indices = np.asarray(word_indices, dtype=np.int64)
-    q = model.alphabet.size
-    # one lag at a time: (G, n_words) arrays would set the peak memory of
-    # scoring large count tables
-    probs = np.zeros(word_indices.size)
-    for g in range(1, model.n_components + 1):
-        terms = model.matrix_for_lag(g).ravel()[_lag_cells(word_indices, g, q, model.lag_order)]
-        terms *= model.phi[g - 1]
-        probs += terms
-    return probs
 
 
 def transition_prob(model: MtdModel, history, next_symbol: int) -> float:
@@ -409,17 +388,25 @@ def transition_prob(model: MtdModel, history, next_symbol: int) -> float:
     j = model.alphabet.check_index(next_symbol)
     # the history index fits int64 where the word index h*q + j may not
     _check_word_space(q, model.order)
-    return float(history_rows(model, [word_to_index(hist, q)])[0, j])
+    return float(history_rows(model, [word_to_index(hist, q)], j)[0])
 
 
-def history_rows(model, history_indices: np.ndarray) -> np.ndarray:
-    """Rows of listed histories, one gather per lag (to_theta_u, sampling); shape (H, q)."""
+def history_rows(model, history_indices: np.ndarray, letters=slice(None)) -> np.ndarray:
+    """sum_g phi_g pi_g[block_g(h), letters] over listed histories h, one lag at a time.
+
+    ``letters`` indexes each lag's gathered rows as numpy does: left out,
+    it gives every history's row, shape (H, q) (to_theta_u, sampling); one
+    letter per history gives that letter's probability, shape (H,), as
+    the words (h, j) of the log-likelihood want.
+    """
     history_indices = np.asarray(history_indices, dtype=np.int64)
-    q = model.alphabet.size
-    rows = np.zeros((history_indices.size, q))
+    q, l = model.alphabet.size, model.lag_order
+    # one lag at a time: (G, H) arrays would set the peak memory of scoring large count tables
+    rows = 0.0
     for g in range(1, model.n_components + 1):
-        blocks = (history_indices // q ** (g - 1)) % q**model.lag_order
-        rows += model.phi[g - 1] * model.matrix_for_lag(g)[blocks]
+        terms = model.matrix_for_lag(g)[_lag_blocks(history_indices, g, q, l), letters]
+        terms *= model.phi[g - 1]
+        rows += terms
     return rows
 
 
@@ -538,7 +525,7 @@ def sequence_loglik(model, seq: Sequence) -> float:
         )
         return 0.0
     words = np.concatenate([*_window_word_indices([seq], m + 1, q)])
-    probs = word_probabilities(model, words)
+    probs = history_rows(model, *np.divmod(words, q))
     zero = probs <= 0.0
     if zero.any():
         t = int(np.argmax(zero))

@@ -109,11 +109,11 @@ def to_theta_u(model: MtdModel, u) -> ThetaU:
     """Transition rows of all one-block perturbations of the u...u history.
 
     Computed directly from the model's components, without expanding the
-    full q**m table: :func:`history_rows` gathers the rows of these histories.
-    They are rows of the checked model, renormalized where they stray from
-    1 beyond ``ROW_SUM_TOL``, and the rows two tables share are the same
-    histories' rows, equal by construction, so the tables are adopted
-    unchecked.
+    full q**m table: :func:`history_rows`, with ``letters`` left out,
+    gathers the whole rows of these histories.  They are rows of the
+    checked model, renormalized where they stray from 1 beyond
+    ``ROW_SUM_TOL``, and the rows two tables share are the same histories'
+    rows, equal by construction, so the tables are adopted unchecked.
     """
     q = model.alphabet.size
     u = model.alphabet.check_index(u)

@@ -52,7 +52,9 @@ def oracle_loglik_gradient(model, counts):
     ws = counts.word_indices()
     N = counts.values().astype(np.float64)
     q = model.alphabet.size
-    cells = _cell_index(ws, q, model.lag_order, model.n_components, model.variant)
+    cells = _cell_index(ws, q, model.lag_order, model.n_components)
+    if model.variant == "single_matrix":
+        cells %= q ** (model.lag_order + 1)
     flat = np.concatenate([mat.ravel() for mat in model.matrices])
     pi_vals = flat[cells]
     p = model.phi @ pi_vals

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import faulthandler
+import functools
 import hashlib
 import io
 import json
@@ -22,10 +23,13 @@ from hypothesis import strategies as st
 from mtdchain import (
     DNA,
     Alphabet,
+    EmConfig,
     MtdError,
     MtdModel,
+    Sequence,
     ThetaU,
     count_ngrams,
+    fit_with_restarts,
     full_transition_matrix,
     random_full_markov,
     random_mtd,
@@ -376,10 +380,23 @@ def test_missing_required_flag_is_usage_error(command, flag, corpus, tmp_path, m
          "invalid flag value: --out must not be empty"),
         (["fit", "--alphabet", "acgt", "--in", "c.txt", "--order", "3", "--out", "m.json",
           "--restarts", "0"], "invalid flag value: --restarts must be >= 1, got 0"),
+        # these parse, so main claims --out before the command refuses them
+        (["fit", "--alphabet", "acgt", "--in", "c.txt", "--order", "3", "--out", os.devnull,
+          "--epsilon", "0"], "mtdchain: error: invalid flag value: --epsilon must be finite "
+         "and > 0, got 0.0\n"),
+        (["fit", "--alphabet", "acgt", "--in", "c.txt", "--order", "3", "--out", os.devnull,
+          "--variant", "single_matrix", "--lag-order", "2"],
+         "mtdchain: error: invalid flag value: --lag-order must be 1 with --variant "
+         "single_matrix, got 2\n"),
+        (["bic-compare", "--alphabet", "acgt", "--in", "c.txt", "--orders", "2",
+          "--lag-orders", "1,2", "--variant", "single_matrix"],
+         "mtdchain: error: invalid flag value: --lag-orders must be 1 with --variant "
+         "single_matrix, got 2\n"),
     ],
     ids=["no-command", "unknown-command", "order-not-int", "epsilon-not-float",
          "format-not-a-choice", "orders-not-int", "fit-out-empty", "count-in-empty",
-         "eval-out-empty", "fit-restarts-0"],
+         "eval-out-empty", "fit-restarts-0", "fit-epsilon-0", "fit-single-matrix-lag-order-2",
+         "bic-compare-single-matrix-lag-orders-1-2"],
 )
 def test_malformed_command_line_is_usage_error(argv, mention, monkeypatch, capsys):
     _forbid_work(monkeypatch)
@@ -754,6 +771,29 @@ def test_failed_run_keeps_a_pre_existing_output(failure, corpus, tmp_path, capsy
         flag: f"kept {flag}\n" for flag in outputs}
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("alias", ["same", "dot-slash", "symlink", "hard-link"])
+def test_out_and_trace_out_naming_one_file_is_usage_error(alias, existing, corpus, tmp_path,
+                                                          capsys, monkeypatch):
+    """The model would overwrite the trace: refused before the work, the claimed file kept
+    as it was or removed if the claim created it."""
+    monkeypatch.chdir(tmp_path)
+    _forbid_work(monkeypatch)
+    if existing:
+        Path("fit.json").write_text("an earlier model\n")
+    other = {"same": "fit.json", "dot-slash": "./fit.json", "symlink": "link", "hard-link": "hard"}
+    if alias == "symlink":
+        os.symlink("fit.json", "link")
+    elif alias == "hard-link":  # a link needs its file, so this one exists before the run
+        Path("fit.json").touch()
+        os.link("fit.json", "hard")
+    before = Path("fit.json").read_text() if Path("fit.json").exists() else None
+    argv = _small_run("fit", corpus, None) + ["--out", "fit.json", "--trace-out", other[alias]]
+    _assert_one_line_failure(argv, capsys, "mtdchain: error: invalid flag value: --trace-out "
+                             f"{other[alias]} is the --out file\n", code=2)
+    assert (Path("fit.json").read_text() if Path("fit.json").exists() else None) == before
+
+
 @pytest.mark.parametrize("kind", ["symlink", "file"])
 def test_failed_write_removes_a_changed_file_but_not_a_link(kind, corpus, tmp_path, capsys,
                                                              monkeypatch):
@@ -840,12 +880,14 @@ def _short_corpus(tmp_path):
     return str(corpus), str(model_path)
 
 
-@pytest.mark.parametrize("command", ["eval", "bic-compare"])
+@pytest.mark.parametrize("command", ["eval", "bic-compare", "eval-bic-n-length"])
 def test_corpus_with_no_scored_word_is_one_line_error(command, tmp_path, capsys):
     corpus, model_path = _short_corpus(tmp_path)
     argv = {
         "eval": ["eval", "--model", model_path, "--in", corpus],
         "bic-compare": ["bic-compare", "--alphabet", "acgt", "--orders", "3", "--in", corpus],
+        # a BIC over the corpus length would still score no word
+        "eval-bic-n-length": ["eval", "--model", model_path, "--in", corpus, "--bic-n", "length"],
     }[command]
     _assert_one_line_failure(argv, capsys, "longer than order 3")
 
@@ -877,12 +919,6 @@ def test_empty_sequence_file_has_no_word_to_fit(command, flags, mention, tmp_pat
     argv = [command, "--alphabet", "acgt", "--in", "empty.txt", *flags]
     _assert_one_line_failure(argv, capsys, mention)
     assert not (tmp_path / "m.json").exists()
-
-
-def test_eval_of_a_corpus_with_no_scored_word_by_its_length(tmp_path, capsys):
-    corpus, model_path = _short_corpus(tmp_path)
-    assert cli.main(["eval", "--model", model_path, "--in", corpus, "--bic-n", "length"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split("\t")[:4] == ["0.0", "30", "38", "3"]
 
 
 def _fuzz_documents(tmp_path):
@@ -1088,6 +1124,88 @@ def test_fit_flags_work_or_fail_in_one_line(flags, tmp_path_factory):
         trace = np.loadtxt(trace_path, skiprows=1, usecols=1, ndmin=1)
         assert np.diff(trace).min(initial=0.0) >= 0.0
         assert trace[-1] == float(out.getvalue().splitlines()[1].split("\t")[0])
+
+
+_FUZZ_ORDER = 3
+
+
+@functools.cache
+def _fitted_models():
+    """Model files of small order-3 fits to one corpus line: MTD fits with l = 1 and 2, the
+    theta_u tables of the second, and the dense table of the first."""
+    seq = Sequence(DNA, DNA.decode(_corpus(n_lines=1, length=600).strip()))
+    counts = count_ngrams([seq], _FUZZ_ORDER)
+    fit = {l: fit_with_restarts(counts, EmConfig(n_restarts=1, max_iters=20, lag_order=l)).model
+           for l in (1, 2)}
+    return {"mtd": fit[1], "mtd l = 2": fit[2], "theta_u": to_theta_u(fit[2], 1),
+            "full_markov": full_transition_matrix(fit[1])}
+
+
+@st.composite
+def _model_argv(draw, command):
+    """``(argv, corpus text)``: ``command`` on a fitted model, with drawn flags; the corpus
+    has lines shorter than the model's order, foreign letters and FASTA headers."""
+    kind = draw(st.sampled_from(sorted(_fitted_models())))
+    prefix = draw(st.text("acgt", min_size=_FUZZ_ORDER - 1, max_size=_FUZZ_ORDER + 1)
+                  | st.text("acgtnx", min_size=_FUZZ_ORDER - 1, max_size=_FUZZ_ORDER + 1))
+    choices = {
+        "eval": {"--dim-convention": st.sampled_from(["theta_u", "raw"]),
+                 "--bic-n": st.sampled_from(["terms", "length"]),
+                 "--format": st.sampled_from(["plain", "fasta"])},
+        "sample": {"--prefix": st.just(prefix), "--seed": st.integers(0, 2**32)},
+        "convert": {"--ref-letter": st.sampled_from(["a", "g", "T", "x"]),
+                    "--seed": st.integers(0, 2**32)},
+        "expand": {"--seed": st.integers(0, 2**32)},
+    }[command]
+    flags = [flag for flag in sorted(choices) if draw(st.booleans())]
+    length, target = draw(st.integers(1, 300)), draw(st.sampled_from(["theta_u", "full_markov"]))
+    argv = [command, "--model", kind, *{
+        "eval": ["--in", "corpus"], "sample": ["--length", str(length)],
+        "convert": ["--to", target, "--out", "out"], "expand": ["--out", "out"]}[command]]
+    argv += [arg for flag in flags for arg in (flag, str(draw(choices[flag])))]
+    letters = st.sampled_from("aaaccggtttn>")  # now and then a foreign letter or a header
+    lines = draw(st.lists(st.text(letters, max_size=4 * _FUZZ_ORDER), min_size=1, max_size=4))
+    return argv, "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("command", ["eval", "sample", "convert", "expand"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_model_commands_work_or_fail_in_one_line(command, data, tmp_path_factory):
+    argv, text = data.draw(_model_argv(command), label="case")
+    _run_model_command(argv, text, tmp_path_factory)
+
+
+def test_eval_of_lines_shorter_than_the_order_fails_in_one_line(tmp_path_factory):
+    argv = ["eval", "--model", "mtd", "--in", "corpus", "--bic-n", "length"]
+    assert _run_model_command(argv, "acg\nta\n", tmp_path_factory) == 1
+
+
+def _run_model_command(argv, text, tmp_path_factory) -> int:
+    """The exit code of ``argv`` on the fitted model it names and a corpus of ``text``,
+    once its output is checked: one error line, or the letters, model or scored words asked."""
+    with _wall_clock_guard(10), pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("argvfuzz"))
+        write_model(argv[2], _fitted_models()[argv[2]])
+        Path("corpus").write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), err.getvalue()
+        if code:
+            assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1)
+            assert err.getvalue().startswith("mtdchain: error: ")
+            return code
+        assert err.getvalue() == ""
+        if argv[0] == "sample":
+            assert len(out.getvalue()) == int(argv[argv.index("--length") + 1]) + 1
+        elif argv[0] == "eval":
+            row = dict(zip(*(line.split("\t") for line in out.getvalue().splitlines())))
+            # every probability of a fitted model is below 1, so a scored word lowers the loglik
+            assert int(row["n_terms"]) >= 1 and float(row["loglik"]) < 0.0
+        else:
+            read_model("out")
+        return code
 
 
 def test_model_at_the_tolerance_edge_samples_and_converts(tmp_path, capsys):

@@ -3,13 +3,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtdchain.berchtold as berchtold_module
 import mtdchain.em as em_module
 import refdata
-from conftest import build_model, lag_table, plus_one_rows, random_sequence
+from conftest import build_model, lag_table, plus_one_rows, random_mtds, random_sequence
 from mtdchain import (
     Alphabet,
     AlphabetMismatch,
@@ -28,6 +28,7 @@ from mtdchain import (
     fit_with_restarts,
     from_theta_u,
     full_transition_matrix,
+    index_to_word,
     init_contingency,
     loglik_from_counts,
     loglik_gradient,
@@ -37,6 +38,7 @@ from mtdchain import (
     to_theta_u,
     word_to_index,
 )
+from mtdchain.model import history_rows
 
 
 def q_function(phi, matrices, posteriors, counts, lag_order):
@@ -249,6 +251,47 @@ class TestKernelMatchesOracle:
         trace, _ = plain_em(counts, init, config)
         assert np.diff(trace).min() > -1e-9
         assert_first_maps_plain(counts, init, config, trace)
+
+
+def oracle_cells(counts, l, variant):
+    """Each word's cell, read digit by digit: (g-1) q**(l+1) + block_g * q + i_0, shape (G, n).
+
+    The single-matrix variant's lags share one matrix, so its cells have no lag offset.
+    """
+    q, m = counts.alphabet.size, counts.order
+    rows = []
+    for g in range(1, m - l + 2):
+        offset = 0 if variant == "single_matrix" else (g - 1) * q ** (l + 1)
+        row = []
+        for w in counts.word_indices().tolist():
+            word = index_to_word(w, m + 1, q)  # oldest letter first: lag k's letter is word[m - k]
+            row.append(offset + word_to_index(word[m - g - l + 1 : m - g + 1], q) * q + word[m])
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+class TestOneEvaluator:
+    """The model's evaluator, the dense table and the fit kernel give each word the same bits."""
+
+    @settings(max_examples=60)
+    @given(model=random_mtds(max_q=4, max_order=6), length=st.integers(1, 400),
+           seed=st.integers(0, 2**16))
+    @example(model=random_mtd(4, 6, 6, seed=1), length=400, seed=0)  # dense: l = m
+    @example(model=random_mtd(4, 6, 3, seed=2), length=400, seed=1)
+    @example(model=random_mtd(4, 6, 1, variant="single_matrix", seed=3), length=400, seed=2)
+    def test_words_score_alike(self, model, length, seed):
+        q, m, l = model.alphabet.size, model.order, model.lag_order
+        counts = count_ngrams([sample_sequence(model, m + length, seed=seed)], m)
+        words = counts.word_indices()
+        probs = history_rows(model, words // q, words % q)
+        table = full_transition_matrix(model).matrices[0]
+        kernel, theta = em_module._Kernel.of(counts, model)
+        point = kernel.gather(theta)
+        assert np.array_equal(probs, table[words // q, words % q])
+        assert np.array_equal(probs, point.probs)
+        assert loglik_from_counts(model, counts) == point.loglik
+        assert np.array_equal(kernel.cells, oracle_cells(counts, l, model.variant))
+        assert np.array_equal(kernel.table_cells, oracle_cells(counts, l, "general"))
 
 
 class TestEStep:

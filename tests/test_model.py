@@ -35,7 +35,7 @@ from mtdchain import (
     transition_prob,
     word_to_index,
 )
-from mtdchain.model import _SAMPLE_PRECOMPUTE_LIMIT, history_rows, word_probabilities
+from mtdchain.model import _SAMPLE_PRECOMPUTE_LIMIT, history_rows
 from mtdchain.reparam import dim_raw_mtd, dim_theta_u, model_dimension
 
 
@@ -361,7 +361,8 @@ class TestDenseIsMtdWithLEqualsM:
     def test_matches_dense_branches(self, model, data):
         q, m, table = model.alphabet.size, model.order, model.matrices[0]
         words = np.arange(q ** (m + 1))
-        assert np.array_equal(word_probabilities(model, words), table[words // q, words % q])
+        assert np.array_equal(history_rows(model, words // q, words % q),
+                              table[words // q, words % q])
         histories = np.arange(q**m)
         assert np.array_equal(history_rows(model, histories), table[histories])
         h = data.draw(st.integers(0, q**m - 1), label="history")
