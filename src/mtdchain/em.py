@@ -83,7 +83,7 @@ from .model import (
     _cell_index,
     _check_dense_size,
     _normalize_rows,
-    history_rows,
+    _word_probs,
     random_mtd,
     spell_word,
 )
@@ -167,10 +167,11 @@ class FitReport:
     restarts: tuple[RestartRecord, ...] = ()
 
 
-def _loglik(N: np.ndarray, probs: np.ndarray) -> float:
+def _loglik(N: np.ndarray, probs: np.ndarray, overwrite: bool = False) -> float:
+    """sum_w N(w) log p(w), -inf if any p(w) <= 0; ``overwrite`` puts the logs in ``probs``."""
     if (probs <= 0.0).any():
         return float("-inf")
-    return float(N @ np.log(probs))
+    return float(N @ np.log(probs, out=probs if overwrite else None))
 
 
 def _check_counts(counts: NGramCounts, model: MtdModel) -> None:
@@ -186,12 +187,14 @@ def _check_counts(counts: NGramCounts, model: MtdModel) -> None:
 def loglik_from_counts(model, counts: NGramCounts) -> float:
     """Conditional log-likelihood sum_w N(w) log p(w); -inf if any p(w) = 0.
 
+    The words are scored a fixed-size chunk at a time into one float64
+    p(w) array, the only array of the word set's size besides the counts'
+    own and the float64 copy of the counts that the dot product reads.
     Raises :class:`ShapeMismatch` or :class:`AlphabetMismatch` unless the
     counts hold (m+1)-words over the model's alphabet.
     """
     _check_counts(counts, model)
-    histories, letters = np.divmod(counts.word_indices(), model.alphabet.size)
-    return _loglik(counts.values(), history_rows(model, histories, letters))
+    return _loglik(counts.values(), _word_probs(model, counts.word_indices()), overwrite=True)
 
 
 class _Point(NamedTuple):

@@ -55,6 +55,8 @@ _INT64_MAX = 2**63 - 1
 
 # windows per chunk of _window_word_indices: its temporaries stay small and in cache
 _WINDOW_CHUNK = 1 << 14
+# words per chunk of _word_probs: its temporaries stay small and in cache
+_SCORE_CHUNK = 1 << 14
 # dense transition tables above this size are not precomputed for sampling
 _SAMPLE_PRECOMPUTE_LIMIT = 4 * 10**6
 # draws that run a guessed chunk start from history 0 before the chunk begins
@@ -391,20 +393,23 @@ def transition_prob(model: MtdModel, history, next_symbol: int) -> float:
     return float(history_rows(model, [word_to_index(hist, q)], j)[0])
 
 
-def history_rows(model, history_indices: np.ndarray, letters=slice(None)) -> np.ndarray:
+def history_rows(model, history_indices: np.ndarray, letters=None) -> np.ndarray:
     """sum_g phi_g pi_g[block_g(h), letters] over listed histories h, one lag at a time.
 
-    ``letters`` indexes each lag's gathered rows as numpy does: left out,
-    it gives every history's row, shape (H, q) (to_theta_u, sampling); one
-    letter per history gives that letter's probability, shape (H,), as
-    the words (h, j) of the log-likelihood want.
+    Left out, ``letters`` gives every history's row, shape (H, q)
+    (to_theta_u, sampling).  One letter per history gives that letter's
+    probability, shape (H,), as the words (h, j) of the log-likelihood
+    want: one flat ``take`` of block * q + letter from each raveled table.
     """
     history_indices = np.asarray(history_indices, dtype=np.int64)
-    q, l = model.alphabet.size, model.lag_order
+    q, l, G = model.alphabet.size, model.lag_order, model.n_components
     # one lag at a time: (G, H) arrays would set the peak memory of scoring large count tables
     rows = 0.0
-    for g in range(1, model.n_components + 1):
-        terms = model.matrix_for_lag(g)[_lag_blocks(history_indices, g, q, l), letters]
+    for g in range(1, G + 1):
+        table = model.matrix_for_lag(g)
+        # at G = 1 (l = m) the block is the history itself
+        blocks = history_indices if G == 1 else _lag_blocks(history_indices, g, q, l)
+        terms = table[blocks] if letters is None else table.ravel().take(blocks * q + letters)
         terms *= model.phi[g - 1]
         rows += terms
     return rows
@@ -440,9 +445,13 @@ def full_transition_matrix(model) -> MtdModel:
     """The model as its dense q**m x q table sum_g phi_g pi_g; a dense model is returned as is."""
     if model.is_dense:
         return model
+    return _adopt_dense(model.alphabet, model.order, _dense_table(model))
+
+
+def _dense_table(model) -> np.ndarray:
+    """The fresh, writable q**m x q table sum_g phi_g pi_g of a model that is not dense."""
     terms = [(g, model.lag_order, p * model.matrix_for_lag(g)) for g, p in enumerate(model.phi, 1)]
-    table = _build_dense(model.alphabet.size, model.order, terms)
-    return _adopt_dense(model.alphabet, model.order, _renormalize_strays(table))
+    return _renormalize_strays(_build_dense(model.alphabet.size, model.order, terms))
 
 
 def _renormalize_strays(rows: np.ndarray) -> np.ndarray:
@@ -504,6 +513,20 @@ def _window_word_indices(sequences, k: int, q: int):
         yield words
 
 
+def _word_probs(model, words: np.ndarray) -> np.ndarray:
+    """p(w) of each listed (m+1)-word w, filled into one array ``_SCORE_CHUNK`` words at a time.
+
+    A chunk's histories, letters and lag terms are its only temporaries, so
+    beyond the words the call holds the result's 8 bytes a word.
+    """
+    q = model.alphabet.size
+    probs = np.empty(words.size)
+    for lo in range(0, words.size, _SCORE_CHUNK):
+        chunk = words[lo : lo + _SCORE_CHUNK]
+        probs[lo : lo + chunk.size] = history_rows(model, *np.divmod(chunk, q))
+    return probs
+
+
 def sequence_loglik(model, seq: Sequence) -> float:
     """Conditional log-likelihood of ``seq`` under ``model``.
 
@@ -511,7 +534,9 @@ def sequence_loglik(model, seq: Sequence) -> float:
     sum_{t=m+1..n} log P(y_t | y_{t-m}, ..., y_{t-1}).  A sequence with no
     scored position returns 0.0 (empty sum) with a warning.  If any scored
     transition has probability zero the -inf sentinel is returned and a
-    warning names the offending word.
+    warning names the offending word.  As in ``loglik_from_counts``, the
+    words are scored a fixed-size chunk at a time into one float64 array,
+    whose logs are then summed at once.
     """
     if seq.alphabet != model.alphabet:
         raise AlphabetMismatch("sequence and model alphabets differ")
@@ -525,7 +550,7 @@ def sequence_loglik(model, seq: Sequence) -> float:
         )
         return 0.0
     words = np.concatenate([*_window_word_indices([seq], m + 1, q)])
-    probs = history_rows(model, *np.divmod(words, q))
+    probs = _word_probs(model, words)
     zero = probs <= 0.0
     if zero.any():
         t = int(np.argmax(zero))
@@ -538,7 +563,7 @@ def sequence_loglik(model, seq: Sequence) -> float:
             stacklevel=2,
         )
         return float("-inf")
-    return float(np.log(probs).sum())
+    return float(np.log(probs, out=probs).sum())
 
 
 def _partial_sums(model):
@@ -556,7 +581,11 @@ def _partial_sums(model):
     """
     q = model.alphabet.size
     if q**model.order * q <= _SAMPLE_PRECOMPUTE_LIMIT:
-        table = np.cumsum(full_transition_matrix(model).matrices[0], axis=1)
+        if model.is_dense:
+            table = np.cumsum(model.matrices[0], axis=1)
+        else:  # a fresh table, cumulated where it lies
+            table = _dense_table(model)
+            np.cumsum(table, axis=1, out=table)
         cells = memoryview(table.ravel())
 
         def letter(h, u):
@@ -576,8 +605,8 @@ def _partial_sums(model):
 
 
 def _step_histories(rows, h, u, q, base) -> None:
-    """Move each history in ``h`` (in place) on by the letter its draw in ``u`` picks."""
-    letters = np.zeros(h.size, dtype=np.int64)
+    """Move each history in ``h`` on, in place and in its dtype, by the letter its draw picks."""
+    letters = np.zeros(h.size, dtype=h.dtype)
     for partial in rows(h).T[:-1]:  # partial sum k of each history; the full sum is left out
         letters += partial <= u
     h %= base
@@ -590,10 +619,11 @@ def _speculate(rows, u, hist, h0, span, q, base) -> None:
 
     Chunk 0 starts from ``h0`` and is exact.  Every later chunk starts from
     history 0 run over the ``_SAMPLE_BURN_IN`` draws before it, which is
-    the right start unless the two chains have not yet met.
+    the right start unless the two chains have not yet met.  The histories
+    run in ``hist``'s dtype.
     """
     chunks = -(-u.size // span)
-    h = np.zeros(chunks, dtype=np.int64)
+    h = np.zeros(chunks, dtype=hist.dtype)
     burn_in = min(_SAMPLE_BURN_IN, span)
     for s in range(span - burn_in, span):
         _step_histories(rows, h[1:], u[s::span][: chunks - 1], q, base)
@@ -603,6 +633,14 @@ def _speculate(rows, u, hist, h0, span, q, base) -> None:
         running = h[: draws.size]
         _step_histories(rows, running, draws, q, base)
         hist[s::span] = running
+
+
+def _sample_array(length: int, allocate):
+    """``allocate()``, a buffer of a sample of ``length`` letters, or :class:`ModelTooLarge`."""
+    try:
+        return allocate()
+    except (ValueError, MemoryError) as err:
+        raise ModelTooLarge(f"cannot allocate a sample of {length} letters: {err}") from None
 
 
 def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
@@ -621,8 +659,16 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
     only until its history meets the guessed one, after which the two
     share every letter.  Both read the rows of :func:`_partial_sums`,
     precomputed for a small model and computed per history for a large
-    one.  Raises :class:`ModelTooLarge` when history indices overflow
-    int64 or the draws or letters cannot be allocated.
+    one.
+
+    Memory: the rows are built first, cumulated in the dense table they
+    come from, so one table is all the draws coexist with.  Then each
+    letter costs its 8-byte draw plus its history after the draw, in the
+    narrowest unsigned dtype that holds q**m - 1 and q (2 bytes at q = 4,
+    m = 8); the one-byte letters are
+    written once the draws are released.  Raises :class:`ModelTooLarge`
+    when history indices overflow int64 or the draws or letters cannot be
+    allocated.
     """
     m = model.order
     q = model.alphabet.size
@@ -638,31 +684,31 @@ def sample_sequence(model, length: int, seed, init="uniform") -> Sequence:
     else:
         prefix = _check_history(model, init, "init prefix")
     n = length - m
-    try:
-        letters = np.empty(length, dtype=np.int64)
-        u = rng.random(n)
-    except (ValueError, MemoryError) as err:
-        raise ModelTooLarge(f"cannot allocate a sample of {length} letters: {err}") from None
-    letters[:m] = prefix
-    # hist[s] is the history after draw s until the last line turns it into its letter
-    hist = letters[m:]
+    rows, letter = _partial_sums(model) if n else (None, None)
+    # hist[s] is the history after draw s until the last step turns it into its letter
+    # the dtype holds every history and the multiplier q, which at m = 1 exceeds q**m - 1
+    hist = _sample_array(length, lambda: np.empty(n, np.min_scalar_type(max(q**m - 1, q))))
+    u = _sample_array(length, lambda: rng.random(n))
     if n:
-        rows, letter = _partial_sums(model)
         base = q ** (m - 1)
         h = word_to_index(prefix, q)
         span = isqrt(2 * n)
         _speculate(rows, u, hist, h, span, q, base)
-        draws, guess = memoryview(u), memoryview(hist)
-        for lo in range(0, n, span):
-            hi = min(lo + span, n)
-            for t in range(lo, hi):
-                h = (h % base) * q + letter(h, draws[t])
-                if guess[t] == h:
-                    break  # the guessed chain from here on is the true one
-                guess[t] = h
-            h = guess[hi - 1]
+        with memoryview(u) as draws, memoryview(hist) as guess:
+            for lo in range(0, n, span):
+                hi = min(lo + span, n)
+                for t in range(lo, hi):
+                    h = (h % base) * q + letter(h, draws[t])
+                    if guess[t] == h:
+                        break  # the guessed chain from here on is the true one
+                    guess[t] = h
+                h = guess[hi - 1]
         hist %= q
-    return Sequence(model.alphabet, letters)
+    del u  # the letters take the draws' place
+    letters = _sample_array(length, lambda: np.empty(length, model.alphabet.letter_dtype))
+    letters[:m] = prefix
+    letters[m:] = hist
+    return Sequence.__new__(Sequence)._adopt(model.alphabet, letters, None)
 
 
 def _normalize_rows(num: np.ndarray, empty) -> np.ndarray:

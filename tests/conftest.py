@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -61,6 +64,19 @@ SYMBOL_SETS = pytest.mark.parametrize(
      tuple(f"s{i}" for i in range(12)), tuple(chr(33 + i) for i in range(90))],
     ids=["dna", "case-pair", "sharp-s", "astral", "q12", "q90"],
 )
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the most bytes ``fn`` held at once that tracemalloc saw allocated
+    during the call, numpy's array buffers included."""
+    gc.collect()  # no garbage of an earlier test is freed inside the trace
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def random_sequence(alphabet, length, seed):

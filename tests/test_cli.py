@@ -34,8 +34,10 @@ from mtdchain import (
     random_full_markov,
     random_mtd,
     read_model,
+    read_sequences,
     sample_sequence,
     to_theta_u,
+    word_to_index,
     write_counts,
     write_model,
 )
@@ -1184,10 +1186,30 @@ def test_eval_of_lines_shorter_than_the_order_fails_in_one_line(tmp_path_factory
 def _run_model_command(argv, text, tmp_path_factory) -> int:
     """The exit code of ``argv`` on the fitted model it names and a corpus of ``text``,
     once its output is checked: one error line, or the letters, model or scored words asked."""
+    directory = tmp_path_factory.mktemp("argvfuzz")
+    write_model(directory / argv[2], _fitted_models()[argv[2]])
+    code, out = _run_fuzzed(argv, {"corpus": text}, directory)
+    if code:
+        return code
+    if argv[0] == "sample":
+        assert len(out) == int(argv[argv.index("--length") + 1]) + 1
+    elif argv[0] == "eval":
+        row = dict(zip(*(line.split("\t") for line in out.splitlines())))
+        # every probability of a fitted model is below 1, so a scored word lowers the loglik
+        assert int(row["n_terms"]) >= 1 and float(row["loglik"]) < 0.0
+    else:
+        read_model(directory / "out")
+    return code
+
+
+def _run_fuzzed(argv, files, directory) -> tuple[int, str]:
+    """``(exit code, output)`` of ``argv`` run in ``directory``, which gets ``files`` (name to
+    text), once a failure is checked to be one error line; the output is the ``--out`` file's,
+    if one was named, else stdout's."""
     with _wall_clock_guard(10), pytest.MonkeyPatch.context() as patch:
-        patch.chdir(tmp_path_factory.mktemp("argvfuzz"))
-        write_model(argv[2], _fitted_models()[argv[2]])
-        Path("corpus").write_text(text)
+        patch.chdir(directory)
+        for name, text in files.items():
+            Path(name).write_text(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -1195,17 +1217,82 @@ def _run_model_command(argv, text, tmp_path_factory) -> int:
         if code:
             assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1)
             assert err.getvalue().startswith("mtdchain: error: ")
-            return code
+            return code, ""
         assert err.getvalue() == ""
-        if argv[0] == "sample":
-            assert len(out.getvalue()) == int(argv[argv.index("--length") + 1]) + 1
-        elif argv[0] == "eval":
-            row = dict(zip(*(line.split("\t") for line in out.getvalue().splitlines())))
-            # every probability of a fitted model is below 1, so a scored word lowers the loglik
-            assert int(row["n_terms"]) >= 1 and float(row["loglik"]) < 0.0
-        else:
-            read_model("out")
-        return code
+        return code, Path("out").read_text() if "--out" in argv else out.getvalue()
+
+
+@st.composite
+def _count_argv(draw):
+    """``(argv, corpus text)``: ``count`` with a drawn alphabet (some invalid), order (1-4)
+    and flags, on a corpus with short and blank lines, foreign letters and FASTA headers."""
+    alphabet = draw(st.sampled_from(["acgt", "ACGT", "ga", "a,c,g,t", "a,cg,t", "aa", "a", "a,,c"]))
+    argv = ["count", "--alphabet", alphabet, "--order", str(draw(st.integers(1, 4))),
+            "--in", "corpus"]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["plain", "fasta"]))]
+    if draw(st.booleans()):
+        argv += ["--out", "out"]
+    letters = st.sampled_from("aaaccggtttn>,C")  # now and then a foreign letter or a header
+    lines = draw(st.lists(st.text(letters, max_size=16), min_size=1, max_size=5))
+    return argv, "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=60)
+@given(case=_count_argv())
+def test_count_flags_work_or_fail_in_one_line(case, tmp_path_factory):
+    argv, text = case
+    tmp_path = tmp_path_factory.mktemp("countfuzz")
+    code, table = _run_fuzzed(argv, {"corpus": text}, tmp_path)
+    if code:
+        return
+    alphabet = Alphabet(tuple(cli._tokens(argv[2])))
+    order = int(argv[4])
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "plain"
+    rows = [line.split("\t") for line in table.splitlines()]
+    # every word spells order + 1 letters of the alphabet, in ascending order, and the
+    # counts add up to the windows of the lines that are read
+    words = [word_to_index(alphabet.decode(word), alphabet.size) for word, _ in rows]
+    assert all(len(alphabet.decode(word)) == order + 1 for word, _ in rows)
+    assert words == sorted(set(words))
+    sequences = read_sequences(tmp_path / "corpus", fmt=fmt, alphabet=alphabet)
+    assert sum(int(n) for _, n in rows) == sum(max(len(seq) - order, 0) for seq in sequences)
+
+
+@st.composite
+def _tv_argv(draw):
+    """``tv-experiment`` with drawn flags, capped so no run is large: orders and word lengths
+    1-4, up to 4 symbols, 3 replicates and 300 letters."""
+    values = {
+        "--gen-order": st.integers(1, 4), "--alphabet-size": st.integers(2, 4),
+        "--length": st.integers(1, 300),
+        "--fit-orders": st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+            lambda orders: ",".join(map(str, orders))),
+        "--replicates": st.integers(1, 3), "--word-len": st.integers(1, 4),
+        "--seed": st.integers(0, 2**32), "--out": st.just("out"),
+    }
+    # the defaults of the others are a large run, so these four are always given
+    flags = {"--gen-order", "--length", "--fit-orders", "--replicates"}
+    flags |= draw(st.sets(st.sampled_from(sorted(values))))
+    return ["tv-experiment",
+            *(arg for flag in sorted(flags) for arg in (flag, str(draw(values[flag]))))]
+
+
+@settings(max_examples=40)
+@given(argv=_tv_argv())
+def test_tv_experiment_flags_work_or_fail_in_one_line(argv, tmp_path_factory):
+    code, table = _run_fuzzed(argv, {}, tmp_path_factory.mktemp("tvfuzz"))
+    if code:
+        return
+    flag = dict(zip(argv[1::2], argv[2::2]))
+    orders = list(map(int, flag["--fit-orders"].split(",")))
+    rows = [line.split("\t") for line in table.splitlines()]
+    assert rows[0] == ["replicate", "fit_order", "tv"]
+    # one row per replicate and fitted order, then each distinct order's mean
+    want = [(str(r), m) for r in range(int(flag["--replicates"])) for m in orders]
+    want += [("mean", m) for m in sorted(set(orders))]
+    assert [(r, int(m)) for r, m, _ in rows[1:]] == want
+    assert all(0.0 <= float(tv) <= 2.0 for _, _, tv in rows[1:])
 
 
 def test_model_at_the_tolerance_edge_samples_and_converts(tmp_path, capsys):

@@ -50,6 +50,7 @@ def _validate_once_cases(tmp_path):
     return {
         "count_ngrams": (NGramCounts, lambda: count_ngrams([seq], 4)),
         "read_sequences": (Sequence, lambda: read_sequences(path, alphabet=model.alphabet)),
+        "sample_sequence": (Sequence, lambda: sample_sequence(model, 300, seed=6)),
         "full_transition_matrix": (MtdModel, lambda: full_transition_matrix(model)),
         "fit_full_markov": (MtdModel, lambda: fit_full_markov(counts)),
         "from_theta_u": (MtdModel, lambda: from_theta_u(theta)),
@@ -57,8 +58,9 @@ def _validate_once_cases(tmp_path):
     }
 
 
-@pytest.mark.parametrize("producer", ["count_ngrams", "read_sequences", "full_transition_matrix",
-                                      "fit_full_markov", "from_theta_u", "to_theta_u"])
+@pytest.mark.parametrize("producer", ["count_ngrams", "read_sequences", "sample_sequence",
+                                      "full_transition_matrix", "fit_full_markov", "from_theta_u",
+                                      "to_theta_u"])
 def test_producers_never_enter_the_validating_constructor(producer, tmp_path, monkeypatch):
     kind, produce = _validate_once_cases(tmp_path)[producer]
     validating = "__post_init__" if kind is Sequence else "__init__"
@@ -657,6 +659,38 @@ class TestSamplerMatchesListOracle:
             got = sample_sequence(model, 1 + n, seed=7, init=[0])
             assert got.data[1 + t] == 1
             assert np.array_equal(got.data, _list_rows_sample(model, 1 + n, 7, [0]))
+
+
+# (q, m, dtype of q**m - 1): 255, 511, 65,535 and 131,071 at the edges of the history
+# dtype; the last model's table is over _SAMPLE_PRECOMPUTE_LIMIT, so its rows are computed
+# per history
+_HISTORY_EDGES = [(2, 8, np.uint8), (4, 4, np.uint8), (2, 9, np.uint16), (4, 8, np.uint16),
+                  (2, 16, np.uint16), (2, 17, np.uint32), (4, 11, np.uint32),
+                  (256, 1, np.uint16)]  # q**m - 1 = 255, but the multiplier q needs 2 bytes
+
+
+class TestSamplerAtHistoryDtypeEdges:
+    @pytest.mark.parametrize("q, m, dtype", _HISTORY_EDGES,
+                             ids=[f"q{q}-m{m}" for q, m, _ in _HISTORY_EDGES])
+    @pytest.mark.parametrize("init", ["uniform", "last-letters"])
+    def test_matches_list_oracle(self, q, m, dtype, init):
+        model = random_mtd(q, m, 2 if 1 < m <= 8 else 1, seed=q * m)
+        # a uniform prefix, or history q**m - 1 itself
+        prefix = "uniform" if init == "uniform" else [q - 1] * m
+        seen, real = [], mtdchain.model._speculate
+
+        def speculate(rows, u, hist, *args):
+            seen.append(hist.dtype)  # the dtype the histories run in
+            return real(rows, u, hist, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mtdchain.model, "_speculate", speculate)
+            for n in [0, 1, *_chunk_boundaries(12)]:
+                got = sample_sequence(model, m + n, seed=n, init=prefix)
+                assert got.data.dtype == model.alphabet.letter_dtype
+                assert np.array_equal(got.data, _list_rows_sample(model, m + n, n, prefix))
+        assert seen and set(seen) == {np.dtype(dtype)}
+        assert (q**m * q > _SAMPLE_PRECOMPUTE_LIMIT) == (m == 11)
 
 
 class TestRandomMtd:
